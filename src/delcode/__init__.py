@@ -15,6 +15,7 @@ from .errors import (
     DecodeError,
     DelcodeError,
     InputTooShort,
+    MalformedSpec,
     NoSolution,
     NotFound,
     PermDecodeFailed,

@@ -167,22 +167,15 @@ class SimulationReport:
         }
 
 
-def _shard_seed(seed: int, shard: int) -> int:
-    return seed * 1_000_003 + shard
-
-
-def simulate(
-    spec: MultFreeCodeSpec, trials: int, t_max: int, seed: int, shards: int = 1
-) -> SimulationReport:
+def simulate(spec: MultFreeCodeSpec, trials: int, t_max: int, seed: int) -> SimulationReport:
     """Replay codewords through the seeded deletion channel and tally recovery.
 
     Each trial draws a uniform codeword and a deletion pattern whose size is
     uniform in {0..t_max}, decodes, and records success per deletion count.
-    Trials are split across shards with seeds derived from (seed, shard), so the
-    merged tally is reproducible regardless of how the work would be spread.
+    One generator seeded from `seed` drives every trial, so a seed fixes the tally.
     """
-    if trials < 0 or shards < 1:
-        raise ValueError("need trials >= 0 and shards >= 1")
+    if trials < 0:
+        raise ValueError("need trials >= 0")
     if not 0 <= t_max <= spec.n:
         raise ValueError(f"t_max {t_max} outside [0, {spec.n}]")
     total = code_size(spec)
@@ -191,23 +184,21 @@ def simulate(
 
     by_weight = {w: {"trials": 0, "successes": 0, "failures": 0} for w in range(t_max + 1)}
     successes = failures = 0
-    base, extra = divmod(trials, shards)
-    for shard in range(shards):
-        rng = random.Random(_shard_seed(seed, shard))
-        for _ in range(base + (1 if shard < extra else 0)):
-            x = encode_index(spec, rng.randrange(total))
-            pattern = draw_deletion_pattern(rng, spec.n, t_max)
-            y = delete_positions(x, pattern)
-            try:
-                ok = decode(spec, y) == x
-            except DecodeError:
-                ok = False
-            slot = by_weight[pattern.size]
-            slot["trials"] += 1
-            if ok:
-                slot["successes"] += 1
-                successes += 1
-            else:
-                slot["failures"] += 1
-                failures += 1
+    rng = random.Random(seed * 1_000_003)
+    for _ in range(trials):
+        x = encode_index(spec, rng.randrange(total))
+        pattern = draw_deletion_pattern(rng, spec.n, t_max)
+        y = delete_positions(x, pattern)
+        try:
+            ok = decode(spec, y) == x
+        except DecodeError:
+            ok = False
+        slot = by_weight[pattern.size]
+        slot["trials"] += 1
+        if ok:
+            slot["successes"] += 1
+            successes += 1
+        else:
+            slot["failures"] += 1
+            failures += 1
     return SimulationReport(trials, t_max, seed, successes, failures, by_weight)

@@ -68,6 +68,9 @@ def _cmd_enumerate(args) -> int:
 def _cmd_decode(args) -> int:
     spec = load_spec(args.spec)
     symbols = json.loads(args.word)
+    # bool is an int subclass, so true would otherwise read as symbol 1
+    if not isinstance(symbols, list) or any(type(s) is not int for s in symbols):
+        raise ValueError(f"--word must be a JSON array of integers, got {args.word}")
     y = Word(tuple(symbols), spec.q, multiplicity_free=True)
     steps = decode_steps(spec, y)
     result = {"codeword": list(steps.codeword.symbols)}
@@ -84,7 +87,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = load_spec(args.spec)
-    report = simulate(spec, args.trials, args.tmax, args.seed, shards=args.shards)
+    report = simulate(spec, args.trials, args.tmax, args.seed)
     _emit(report.to_json_dict())
     # within the deletion budget the construction guarantees recovery
     if args.tmax <= spec.t and report.failures > 0:
@@ -177,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--tmax", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--shards", type=int, default=1)
     s.set_defaults(func=_cmd_simulate)
 
     b = sub.add_parser("bounds", help="print a bound report")

@@ -9,6 +9,10 @@ class ScaleGuardExceeded(DelcodeError):
     """An enumeration would exceed the desk-scale cap (override with DELCODE_SCALE_GUARD)."""
 
 
+class MalformedSpec(DelcodeError):
+    """A spec file lacks a required key or has a value of the wrong shape."""
+
+
 class DecodeError(DelcodeError):
     """Base class for decoder failures; channel harnesses catch this."""
 

@@ -15,6 +15,7 @@ from typing import Iterator
 from .errors import (
     Ambiguous,
     InputTooShort,
+    MalformedSpec,
     NoSolution,
     NotFound,
     PermDecodeFailed,
@@ -203,7 +204,12 @@ def save_spec(spec: MultFreeCodeSpec, path) -> None:
 
 def load_spec(path) -> MultFreeCodeSpec:
     with open(path) as fh:
-        return MultFreeCodeSpec.from_json_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return MultFreeCodeSpec.from_json_dict(data)
+    except (KeyError, TypeError) as exc:
+        # a missing key, or a list or scalar where an object or number belongs
+        raise MalformedSpec(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def set_codewords(spec: MultFreeCodeSpec) -> tuple[SymbolSet, ...]:

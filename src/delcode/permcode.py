@@ -3,25 +3,20 @@ decoders.
 
 Stable deletions keep surviving values, so a radius-t ball is exactly the set
 of subsequences of length >= n - t; unstable deletions rank-compress survivors
-and yield smaller permutations.  Unstable-deletion codebooks are only built for
-t <= 1.
+and yield smaller permutations (codebooks only for t <= 1).  One raw-tuple key
+function per semantics serves the greedy scan, disjointness checks and balls.
 """
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
-from typing import Iterator
+from itertools import combinations, compress, permutations
+from typing import Callable, Iterable, Iterator
 
 from .errors import Ambiguous, NotFound
 from .guards import PERM_ENUM_CAP, check_enumerable
-from .model import (
-    DeletionPattern,
-    Permutation,
-    Word,
-    apply_stable_deletions,
-    apply_unstable_deletions,
-)
+from .model import DeletionPattern, Permutation, Word, apply_unstable_deletions
 
 
 @dataclass(frozen=True)
@@ -59,47 +54,60 @@ class PermCodeBook:
         )
 
 
-def _patterns(n: int, t: int) -> Iterator[DeletionPattern]:
-    for size in range(t + 1):
-        for positions in combinations(range(1, n + 1), size):
-            yield DeletionPattern(positions, n)
+def _stable_keys(n: int, t: int) -> Callable:
+    """Lazy keys of a radius-t stable ball: every subsequence of length >= n - t,
+    shortest first, so that a lazy disjointness test meets a taken key early."""
+    if not 0 <= t <= n:
+        raise ValueError(f"deletion radius t={t} outside [0, {n}]")
+    masks = [tuple(k not in dropped for k in range(n))
+             for size in range(t, -1, -1) for dropped in combinations(range(n), size)]
+    return lambda images: (tuple(compress(images, keep)) for keep in masks)
+
+
+def _unstable_keys(n: int, t: int) -> Callable:
+    """Lazy keys of a radius-t unstable ball: the stable keys, rank-compressed."""
+    stable_keys = _stable_keys(n, t)
+
+    def keys(images):
+        for kept in stable_keys(images):
+            ordered = sorted(kept)
+            yield tuple([bisect(ordered, v) for v in kept])
+
+    return keys
 
 
 def stable_deletion_ball(sigma: Permutation, t: int) -> set[Word]:
     """Every word reachable from sigma by at most t stable deletions."""
-    if not 0 <= t <= len(sigma):
-        raise ValueError(f"radius t={t} outside [0, {len(sigma)}]")
-    return {apply_stable_deletions(sigma, pat) for pat in _patterns(len(sigma), t)}
+    keys = _stable_keys(len(sigma), t)(sigma.images)
+    return {Word(key, len(sigma) + 1, multiplicity_free=True) for key in keys}
 
 
 def unstable_deletion_ball(sigma: Permutation, t: int) -> set[Permutation]:
     """Every permutation reachable from sigma by at most t unstable deletions."""
-    if not 0 <= t <= len(sigma):
-        raise ValueError(f"radius t={t} outside [0, {len(sigma)}]")
-    return {apply_unstable_deletions(sigma, pat) for pat in _patterns(len(sigma), t)}
+    return {Permutation(key) for key in _unstable_keys(len(sigma), t)(sigma.images)}
 
 
-def _greedy_scan(n: int, t: int, ball_keys) -> tuple[Permutation, ...]:
-    # Admission only consults previously admitted balls, so the scan is sequential.
+def _first_fit(candidates: Iterable[tuple[int, ...]], ball_keys: Callable) -> Iterator[tuple[int, ...]]:
+    """Yield each candidate whose ball shares no key with the ball of an earlier
+    yielded one; admission only consults earlier admissions."""
+    taken: set[tuple[int, ...]] = set()
+    for images in candidates:
+        if taken.isdisjoint(ball_keys(images)):
+            # merging a whole set grows the table less eagerly than adding keys one by one
+            taken |= set(ball_keys(images))
+            yield images
+
+
+def _greedy_book(n: int, t: int, ball_keys: Callable) -> PermCodeBook:
     check_enumerable(math.factorial(n), PERM_ENUM_CAP, "symmetric-group scan")
-    taken: set = set()
-    chosen: list[Permutation] = []
-    for images in permutations(range(1, n + 1)):
-        sigma = Permutation(images)
-        ball = ball_keys(sigma)
-        if taken.isdisjoint(ball):
-            chosen.append(sigma)
-            taken |= ball
-    return tuple(chosen)
+    admitted = _first_fit(permutations(range(1, n + 1)), ball_keys)
+    return PermCodeBook(n, t, tuple(Permutation(images) for images in admitted), "lex")
 
 
 def greedy_sd_code(n: int, t: int) -> PermCodeBook:
     """First-fit scan of S_n in lexicographic order: admit a permutation iff its
     radius-t stable-deletion ball avoids every previously admitted ball."""
-    if not 0 <= t <= n:
-        raise ValueError(f"deletion budget t={t} outside [0, {n}]")
-    keys = lambda sigma: {w.symbols for w in stable_deletion_ball(sigma, t)}
-    return PermCodeBook(n, t, _greedy_scan(n, t, keys), "lex")
+    return _greedy_book(n, t, _stable_keys(n, t))
 
 
 def greedy_ud_code(n: int, t: int = 1) -> PermCodeBook:
@@ -107,28 +115,19 @@ def greedy_ud_code(n: int, t: int = 1) -> PermCodeBook:
     multiple-unstable-deletion codes are not constructed here."""
     if t not in (0, 1):
         raise ValueError("unstable-deletion codebooks are only built for t <= 1")
-    keys = lambda sigma: {pi.images for pi in unstable_deletion_ball(sigma, t)}
-    return PermCodeBook(n, t, _greedy_scan(n, t, keys), "lex")
+    return _greedy_book(n, t, _unstable_keys(n, t))
 
 
 def verify_sd_property(book: PermCodeBook) -> bool:
     """True iff the radius-t stable-deletion balls are pairwise disjoint."""
-    seen: dict[tuple[int, ...], int] = {}
-    for idx, sigma in enumerate(book.codewords):
-        for w in stable_deletion_ball(sigma, book.t):
-            if seen.setdefault(w.symbols, idx) != idx:
-                return False
-    return True
+    images = [sigma.images for sigma in book.codewords]
+    return len(list(_first_fit(images, _stable_keys(book.n, book.t)))) == len(images)
 
 
 def verify_ud_property(book: PermCodeBook) -> bool:
     """True iff the radius-t unstable-deletion balls are pairwise disjoint."""
-    seen: dict[tuple[int, ...], int] = {}
-    for idx, sigma in enumerate(book.codewords):
-        for pi in unstable_deletion_ball(sigma, book.t):
-            if seen.setdefault(pi.images, idx) != idx:
-                return False
-    return True
+    images = [sigma.images for sigma in book.codewords]
+    return len(list(_first_fit(images, _unstable_keys(book.n, book.t)))) == len(images)
 
 
 def _is_subsequence(short: tuple[int, ...], long: tuple[int, ...]) -> bool:

@@ -150,12 +150,6 @@ class TestSimulate:
         assert first == second
         assert first != simulate(explicit_spec, trials=300, t_max=2, seed=43)
 
-    def test_sharded_run_keeps_totals(self, explicit_spec):
-        report = simulate(explicit_spec, trials=301, t_max=2, seed=9, shards=4)
-        assert report.successes + report.failures == 301
-        assert report.failures == 0
-        assert report == simulate(explicit_spec, trials=301, t_max=2, seed=9, shards=4)
-
     def test_beyond_budget_failures_are_reported_not_raised(self, explicit_spec):
         report = simulate(explicit_spec, trials=400, t_max=3, seed=1)
         assert report.successes + report.failures == 400

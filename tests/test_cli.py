@@ -142,6 +142,12 @@ class TestDecode:
         assert result.returncode == 2
         assert json.loads(result.stdout)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("word", ["[1.5,2,3]", '{"a":1}', "7", "null", "[true,3,4]"])
+    def test_structured_error_on_non_integer_array(self, spec_path, word):
+        result = run_cli("decode", "--spec", str(spec_path), "--word", word)
+        assert result.returncode == 2, result.stderr
+        assert json.loads(result.stdout)["error"] == "ValueError"
+
 
 class TestSimulate:
     def test_clean_run_exits_zero(self, spec_path):
@@ -190,3 +196,20 @@ class TestErrors:
         result = run_cli("enumerate", "--spec", "/nonexistent/spec.json")
         assert result.returncode == 2
         assert "error" in json.loads(result.stdout)
+
+    @pytest.mark.parametrize("content", ['{"q": 12}', "[1, 2]"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("verify",),
+            ("simulate", "--trials", "1", "--tmax", "1", "--seed", "0"),
+            ("enumerate",),
+            ("decode", "--word", "[1,2,3]"),
+        ],
+    )
+    def test_malformed_spec_file(self, tmp_path, content, command):
+        path = tmp_path / "spec.json"
+        path.write_text(content)
+        result = run_cli(command[0], "--spec", str(path), *command[1:])
+        assert result.returncode == 2, result.stderr
+        assert json.loads(result.stdout)["error"] == "MalformedSpec"

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -32,17 +34,60 @@ def all_patterns(n, t):
             yield DeletionPattern(positions, n)
 
 
-def naive_greedy_sd(n, t):
+def naive_greedy(n, t, delete):
     # quadratic re-implementation: explicit pairwise ball intersections
     chosen = []
     balls = []
     for images in itertools.permutations(range(1, n + 1)):
         sigma = Permutation(images)
-        ball = {apply_stable_deletions(sigma, pat).symbols for pat in all_patterns(n, t)}
+        ball = {delete(sigma, pat) for pat in all_patterns(n, t)}
         if all(ball.isdisjoint(other) for other in balls):
             chosen.append(sigma)
             balls.append(ball)
     return chosen
+
+
+def naive_greedy_sd(n, t):
+    return naive_greedy(n, t, lambda sigma, pat: apply_stable_deletions(sigma, pat).symbols)
+
+
+def naive_greedy_ud(n, t):
+    return naive_greedy(n, t, lambda sigma, pat: apply_unstable_deletions(sigma, pat).images)
+
+
+# sha256 of json.dumps(book.to_json_dict(), sort_keys=True): any change to the
+# admission order or to the ball contents changes a lex first-fit codebook
+SD_CODEBOOK_SHA256 = {
+    (1, 1): "603884859743753eff4a4e417c62ab980c9422363ca4279802f9614ad6a82632",
+    (2, 1): "1b5c09d4504d65cd971160728f0b508d1926178930c2b7ed3cf9b409cf553b55",
+    (2, 2): "f3ef5f91af6b6fa500dd74183116d76098bbadf49c33dedeb2987ae36f3cb8b8",
+    (3, 1): "bccfb9472eac8795b6f129ef3b849abaaaa9be877dc30592b9389dd9075a2e10",
+    (3, 2): "17ad192e248a235a9a9e8c9dd009d9e95137c3d948c8c65a10393e56a8478ff4",
+    (4, 1): "5e5019c8f6855e2b0a6217ab327b3d51cb0d9fd7fec3cfd38812407274b42e6d",
+    (4, 2): "31da038554518cad344f108ca4cf39bbfed5fdff3adf47bf2fdd4dfb8c4160f9",
+    (5, 1): "5e61146599cddbc5e0fb591bed287a4d4f6a7663ffa32ee9ec420285d8538949",
+    (5, 2): "ae271a2f51c95b499a8f7ea7ee98ec3902aff6d97deab8d1a90dbf53a72f13cd",
+    (6, 1): "efee52fb70a3a5aa1188ff0fc141a0f9950b8753c3ca270e226791e9c481979a",
+    (6, 2): "b036fa23e737ed4baf816e166481a77947d63b17e4ebd03ad96902b84f21fa4f",
+    (7, 1): "3da954fd156f1611256db39a1b6ff4db0ed17e0fd5a73613f69b1ba0a71f14d3",
+    (7, 2): "6566b9a0378a147c16d48830bec91696e6f63eb2f42e3f957e655e8523a3af39",
+    (8, 1): "0259a8a6fee473d6b3685f032a3fefa33bb17467be3453c4ea6065f20a027c56",
+    (8, 2): "6f6918761032eac0e6cf8c4a862d1a10d60fa1cd11c661b32273d542fe98a28f",
+}
+UD_CODEBOOK_SHA256 = {
+    1: "603884859743753eff4a4e417c62ab980c9422363ca4279802f9614ad6a82632",
+    2: "1b5c09d4504d65cd971160728f0b508d1926178930c2b7ed3cf9b409cf553b55",
+    3: "bccfb9472eac8795b6f129ef3b849abaaaa9be877dc30592b9389dd9075a2e10",
+    4: "901e0d2727fd5ac4d6735163479039810f0acd050941d8f9278fc23b8787c5a4",
+    5: "f51918f2d438245973e61ee83af998ce15154cab8a069c57b6f5384ba2c6f4dd",
+    6: "fe811756903d2e167515c6c8b92712d98feaa5bd5cd79662f2791dc97f5abca4",
+    7: "0a3a476da4b611bc08268240bfaaa5bba59cf17365a04f0fd364d3a2fd2f2439",
+    8: "9c24e6ad641df87797ed5dc624d04ae772e2efda7f0557c72966b1649d393d45",
+}
+
+
+def codebook_sha256(book):
+    return hashlib.sha256(json.dumps(book.to_json_dict(), sort_keys=True).encode()).hexdigest()
 
 
 class TestBalls:
@@ -88,6 +133,14 @@ class TestGreedyConstruction:
         for n, t in ((4, 1), (5, 2)):
             assert list(greedy_sd_code(n, t).codewords) == naive_greedy_sd(n, t)
 
+    @pytest.mark.parametrize("n, t", sorted(SD_CODEBOOK_SHA256))
+    def test_sd_codebook_pinned(self, n, t):
+        assert codebook_sha256(greedy_sd_code(n, t)) == SD_CODEBOOK_SHA256[n, t]
+
+    @pytest.mark.parametrize("n", sorted(UD_CODEBOOK_SHA256))
+    def test_ud_codebook_pinned(self, n):
+        assert codebook_sha256(greedy_ud_code(n, 1)) == UD_CODEBOOK_SHA256[n]
+
     def test_result_verifies(self):
         for n, t in ((4, 1), (5, 1), (5, 2), (6, 2)):
             assert verify_sd_property(greedy_sd_code(n, t))
@@ -113,9 +166,15 @@ class TestVerify:
         assert verify_sd_property(PermCodeBook(4, 2, (Permutation((2, 4, 1, 3)),)))
 
     def test_overlapping_pair(self):
-        # both balls contain (1, 2) and (1, 3)
-        book = PermCodeBook(3, 1, (Permutation((1, 2, 3)), Permutation((1, 3, 2))))
-        assert not verify_sd_property(book)
+        cases = (
+            # both stable balls contain (1, 2) and (1, 3)
+            (verify_sd_property, (1, 3, 2)),
+            # deleting position 1 of the first or position 2 of the second gives (1, 2)
+            (verify_ud_property, (2, 1, 3)),
+        )
+        for verify, second in cases:
+            book = PermCodeBook(3, 1, (Permutation((1, 2, 3)), Permutation(second)))
+            assert not verify(book)
 
 
 class TestStableDecode:
@@ -165,6 +224,10 @@ class TestUnstable:
     def test_greedy_verifies(self):
         for n in (3, 4, 5):
             assert verify_ud_property(greedy_ud_code(n, 1))
+
+    def test_matches_naive_oracle(self):
+        for n in range(1, 6):
+            assert list(greedy_ud_code(n, 1).codewords) == naive_greedy_ud(n, 1)
 
     def test_zero_budget(self):
         assert len(greedy_ud_code(4, 0).codewords) == 24
