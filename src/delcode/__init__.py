@@ -12,6 +12,7 @@ from .analysis import (
 )
 from .errors import (
     Ambiguous,
+    BoundViolated,
     DecodeError,
     DelcodeError,
     InputTooShort,
@@ -69,6 +70,7 @@ from .vtcode import (
     VTParams,
     best_class,
     bitword_to_subset,
+    class_size,
     class_sizes,
     decode_asymmetric,
     enumerate_class,

@@ -9,6 +9,11 @@ class ScaleGuardExceeded(DelcodeError):
     """An enumeration would exceed the desk-scale cap (override with DELCODE_SCALE_GUARD)."""
 
 
+class BoundViolated(DelcodeError):
+    """A guarantee the construction rests on (the pigeonhole class size, Bertrand's
+    postulate) did not hold, so a computation it checks went wrong."""
+
+
 class MalformedSpec(DelcodeError):
     """A spec file lacks a required key or has a value of the wrong shape."""
 

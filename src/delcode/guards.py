@@ -6,7 +6,8 @@ from .errors import ScaleGuardExceeded
 
 ENV_VAR = "DELCODE_SCALE_GUARD"
 
-CLASS_ENUM_CAP = 10**7  # weight-n words of length q
+# syndrome-class DP states q*(n+1)*p^t, and the words of one materialized class
+CLASS_ENUM_CAP = 10**7
 PERM_ENUM_CAP = 40320  # full scan of S_n, default n <= 8
 
 

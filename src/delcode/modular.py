@@ -4,6 +4,8 @@ error locations."""
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import BoundViolated
+
 # Deterministic Miller-Rabin witness set, valid for all n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -49,7 +51,8 @@ def next_prime_above(q: int) -> Modulus:
     p = q + 1
     while not is_prime(p):
         p += 1
-    assert p <= 2 * q  # Bertrand's postulate
+    if p > 2 * q:
+        raise BoundViolated(f"first prime found above {q} is {p}, beyond Bertrand's bound 2q")
     return Modulus(p)
 
 

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .model import Permutation, SymbolSet, Word
 from .permcode import PermCodeBook, sd_decode, ud_decode
-from .vtcode import VTParams, bitword_to_subset, enumerate_class, set_decode
+from .vtcode import VTParams, bitword_to_subset, class_size, enumerate_class, set_decode
 
 
 def induced_set(x: Word) -> SymbolSet:
@@ -108,6 +108,10 @@ class SetCode:
     def codewords(self) -> tuple[SymbolSet, ...]:
         return _materialize_sets(self)
 
+    def size(self) -> int:
+        """Number of codewords, counted without materializing a syndrome class."""
+        return _count_sets(self)
+
     def decode(self, survivors: SymbolSet) -> SymbolSet:
         if survivors.alphabet_size != self.q:
             raise ValueError(f"alphabet size {survivors.alphabet_size} differs from q = {self.q}")
@@ -141,6 +145,13 @@ class SetCode:
             sets = tuple(SymbolSet.from_symbols(s, data["q"]) for s in data["sets"])
             return cls(data["q"], data["n"], data["t"], sets=sets)
         return cls.from_vt(VTParams.from_json_dict(data))
+
+
+@lru_cache(maxsize=None)
+def _count_sets(code: SetCode) -> int:
+    if code.sets is not None:
+        return len(code.sets)
+    return class_size(code.q, code.n, code.t, code.vt.p, code.vt.a)
 
 
 @lru_cache(maxsize=None)
@@ -221,7 +232,7 @@ def perm_codewords(spec: MultFreeCodeSpec) -> tuple[Permutation, ...]:
 
 
 def code_size(spec: MultFreeCodeSpec) -> int:
-    return len(set_codewords(spec)) * len(perm_codewords(spec))
+    return spec.set_code.size() * len(perm_codewords(spec))
 
 
 def build_code(spec: MultFreeCodeSpec) -> Iterator[Word]:

@@ -7,12 +7,11 @@ at position s + 1, so that symbol 0 stays visible to every syndrome row.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from operator import add
 from typing import Iterator, Sequence
 
-from .errors import NoSolution, WeightTooLow
+from .errors import BoundViolated, NoSolution, WeightTooLow
 from .guards import CLASS_ENUM_CAP, check_enumerable
 from .model import SymbolSet
 from .modular import Modulus, locator_roots, power_sums_to_elementary
@@ -128,42 +127,149 @@ def _positions_to_bitword(positions: Sequence[int], q: int) -> BitWord:
     return tuple(bits)
 
 
-def _pow_table(q: int, t: int, p: int) -> list[list[int]]:
-    return [[pow(i, k, p) for i in range(q + 1)] for k in range(t + 1)]
+def _digits(index: int, t: int, p: int) -> tuple[int, ...]:
+    """Residue vector of a flat index; residue 1 is the most significant digit,
+    so flat order is lexicographic label order."""
+    digits = []
+    for _ in range(t):
+        index, r = divmod(index, p)
+        digits.append(r)
+    return tuple(reversed(digits))
 
 
-def _weight_class(q: int, n: int) -> Iterator[tuple[int, ...]]:
-    check_enumerable(math.comb(q, n), CLASS_ENUM_CAP, "weight-class enumeration")
-    return combinations(range(1, q + 1), n)
+def _flat(residues: Sequence[int], p: int) -> int:
+    index = 0
+    for r in residues:
+        index = index * p + r
+    return index
 
 
-def enumerate_class(q: int, n: int, t: int, p: Modulus, a: SyndromeVector) -> list[BitWord]:
-    """All weight-n words of length q with syndrome a, in lexicographic order."""
-    pows = _pow_table(q, t, p.p)
-    target = tuple(a.residues)
-    hits = []
-    for positions in _weight_class(q, n):
-        syn = tuple(sum(pows[k][i] for i in positions) % p.p for k in range(1, t + 1))
-        if syn == target:
-            hits.append(_positions_to_bitword(positions, q))
-    hits.sort()
-    return hits
+def _shift(row, i: int, t: int, p: int):
+    """Move a row over the p^t residue vectors by position i's syndrome
+    contribution (i, i^2, ..., i^t): out[r + v_i] = row[r].  Level k of the flat
+    layout is a ring of p blocks, so the move is one slice rotation per block
+    and level.  Works on lists and bytearrays alike."""
+    for k in range(1, t + 1):
+        block = p ** (t - k)
+        span = p * block
+        cut = span - pow(i, k, p) * block
+        if cut == span:
+            continue
+        out = row[:0]
+        for s in range(0, len(row), span):
+            out += row[s + cut : s + span]
+            out += row[s : s + cut]
+        row = out
+    return row
+
+
+def _census(q: int, n: int, t: int, p: Modulus) -> list[int]:
+    """Number of weight-n words of length q per flat residue index.
+
+    A rolling count over positions: rows[w][r] counts the words on the
+    positions seen so far with weight w and residue vector r.  Position i adds
+    a one to every word of weight w - 1, which moves its row by v_i.  Only
+    weights from which weight n is still reachable are kept up to date.
+    """
+    if n < 0:
+        raise ValueError(f"weight n must be nonnegative, got {n}")
+    size = p.p**t
+    check_enumerable(q * (n + 1) * size, CLASS_ENUM_CAP, "syndrome-class DP")
+    rows = [[1] + [0] * (size - 1)] + [[0] * size for _ in range(n)]
+    for i in range(1, q + 1):
+        for w in range(min(i, n), max(0, n - q + i - 1), -1):
+            rows[w] = list(map(add, rows[w], _shift(rows[w - 1], i, t, p.p)))
+    return rows[n]
 
 
 def class_sizes(q: int, n: int, t: int, p: Modulus) -> dict[tuple[int, ...], int]:
-    """Census of the syndrome partition: class label -> number of weight-n words."""
-    pows = _pow_table(q, t, p.p)
-    counts: Counter = Counter()
-    for positions in _weight_class(q, n):
-        counts[tuple(sum(pows[k][i] for i in positions) % p.p for k in range(1, t + 1))] += 1
-    return dict(counts)
+    """Census of the syndrome partition: class label -> number of weight-n
+    words, nonempty classes only, in label order."""
+    return {_digits(r, t, p.p): c for r, c in enumerate(_census(q, n, t, p)) if c}
+
+
+def class_size(q: int, n: int, t: int, p: Modulus, a: SyndromeVector) -> int:
+    """Number of weight-n words of length q with syndrome a."""
+    if len(a) != t or not all(0 <= r < p.p for r in a.residues):
+        return 0
+    return _census(q, n, t, p)[_flat(a.residues, p.p)]
+
+
+def _reach_table(q: int, n: int, t: int, p: int) -> bytearray:
+    """Suffix flags: entry ((i * n + w) * p^t + r) is 1 iff positions i..q can
+    hold w ones with residue vector r, for 1 <= i <= q + 1 and 0 <= w < n."""
+    size = p**t
+    flags = bytearray((q + 2) * n * size)
+    flags[(q + 1) * n * size] = 1  # nothing left to place at the end
+    for i in range(q, 0, -1):
+        for w in range(min(n - 1, q - i + 1) + 1):
+            zero = ((i + 1) * n + w) * size
+            row = flags[zero : zero + size]
+            if w:
+                one = zero - size
+                moved = _shift(flags[one : one + size], i, t, p)
+                row = (int.from_bytes(row, "little") | int.from_bytes(moved, "little")).to_bytes(
+                    size, "little"
+                )
+            start = (i * n + w) * size
+            flags[start : start + size] = row
+    return flags
+
+
+def enumerate_class(q: int, n: int, t: int, p: Modulus, a: SyndromeVector) -> list[BitWord]:
+    """All weight-n words of length q with syndrome a, in lexicographic order.
+
+    An explicit-stack walk over the positions of the ones that enters a branch
+    only if the suffix table says it still reaches syndrome a, so it visits
+    class members only.  Choosing later positions first yields the words in
+    lexicographic order.  The last one is looked up by its residue vector.
+    """
+    size = class_size(q, n, t, p, a)
+    check_enumerable(size, CLASS_ENUM_CAP, "class materialization")
+    if size == 0:
+        return []
+    if n == 0:
+        return [(0,) * q]
+    m = p.p
+    vectors = [None] + [tuple(pow(i, k, m) for k in range(1, t + 1)) for i in range(1, q + 1)]
+    last_one: dict[tuple[int, ...], list[int]] = {}
+    for i in range(q, 0, -1):
+        last_one.setdefault(vectors[i], []).append(i)
+    flags = _reach_table(q, n, t, m)
+    stride = m**t
+    words = []
+    chosen = [0] * n
+    stack = [(-1, 0, n, tuple(a.residues))]  # (depth, position, ones left, residue left)
+    while stack:
+        depth, pos, w, need = stack.pop()
+        if depth >= 0:
+            chosen[depth] = pos
+        if w == 1:
+            for j in last_one.get(need, ()):
+                if j > pos:
+                    chosen[n - 1] = j
+                    words.append(_positions_to_bitword(chosen, q))
+            continue
+        for j in range(pos + 1, q - w + 2):
+            rest = tuple((x - y) % m for x, y in zip(need, vectors[j]))
+            if flags[((j + 1) * n + w - 1) * stride + _flat(rest, m)]:
+                stack.append((depth + 1, j, w - 1, rest))
+    return words
 
 
 def best_class(q: int, n: int, t: int, p: Modulus) -> tuple[SyndromeVector, int]:
-    """Largest syndrome class; ties go to the lexicographically smallest label."""
+    """Largest syndrome class; ties go to the lexicographically smallest label.
+
+    Raises BoundViolated if the largest class is below the pigeonhole bound
+    ceil(C(q, n) / p^t), which a correct census always meets.
+    """
     counts = class_sizes(q, n, t, p)
-    label, size = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    assert size >= -(-math.comb(q, n) // p.p**t)  # pigeonhole over p^t classes
+    label, size = min(counts.items(), key=lambda kv: (-kv[1], kv[0]), default=((0,) * t, 0))
+    if size * p.p**t < math.comb(q, n):
+        raise BoundViolated(
+            f"largest of the {p.p}^{t} classes has {size} of C({q}, {n}) words, "
+            "below the pigeonhole bound"
+        )
     return SyndromeVector(label), size
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -54,6 +56,31 @@ class TestConstruct:
         )
         assert result.returncode == 0
         assert json.loads(path.read_text())["mode"] == "unstable"
+
+    # sha256 of the spec files written before the census became a counting DP
+    @pytest.mark.parametrize(
+        "q, n, t, digest",
+        [
+            (40, 6, 1, "c349d0d79f2b8dbbba03c7860dd913cc6b69478efd6462487051f7968dc4ccbc"),
+            (30, 7, 2, "c09a3df19cc2de1c981414245f18def234a5a7523b9ea640c09933dc19dea0b6"),
+        ],
+    )
+    def test_pinned_spec(self, tmp_path, q, n, t, digest):
+        path = tmp_path / "spec.json"
+        args = ("--q", str(q), "--n", str(n), "--t", str(t))
+        result = run_cli("construct", *args, "--out", str(path))
+        assert result.returncode == 0, result.stdout
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_beyond_the_subset_count_cap(self, tmp_path):
+        # C(64, 8) > 4e9 subsets, but the DP has 64 * 9 * 67^2 states and the
+        # class is counted, never materialized
+        result = run_cli(
+            "construct", "--q", "64", "--n", "8", "--t", "2", "--out", str(tmp_path / "s.json")
+        )
+        assert result.returncode == 0, result.stdout
+        summary = json.loads(result.stdout)
+        assert summary["set_code_size"] >= math.ceil(math.comb(64, 8) / 67**2)
 
     def test_scale_guard_env(self, tmp_path):
         result = run_cli(

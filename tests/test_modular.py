@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delcode import Modulus, ModPolynomial, locator_roots, next_prime_above, power_sums_to_elementary
+from delcode import (
+    BoundViolated,
+    Modulus,
+    ModPolynomial,
+    locator_roots,
+    next_prime_above,
+    power_sums_to_elementary,
+)
 from delcode.modular import is_prime, locator_polynomial
 
 
@@ -55,6 +62,12 @@ class TestPrimes:
         for q in qs:
             p = next_prime_above(q).p
             assert q < p <= 2 * q
+
+    def test_bertrand_failure_raises(self, monkeypatch):
+        # a primality test that misses every prime up to 2q must not go unnoticed
+        monkeypatch.setattr("delcode.modular.is_prime", lambda n: n > 100)
+        with pytest.raises(BoundViolated):
+            next_prime_above(10)
 
     def test_rejects_tiny_q(self):
         with pytest.raises(ValueError):

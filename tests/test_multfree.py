@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delcode import (
+    DecodeError,
     DeletionPattern,
     InputTooShort,
     MultFreeCodeSpec,
@@ -26,6 +28,7 @@ from delcode import (
     decode_steps,
     delete_positions,
     encode_index,
+    greedy_sd_code,
     greedy_ud_code,
     induced_permutation,
     induced_set,
@@ -354,6 +357,32 @@ class TestUnstableMode:
                 assert steps.codeword == x
                 assert steps.tau is None
                 assert steps.reduced_perm == induced_permutation(y)
+
+
+@functools.cache
+def syndrome_class_specs():
+    specs = []
+    for q, n, t, mode in ((10, 5, 2, "stable"), (9, 5, 1, "unstable")):
+        p = next_prime_above(q)
+        a, _ = best_class(q, n, t, p)
+        book = greedy_sd_code(n, t) if mode == "stable" else greedy_ud_code(n, t)
+        set_code = SetCode.from_vt(VTParams(q, n, t, p, a))
+        specs.append(MultFreeCodeSpec(q, n, t, mode, set_code, book))
+    return specs
+
+
+class TestDecodeFuzz:
+    @given(st.data())
+    def test_any_word_fails_only_with_decode_errors(self, data):
+        spec = data.draw(st.sampled_from(syndrome_class_specs()))
+        length = data.draw(st.integers(spec.n - spec.t, spec.n))
+        symbols = data.draw(st.permutations(range(spec.q)))[:length]
+        try:
+            got = decode(spec, Word(tuple(symbols), spec.q, multiplicity_free=True))
+        except DecodeError:
+            return
+        assert len(got) == spec.n
+        assert spec.set_code.decode(induced_set(got)) == induced_set(got)
 
 
 class TestSpecSerialization:

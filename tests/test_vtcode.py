@@ -5,6 +5,7 @@ import random
 import pytest
 
 from delcode import (
+    BoundViolated,
     Modulus,
     NoSolution,
     ScaleGuardExceeded,
@@ -14,6 +15,7 @@ from delcode import (
     WeightTooLow,
     best_class,
     bitword_to_subset,
+    class_size,
     class_sizes,
     decode_asymmetric,
     enumerate_class,
@@ -37,6 +39,16 @@ def flips_of(codeword, budget):
             for i in chosen:
                 hit[i - 1] = 0
             yield tuple(hit)
+
+
+def oracle_census(q, n, t, p):
+    """Reference syndrome partition: walk every n-subset of the q positions."""
+    classes = {}
+    for positions in itertools.combinations(range(1, q + 1), n):
+        label = tuple(sum(pow(i, k, p.p) for i in positions) % p.p for k in range(1, t + 1))
+        word = tuple(1 if i in positions else 0 for i in range(1, q + 1))
+        classes.setdefault(label, []).append(word)
+    return {label: sorted(words) for label, words in classes.items()}
 
 
 def dominating_search(y, class_words, n):
@@ -177,6 +189,47 @@ class TestEnumeration:
         assert sizes[(6, 6)] == len(enumerate_class(5, 2, 2, Modulus(7), SyndromeVector((6, 6))))
 
 
+class TestAgainstOracle:
+    """The counting DP and the pruned walk match the subset walk on the desk box."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_census_and_classes(self, t):
+        for q in range(2, 13):
+            p = next_prime_above(q)
+            if p.p**t > 2500:
+                continue
+            for n in range(q + 1):
+                oracle = oracle_census(q, n, t, p)
+                sizes = class_sizes(q, n, t, p)
+                assert sizes == {label: len(words) for label, words in oracle.items()}
+                assert list(sizes) == sorted(sizes)
+                # every class at t = 1; at t >= 2 the extremes, the middle label and an empty one
+                labels = sorted(oracle, key=lambda label: (len(oracle[label]), label))
+                if t >= 2:
+                    labels = [labels[0], labels[len(labels) // 2], labels[-1]]
+                    every = itertools.product(range(p.p), repeat=t)
+                    labels += [label for label in every if label not in oracle][:1]
+                for label in labels:
+                    a = SyndromeVector(label)
+                    assert enumerate_class(q, n, t, p, a) == oracle.get(label, [])
+                    assert class_size(q, n, t, p, a) == len(oracle.get(label, []))
+
+    def test_modulus_below_length(self):
+        # p <= q: positions i and i + p share a residue vector, so the walk
+        # meets several candidates for its last one
+        for q, p, t in itertools.product((6, 8), (3, 5), (1, 2)):
+            for n in range(q + 1):
+                oracle = oracle_census(q, n, t, Modulus(p))
+                assert class_sizes(q, n, t, Modulus(p)) == {a: len(w) for a, w in oracle.items()}
+                for label, words in oracle.items():
+                    assert enumerate_class(q, n, t, Modulus(p), SyndromeVector(label)) == words
+
+    def test_label_outside_the_partition_is_empty(self):
+        p = Modulus(7)
+        assert enumerate_class(5, 2, 2, p, SyndromeVector((7, 0))) == []
+        assert class_size(5, 2, 2, p, SyndromeVector((1,))) == 0
+
+
 class TestBestClass:
     def test_pigeonhole_bound(self):
         a, size = best_class(10, 5, 2, Modulus(11))
@@ -189,6 +242,13 @@ class TestBestClass:
     def test_small_case(self):
         _, size = best_class(5, 2, 1, Modulus(7))
         assert size >= 2
+
+    # C(10, 5) = 252 words over 121 classes: a largest class below 3 is impossible
+    @pytest.mark.parametrize("census", [{(0, 0): 2, (0, 1): 1}, {}])
+    def test_undersized_census_raises(self, monkeypatch, census):
+        monkeypatch.setattr("delcode.vtcode.class_sizes", lambda q, n, t, p: census)
+        with pytest.raises(BoundViolated):
+            best_class(10, 5, 2, Modulus(11))
 
     def test_tie_break_smallest_label(self):
         # q=2, n=1: words (1,0) and (0,1) land in distinct singleton classes
