@@ -36,7 +36,7 @@ from .model import (
     draw_deletion_pattern,
     sample_deletion_pattern,
 )
-from .modular import Modulus, ModPolynomial, locator_roots, next_prime_above, power_sums_to_elementary
+from .modular import Modulus, locator_roots, next_prime_above, power_sums_to_elementary
 from .multfree import (
     DecodeSteps,
     MultFreeCodeSpec,
@@ -73,15 +73,12 @@ from .vtcode import (
     class_size,
     class_sizes,
     decode_asymmetric,
+    decode_mask,
     enumerate_class,
-    format_bitword,
     is_codeword,
-    parse_bitword,
-    read_bitwords,
     set_decode,
     subset_to_bitword,
     vt_syndrome,
-    write_bitwords,
 )
 
 __version__ = "0.1.0"

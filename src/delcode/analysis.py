@@ -123,6 +123,12 @@ def singleton_report(
     if delta is not None:
         report["delta_adjusted_bound"] = t * log_q + (3 * t - 1) * math.log2(n) + delta * t
     if code_size is not None:
+        words = math.perm(q, n)
+        if not 0 < code_size <= words:
+            raise ValueError(
+                f"code size {code_size} must be positive and at most q!/(q-n)! = {words}, "
+                "the number of multiplicity-free words"
+            )
         log2_size = _log2(code_size)
         eta = n - t - log2_size / log_q
         threshold = (3 * t - 1) / eta if eta != 0 else math.inf

@@ -33,6 +33,16 @@ class Word:
         return len(self.symbols)
 
 
+def set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of a nonnegative mask, ascending, in O(popcount) steps."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
 @dataclass(frozen=True)
 class SymbolSet:
     """An n-subset of the alphabet, stored as a bitmask (bit i set iff symbol i present)."""
@@ -62,7 +72,7 @@ class SymbolSet:
         return self.members.bit_count()
 
     def symbols(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.alphabet_size) if self.members >> i & 1)
+        return tuple(set_bits(self.members))
 
     def __contains__(self, symbol: int) -> bool:
         return 0 <= symbol < self.alphabet_size and self.members >> symbol & 1 == 1

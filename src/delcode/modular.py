@@ -56,31 +56,6 @@ def next_prime_above(q: int) -> Modulus:
     return Modulus(p)
 
 
-@dataclass(frozen=True)
-class ModPolynomial:
-    """Polynomial with residue coefficients, highest degree first, in canonical form."""
-
-    coefficients: tuple[int, ...]
-    modulus: Modulus
-
-    def __post_init__(self):
-        p = self.modulus.p
-        coeffs = tuple(c % p for c in self.coefficients)
-        while len(coeffs) > 1 and coeffs[0] == 0:
-            coeffs = coeffs[1:]
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in self.coefficients:
-            acc = (acc * x + c) % self.modulus.p
-        return acc
-
-
 def power_sums_to_elementary(power_sums: Sequence[int], m: Modulus) -> tuple[int, ...]:
     """Invert Newton's identities over F_p: k*e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i."""
     p = m.p
@@ -98,15 +73,16 @@ def power_sums_to_elementary(power_sums: Sequence[int], m: Modulus) -> tuple[int
     return tuple(elem[1:])
 
 
-def locator_polynomial(elementary: Sequence[int], m: Modulus) -> ModPolynomial:
-    """X^e - e_1 X^(e-1) + e_2 X^(e-2) - ..., whose roots are the error locations."""
-    coeffs = [1]
-    for k, e_k in enumerate(elementary, start=1):
-        coeffs.append(-e_k if k % 2 == 1 else e_k)
-    return ModPolynomial(tuple(coeffs), m)
-
-
 def locator_roots(elementary: Sequence[int], candidates: Iterable[int], m: Modulus) -> set[int]:
-    """Candidates where the locator polynomial vanishes, by Horner evaluation per candidate."""
-    poly = locator_polynomial(elementary, m)
-    return {c for c in candidates if poly.evaluate(c) == 0}
+    """Candidates where the locator X^e - e_1 X^(e-1) + e_2 X^(e-2) - ... vanishes,
+    by Horner evaluation per candidate; its roots are the error locations."""
+    p = m.p
+    coeffs = [-c if k % 2 else c for k, c in enumerate(elementary, start=1)]
+    roots = set()
+    for x in candidates:
+        acc = 1
+        for c in coeffs:
+            acc = (acc * x + c) % p
+        if acc == 0:
+            roots.add(x)
+    return roots

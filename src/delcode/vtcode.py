@@ -8,12 +8,13 @@ at position s + 1, so that symbol 0 stays visible to every syndrome row.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import BoundViolated, NoSolution, WeightTooLow
 from .guards import CLASS_ENUM_CAP, check_enumerable
-from .model import SymbolSet
+from .model import SymbolSet, set_bits
 from .modular import Modulus, locator_roots, power_sums_to_elementary
 
 BitWord = tuple[int, ...]
@@ -55,6 +56,7 @@ class VTParams:
         for r in self.a.residues:
             if not 0 <= r < self.p.p:
                 raise ValueError(f"residue {r} outside [0, {self.p.p - 1}]")
+        check_enumerable(self.q * self.t, CLASS_ENUM_CAP, "set-decoder power table")
 
     def to_json_dict(self) -> dict:
         return {"q": self.q, "n": self.n, "t": self.t, "p": self.p.p, "a": list(self.a.residues)}
@@ -286,37 +288,51 @@ def bitword_to_subset(x: Sequence[int]) -> SymbolSet:
     return SymbolSet(mask, len(x))
 
 
+@lru_cache(maxsize=None)
+def _power_rows(q: int, t: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Row k - 1 holds (s + 1)^k mod p for every symbol s."""
+    return tuple(tuple(pow(i, k, p) for i in range(1, q + 1)) for k in range(1, t + 1))
+
+
+def decode_mask(mask: int, params: VTParams) -> int:
+    """decode_asymmetric on a bitmask, bit i - 1 standing for position i, with the
+    same result and errors.  The syndrome sums cached powers over the set bits.
+    A single lost one sits at the position the first deficit names; two or more
+    are located by Newton and the locator polynomial over the clear bits."""
+    q, n, t, p = params.q, params.n, params.t, params.p.p
+    if mask < 0 or mask >> q:
+        raise ValueError(f"bitmask has bits outside the block length {q}")
+    weight = mask.bit_count()
+    e = n - weight
+    if e < 0:
+        raise NoSolution(f"weight {weight} exceeds the code weight {n}")
+    if e > t:
+        raise WeightTooLow(f"weight {weight} is below n - t = {n - t}")
+    ones = set_bits(mask)
+    rows = _power_rows(q, t, p)
+    sums = [sum(map(row.__getitem__, ones)) for row in rows]
+    deficits = [(a - s) % p for a, s in zip(params.a.residues, sums)]
+    if e == 0:
+        if any(deficits):
+            raise NoSolution("full-weight word is not in the code")
+        return mask
+    if e == 1:
+        i = deficits[0]
+        roots = [i] if 0 < i <= q and not mask >> (i - 1) & 1 else []
+    else:
+        zeros = [i for i in range(1, q + 1) if not mask >> (i - 1) & 1]
+        roots = locator_roots(power_sums_to_elementary(deficits[:e], params.p), zeros, params.p)
+    if len(roots) != e:
+        raise NoSolution(f"locator polynomial has {len(roots)} roots among zeros, expected {e}")
+    # e distinct roots of the locator have the first e deficits as power sums
+    if any(sum(rows[k][i - 1] for i in roots) % p != deficits[k] for k in range(e, t)):
+        raise NoSolution("repaired word fails the full syndrome check")
+    return mask | sum(1 << (i - 1) for i in roots)
+
+
 def set_decode(subset: SymbolSet, params: VTParams) -> SymbolSet:
     """Recover the unique codeword-set containing the survivors; element deletions
     are 1->0 flips under the bitword correspondence."""
     if subset.alphabet_size != params.q:
         raise ValueError(f"alphabet size {subset.alphabet_size} differs from q = {params.q}")
-    return bitword_to_subset(decode_asymmetric(subset_to_bitword(subset), params))
-
-
-def format_bitword(x: Sequence[int]) -> str:
-    """One streamable line per word: 0/1 characters, position 1 leftmost."""
-    return "".join("1" if bit else "0" for bit in x)
-
-
-def parse_bitword(line: str) -> BitWord:
-    stripped = line.strip()
-    if stripped.strip("01"):
-        raise ValueError(f"bitword line contains non-binary characters: {line!r}")
-    return tuple(int(ch) for ch in stripped)
-
-
-def write_bitwords(fh, words) -> int:
-    """Stream words as one bitword line each; returns the count written."""
-    count = 0
-    for word in words:
-        fh.write(format_bitword(word))
-        fh.write("\n")
-        count += 1
-    return count
-
-
-def read_bitwords(fh) -> Iterator[BitWord]:
-    for line in fh:
-        if line.strip():
-            yield parse_bitword(line)
+    return SymbolSet(decode_mask(subset.members, params), params.q)

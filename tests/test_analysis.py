@@ -127,6 +127,19 @@ class TestSingletonReport:
         report = singleton_report(9, 4, 1)
         assert report.log2_multfree_count == pytest.approx(math.log2(9 * 8 * 7 * 6))
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_rejects_nonpositive_code_size(self, size):
+        with pytest.raises(ValueError, match="must be positive"):
+            singleton_report(8, 5, 2, code_size=size)
+
+    def test_rejects_code_size_above_the_multfree_count(self):
+        # 500 * 499 * 498 multiplicity-free words of length 3
+        assert singleton_report(500, 3, 1, code_size=500 * 499 * 498).redundancy_actual >= 0
+        with pytest.raises(ValueError, match="at most q!/\\(q-n\\)! = 124251000"):
+            singleton_report(500, 3, 1, code_size=500 * 499 * 498 + 1)
+        with pytest.raises(ValueError):
+            singleton_report(500, 3, 1, code_size=10**28)
+
     def test_json_dict(self):
         data = singleton_report(8, 5, 2, code_size=4).to_json_dict()
         assert data["q"] == 8 and data["redundancy_actual"] == 13.0

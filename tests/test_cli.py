@@ -2,15 +2,18 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
+from delcode import SymbolSet, cli, multfree, vtcode
+
 SPEC_ARGS = ["--q", "8", "--n", "4", "--t", "1"]
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, **run_options):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -19,7 +22,13 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        **run_options,
     )
+
+
+def _cap_address_space():
+    # a regression that builds an O(q) table fails fast instead of filling memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +129,28 @@ class TestVerify:
         assert result.returncode == 1
         assert json.loads(result.stdout)["checks"]["perm_balls_disjoint"] is False
 
+    def test_wrong_set_decode_fails_soundness(self, spec_path, monkeypatch, capsys):
+        # one survivor set decodes to a wrong set: the merged deletion loop must see it
+        real = multfree.set_decode
+        calls = []
+
+        def corrupt(subset, params):
+            calls.append(subset)
+            got = real(subset, params)
+            return got if len(calls) != 7 else SymbolSet(got.members ^ 1, got.alphabet_size)
+
+        monkeypatch.setattr(multfree, "set_decode", corrupt)
+        assert cli.main(["verify", "--spec", str(spec_path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["checks"]["set_deletion_soundness"] is False
+        assert payload["checks"]["class_membership"] is True
+        assert payload["ok"] is False
+
+    def test_construct_builds_no_decoder_table(self, tmp_path):
+        vtcode._power_rows.cache_clear()
+        assert cli.main(["construct", *SPEC_ARGS, "--out", str(tmp_path / "s.json")]) == 0
+        assert vtcode._power_rows.cache_info().currsize == 0
+
 
 class TestEnumerate:
     def test_streams_json_arrays(self, spec_path):
@@ -217,12 +248,40 @@ class TestBounds:
         assert payload["redundancy_bound"] == 21.0
         assert payload["redundancy_actual"] is None
 
+    @pytest.mark.parametrize("size", ["0", "-4", str(10**28)])
+    def test_size_outside_the_multfree_count(self, size):
+        result = run_cli("bounds", "--q", "500", "--n", "3", "--t", "1", "--size", size)
+        assert result.returncode == 2
+        payload = json.loads(result.stdout)
+        assert payload["error"] == "ValueError"
+        assert "q!/(q-n)! = 124251000" in payload["message"]
+
 
 class TestErrors:
     def test_missing_spec_file(self):
         result = run_cli("enumerate", "--spec", "/nonexistent/spec.json")
         assert result.returncode == 2
         assert "error" in json.loads(result.stdout)
+
+    def test_huge_alphabet_spec_refused(self, tmp_path):
+        # q = 2^89 - 2 below the Mersenne prime 2^89 - 1: an O(q) step would hang
+        q = 2**89 - 2
+        spec = {
+            "q": q,
+            "n": 5,
+            "t": 1,
+            "mode": "stable",
+            "set_code": {"q": q, "n": 5, "t": 1, "p": q + 1, "a": [0]},
+            "perm_code": {"n": 5, "t": 1, "codewords": [[1, 2, 3, 4, 5]], "order": "lex"},
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(spec))
+        result = run_cli(
+            "decode", "--spec", str(path), "--word", "[0,1,2,3,4]",
+            timeout=20, preexec_fn=_cap_address_space,
+        )
+        assert result.returncode == 2, result.stderr
+        assert json.loads(result.stdout)["error"] == "ScaleGuardExceeded"
 
     @pytest.mark.parametrize("content", ['{"q": 12}', "[1, 2]"])
     @pytest.mark.parametrize(

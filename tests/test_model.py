@@ -55,6 +55,12 @@ class TestSymbolSet:
         assert s.cardinality == 3
         assert 2 in s and 3 not in s
 
+    @given(st.data())
+    def test_symbols_are_the_set_bits_in_order(self, data):
+        q = data.draw(st.integers(0, 80))
+        mask = data.draw(st.integers(0, (1 << q) - 1))
+        assert SymbolSet(mask, q).symbols() == tuple(i for i in range(q) if mask >> i & 1)
+
     def test_duplicate_symbol_rejected(self):
         with pytest.raises(ValueError):
             SymbolSet.from_symbols([1, 1], 4)

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from delcode import (
     BoundViolated,
     Modulus,
-    ModPolynomial,
     locator_roots,
     next_prime_above,
     power_sums_to_elementary,
 )
-from delcode.modular import is_prime, locator_polynomial
+from delcode.modular import is_prime
 
 
 def trial_division(n: int) -> bool:
@@ -74,25 +73,6 @@ class TestPrimes:
             next_prime_above(1)
 
 
-class TestModPolynomial:
-    def test_evaluate_matches_naive(self):
-        m = Modulus(13)
-        poly = ModPolynomial((3, 0, 7, 1), m)  # 3X^3 + 7X + 1
-        for x in range(13):
-            naive = (3 * x**3 + 7 * x + 1) % 13
-            assert poly.evaluate(x) == naive
-
-    def test_leading_zeros_stripped(self):
-        m = Modulus(5)
-        assert ModPolynomial((0, 0, 2, 1), m).coefficients == (2, 1)
-        assert ModPolynomial((0,), m).coefficients == (0,)
-        assert ModPolynomial((10, 3), m).coefficients == (3,)  # 10 = 0 mod 5
-
-    def test_degree(self):
-        m = Modulus(5)
-        assert ModPolynomial((1, 0, 0), m).degree == 2
-
-
 class TestNewtonIdentities:
     def test_single_power_sum_is_identity(self):
         m = Modulus(11)
@@ -123,9 +103,9 @@ class TestLocatorRoots:
         assert locator_roots((5, 6), {1, 4, 5}, Modulus(7)) == set()
 
     def test_locator_polynomial_signs(self):
-        # (X - 2)(X - 3) = X^2 - 5X + 6
-        poly = locator_polynomial((5, 6), Modulus(7))
-        assert poly.coefficients == (1, 2, 6)  # -5 = 2 mod 7
+        # (X - 1)(X - 2)(X - 4) = X^3 - 7X^2 + 14X - 8: e = (7, 14, 8) = (7, 3, 8) mod 11.
+        # Flipping the sign of the odd terms would give the roots -1, -2, -4 = 10, 9, 7 instead.
+        assert locator_roots((7, 3, 8), range(11), Modulus(11)) == {1, 2, 4}
 
 
 def roundtrip(q: int, deleted: tuple[int, ...]) -> set[int]:

@@ -3,9 +3,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from delcode import (
     BoundViolated,
+    DecodeError,
     Modulus,
     NoSolution,
     ScaleGuardExceeded,
@@ -18,16 +21,13 @@ from delcode import (
     class_size,
     class_sizes,
     decode_asymmetric,
+    decode_mask,
     enumerate_class,
-    format_bitword,
     is_codeword,
     next_prime_above,
-    parse_bitword,
-    read_bitwords,
     set_decode,
     subset_to_bitword,
     vt_syndrome,
-    write_bitwords,
 )
 
 
@@ -291,22 +291,6 @@ class TestBitwordBridge:
             subset = SymbolSet(rng.randrange(1 << q), q)
             assert bitword_to_subset(subset_to_bitword(subset)) == subset
 
-    def test_format_and_parse(self):
-        assert format_bitword((1, 0, 1)) == "101"
-        assert parse_bitword("101\n") == (1, 0, 1)
-        with pytest.raises(ValueError):
-            parse_bitword("10x")
-
-    def test_class_stream_roundtrip(self, tmp_path):
-        words = enumerate_class(5, 2, 2, Modulus(7), SyndromeVector((6, 6)))
-        path = tmp_path / "class.txt"
-        with open(path, "w") as fh:
-            assert write_bitwords(fh, words) == len(words)
-        with open(path) as fh:
-            assert list(read_bitwords(fh)) == words
-        first_line = path.read_text().splitlines()[0]
-        assert set(first_line) <= {"0", "1"} and len(first_line) == 5
-
 
 class TestSetDecode:
     def test_identity_on_codeword_set(self):
@@ -341,3 +325,75 @@ class TestSetDecode:
                 for removed in itertools.combinations(elements, e):
                     survivors = SymbolSet.from_symbols(set(elements) - set(removed), q)
                     assert set_decode(survivors, params) == codeword_set
+
+
+def outcome(decoder, *args):
+    """What a decoder returns, or the class and message of the DecodeError it raises."""
+    try:
+        return decoder(*args)
+    except DecodeError as exc:
+        return type(exc), str(exc)
+
+
+def reference_mask(mask, params):
+    word = subset_to_bitword(SymbolSet(mask, params.q))
+    return bitword_to_subset(decode_asymmetric(word, params)).members
+
+
+def agree(mask, params):
+    assert outcome(decode_mask, mask, params) == outcome(reference_mask, mask, params)
+
+
+class TestDecodeMask:
+    """The bitmask decoder against the bitword reference decode_asymmetric."""
+
+    @pytest.mark.parametrize("q, n, t", [(64, 4, 1), (26, 6, 2), (24, 7, 2), (20, 7, 1)])
+    def test_every_deletion_of_every_member(self, q, n, t):
+        p = next_prime_above(q)
+        a, _ = best_class(q, n, t, p)
+        params = VTParams(q, n, t, p, a)
+        for word in enumerate_class(q, n, t, p, a):
+            member = bitword_to_subset(word)
+            bits = [1 << s for s in member.symbols()]
+            for e in range(t + 1):
+                for removed in itertools.combinations(bits, e):
+                    survivors = member.members ^ sum(removed)
+                    got = outcome(decode_mask, survivors, params)
+                    assert got == outcome(reference_mask, survivors, params) == member.members
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_every_mask_and_label_exhaustive(self, t):
+        # q = 6: every weight, class label and n, so every error path is hit
+        q, p = 6, Modulus(7)
+        for n in range(q + 1):
+            for label in itertools.product(range(7), repeat=t):
+                params = VTParams(q, n, t, p, SyndromeVector(label))
+                for mask in range(1 << q):
+                    agree(mask, params)
+
+    @given(st.data())
+    def test_arbitrary_masks(self, data):
+        q, n, t = data.draw(st.sampled_from([(10, 5, 2), (9, 4, 1), (12, 5, 3), (13, 6, 2)]))
+        p = next_prime_above(q)
+        label = data.draw(st.tuples(*[st.integers(0, p.p - 1)] * t))
+        params = VTParams(q, n, t, p, SyndromeVector(label))
+        # weights from below n - t through overweight, members included
+        weight = data.draw(st.integers(0, q))
+        symbols = data.draw(st.sets(st.integers(0, q - 1), min_size=weight, max_size=weight))
+        agree(SymbolSet.from_symbols(symbols, q).members, params)
+        members = enumerate_class(q, n, t, p, SyndromeVector(label))
+        if members:
+            word = data.draw(st.sampled_from(members))
+            agree(bitword_to_subset(word).members, params)
+
+    def test_bits_outside_the_block_rejected(self):
+        params = VTParams(5, 2, 2, Modulus(7), SyndromeVector((6, 6)))
+        for mask in (-1, 1 << 5):
+            with pytest.raises(ValueError):
+                decode_mask(mask, params)
+
+    def test_huge_alphabet_refused_before_any_table(self):
+        # q = 2^89 - 2 sits below the Mersenne prime 2^89 - 1; nothing of size q is built
+        q = 2**89 - 2
+        with pytest.raises(ScaleGuardExceeded):
+            VTParams(q, 5, 1, Modulus(q + 1), SyndromeVector((0,)))
