@@ -65,8 +65,8 @@ def redundancy_bound(q: int, n: int, t: int) -> float:
 @dataclass(frozen=True)
 class BoundReport:
     """Bit-level accounting for one (q, n, t) point, optionally against a
-    materialized code size.  epsilon and delta are display-only knobs for the
-    asymptotic annotations and are never folded into the bound."""
+    materialized code size.  delta is a display-only knob for the asymptotic
+    annotation and is never folded into the bound."""
 
     q: int
     n: int
@@ -83,7 +83,6 @@ class BoundReport:
     eta: float | None = None  # Singleton gap n - t - log2|C|/log2(q)
     alpha_threshold: float | None = None  # (3t-1)/eta; alpha above it closes the gap
     alpha_exceeds_threshold: bool | None = None
-    epsilon: float | None = None
     delta: float | None = None
     delta_adjusted_bound: float | None = None  # 4t-1 term replaced by delta*t
 
@@ -92,12 +91,7 @@ class BoundReport:
 
 
 def singleton_report(
-    q: int,
-    n: int,
-    t: int,
-    code_size=None,
-    epsilon: float | None = None,
-    delta: float | None = None,
+    q: int, n: int, t: int, code_size=None, delta: float | None = None
 ) -> BoundReport:
     """Full bound report: guaranteed size, redundancy bound, Singleton-gap eta
     for a supplied code size, and the alpha threshold that closes the gap."""
@@ -117,7 +111,6 @@ def singleton_report(
         "singleton_log_size": (n - t) * log_q,
         "log2_multfree_count": sum(math.log2(q - i) for i in range(n)),
         "alpha": log_q / math.log2(n) if n > 1 else math.inf,
-        "epsilon": epsilon,
         "delta": delta,
     }
     if delta is not None:

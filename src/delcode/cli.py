@@ -96,9 +96,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    report = singleton_report(
-        args.q, args.n, args.t, code_size=args.size, epsilon=args.epsilon, delta=args.delta
-    )
+    report = singleton_report(args.q, args.n, args.t, code_size=args.size, delta=args.delta)
     _emit(report.to_json_dict())
     return 0
 
@@ -183,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--t", type=int, required=True)
     b.add_argument("--size", type=int, default=None)
-    b.add_argument("--epsilon", type=float, default=None)
     b.add_argument("--delta", type=float, default=None)
     b.set_defaults(func=_cmd_bounds)
 

@@ -1,17 +1,13 @@
-"""Greedy deletion-ball packings in the symmetric group, with brute-force
-decoders.
+"""Greedy deletion-ball packings in the symmetric group, with brute-force decoders.
 
-Stable deletions keep surviving values, so a radius-t ball is exactly the set
-of subsequences of length >= n - t; unstable deletions rank-compress survivors
-and yield smaller permutations (codebooks only for t <= 1).  One raw-tuple key
-function per semantics serves the greedy scan, disjointness checks and balls.
-"""
+A radius-t stable ball is the set of subsequences of length >= n - t; unstable
+deletions also rank-compress the survivors (codebooks only for t <= 1).  One key
+function serves the greedy scan, disjointness checks and balls of both."""
 
 import math
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, permutations
+from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator
 
 from .errors import Ambiguous, NotFound
@@ -54,43 +50,43 @@ class PermCodeBook:
         )
 
 
-def _stable_keys(n: int, t: int) -> Callable:
-    """Lazy keys of a radius-t stable ball: every subsequence of length >= n - t,
-    shortest first, so that a lazy disjointness test meets a taken key early."""
+def _ball_keys(n: int, t: int, unstable: bool) -> Callable:
+    """Lazy keys of a radius-t ball around a permutation held as bytes.  Values are
+    distinct, so deleting positions keeps what deleting their values keeps: the keys
+    are images.translate(table, deleted) over every set of at most t values, most
+    values first so that a lazy disjointness test meets a taken key early."""
     if not 0 <= t <= n:
         raise ValueError(f"deletion radius t={t} outside [0, {n}]")
-    masks = [tuple(k not in dropped for k in range(n))
-             for size in range(t, -1, -1) for dropped in combinations(range(n), size)]
-    return lambda images: (tuple(compress(images, keep)) for keep in masks)
-
-
-def _unstable_keys(n: int, t: int) -> Callable:
-    """Lazy keys of a radius-t unstable ball: the stable keys, rank-compressed."""
-    stable_keys = _stable_keys(n, t)
-
-    def keys(images):
-        for kept in stable_keys(images):
-            ordered = sorted(kept)
-            yield tuple([bisect(ordered, v) for v in kept])
-
-    return keys
+    if n > 255:
+        raise ValueError(f"ball keys hold values as bytes, so n={n} must be at most 255")
+    deletes = [bytes(values) for size in range(t, -1, -1)
+               for values in combinations(range(1, n + 1), size)]
+    tables = [None] * len(deletes)
+    if unstable:
+        # an unstable table ranks the survivors, x -> x - #{deleted values < x}: the
+        # ranks 0, 1, ... with a filler byte inserted at each deleted value, lowest first
+        tables = [bytearray(range(256 - len(values))) for values in deletes]
+        for table, values in zip(tables, deletes):
+            for v in values:
+                table.insert(v, 0)
+    return lambda images: map(images.translate, tables, deletes)
 
 
 def stable_deletion_ball(sigma: Permutation, t: int) -> set[Word]:
     """Every word reachable from sigma by at most t stable deletions."""
-    keys = _stable_keys(len(sigma), t)(sigma.images)
+    keys = _ball_keys(len(sigma), t, False)(bytes(sigma.images))
     return {Word(key, len(sigma) + 1, multiplicity_free=True) for key in keys}
 
 
 def unstable_deletion_ball(sigma: Permutation, t: int) -> set[Permutation]:
     """Every permutation reachable from sigma by at most t unstable deletions."""
-    return {Permutation(key) for key in _unstable_keys(len(sigma), t)(sigma.images)}
+    return {Permutation(key) for key in _ball_keys(len(sigma), t, True)(bytes(sigma.images))}
 
 
-def _first_fit(candidates: Iterable[tuple[int, ...]], ball_keys: Callable) -> Iterator[tuple[int, ...]]:
+def _first_fit(candidates: Iterable[bytes], ball_keys: Callable) -> Iterator[bytes]:
     """Yield each candidate whose ball shares no key with the ball of an earlier
     yielded one; admission only consults earlier admissions."""
-    taken: set[tuple[int, ...]] = set()
+    taken: set[bytes] = set()
     for images in candidates:
         if taken.isdisjoint(ball_keys(images)):
             # merging a whole set grows the table less eagerly than adding keys one by one
@@ -98,16 +94,16 @@ def _first_fit(candidates: Iterable[tuple[int, ...]], ball_keys: Callable) -> It
             yield images
 
 
-def _greedy_book(n: int, t: int, ball_keys: Callable) -> PermCodeBook:
+def _greedy_book(n: int, t: int, unstable: bool) -> PermCodeBook:
     check_enumerable(math.factorial(n), PERM_ENUM_CAP, "symmetric-group scan")
-    admitted = _first_fit(permutations(range(1, n + 1)), ball_keys)
+    admitted = _first_fit(map(bytes, permutations(range(1, n + 1))), _ball_keys(n, t, unstable))
     return PermCodeBook(n, t, tuple(Permutation(images) for images in admitted), "lex")
 
 
 def greedy_sd_code(n: int, t: int) -> PermCodeBook:
     """First-fit scan of S_n in lexicographic order: admit a permutation iff its
     radius-t stable-deletion ball avoids every previously admitted ball."""
-    return _greedy_book(n, t, _stable_keys(n, t))
+    return _greedy_book(n, t, False)
 
 
 def greedy_ud_code(n: int, t: int = 1) -> PermCodeBook:
@@ -115,19 +111,22 @@ def greedy_ud_code(n: int, t: int = 1) -> PermCodeBook:
     multiple-unstable-deletion codes are not constructed here."""
     if t not in (0, 1):
         raise ValueError("unstable-deletion codebooks are only built for t <= 1")
-    return _greedy_book(n, t, _unstable_keys(n, t))
+    return _greedy_book(n, t, True)
+
+
+def _balls_disjoint(book: PermCodeBook, unstable: bool) -> bool:
+    images = (bytes(sigma.images) for sigma in book.codewords)
+    return len(list(_first_fit(images, _ball_keys(book.n, book.t, unstable)))) == len(book.codewords)
 
 
 def verify_sd_property(book: PermCodeBook) -> bool:
     """True iff the radius-t stable-deletion balls are pairwise disjoint."""
-    images = [sigma.images for sigma in book.codewords]
-    return len(list(_first_fit(images, _stable_keys(book.n, book.t)))) == len(images)
+    return _balls_disjoint(book, False)
 
 
 def verify_ud_property(book: PermCodeBook) -> bool:
     """True iff the radius-t unstable-deletion balls are pairwise disjoint."""
-    images = [sigma.images for sigma in book.codewords]
-    return len(list(_first_fit(images, _unstable_keys(book.n, book.t)))) == len(images)
+    return _balls_disjoint(book, True)
 
 
 def _is_subsequence(short: tuple[int, ...], long: tuple[int, ...]) -> bool:

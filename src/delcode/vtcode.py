@@ -9,6 +9,7 @@ at position s + 1, so that symbol 0 stays visible to every syndrome row.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from operator import add
 from typing import Sequence
 
@@ -72,7 +73,7 @@ def vt_syndrome(x: Sequence[int], t: int, p: Modulus) -> SyndromeVector:
     """Residue k is sum_i i^k x_i mod p, with 1-based positions."""
     if len(x) >= p.p:
         raise ValueError(f"modulus {p.p} must exceed the word length {len(x)}")
-    ones = [i for i, bit in enumerate(x, start=1) if bit]
+    ones = list(compress(range(1, len(x) + 1), x))
     return SyndromeVector(tuple(sum(pow(i, k, p.p) for i in ones) % p.p for k in range(1, t + 1)))
 
 
@@ -275,9 +276,14 @@ def best_class(q: int, n: int, t: int, p: Modulus) -> tuple[SyndromeVector, int]
     return SyndromeVector(label), size
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def subset_to_bitword(subset: SymbolSet) -> BitWord:
     """Symbol s becomes a one at 1-based position s + 1."""
-    return tuple(1 if subset.members >> i & 1 else 0 for i in range(subset.alphabet_size))
+    q = subset.alphabet_size
+    # the q binary digits of the mask, low bit first
+    return tuple(format(subset.members, f"0{q}b")[:-q - 1:-1].encode().translate(_BIT_VALUES))
 
 
 def bitword_to_subset(x: Sequence[int]) -> SymbolSet:

@@ -118,10 +118,9 @@ class TestSingletonReport:
 
     def test_delta_annotation_not_folded_in(self):
         plain = singleton_report(256, 8, 2)
-        annotated = singleton_report(256, 8, 2, epsilon=0.5, delta=1.0)
+        annotated = singleton_report(256, 8, 2, delta=1.0)
         assert annotated.redundancy_bound == plain.redundancy_bound == 38.0
         assert annotated.delta_adjusted_bound == pytest.approx(16 + 15 + 2.0)
-        assert annotated.epsilon == 0.5
 
     def test_multfree_count_is_exact_falling_factorial(self):
         report = singleton_report(9, 4, 1)

@@ -283,6 +283,23 @@ class TestErrors:
         assert result.returncode == 2, result.stderr
         assert json.loads(result.stdout)["error"] == "ScaleGuardExceeded"
 
+    def test_verify_refuses_perm_length_above_255(self, tmp_path):
+        spec = {
+            "q": 257,
+            "n": 256,
+            "t": 1,
+            "mode": "stable",
+            "set_code": {"q": 257, "n": 256, "t": 1, "sets": [list(range(256))]},
+            "perm_code": {"n": 256, "t": 1, "codewords": [list(range(1, 257))], "order": "lex"},
+        }
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(spec))
+        result = run_cli("verify", "--spec", str(path))
+        assert result.returncode == 2, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["error"] == "ValueError"
+        assert "at most 255" in payload["message"]
+
     @pytest.mark.parametrize("content", ['{"q": 12}', "[1, 2]"])
     @pytest.mark.parametrize(
         "command",

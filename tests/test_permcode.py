@@ -2,9 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+from bisect import bisect
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from delcode import (
     Ambiguous,
@@ -26,12 +29,26 @@ from delcode import (
     verify_sd_property,
     verify_ud_property,
 )
+from delcode.permcode import _ball_keys
 
 
 def all_patterns(n, t):
     for size in range(t + 1):
         for positions in itertools.combinations(range(1, n + 1), size):
             yield DeletionPattern(positions, n)
+
+
+def position_deletion_keys(images, t, unstable):
+    # a ball listed by deleting positions, survivors rank-compressed for unstable keys
+    keys = []
+    for size in range(t + 1):
+        for dropped in itertools.combinations(range(len(images)), size):
+            kept = tuple(v for k, v in enumerate(images) if k not in dropped)
+            if unstable:
+                ordered = sorted(kept)
+                kept = tuple(bisect(ordered, v) for v in kept)
+            keys.append(kept)
+    return sorted(keys)
 
 
 def naive_greedy(n, t, delete):
@@ -101,13 +118,31 @@ class TestBalls:
         assert ball == {(1, 2), (1,), (2,)}
 
     def test_matches_pattern_enumeration(self):
-        for images in itertools.permutations(range(1, 5)):
-            sigma = Permutation(images)
-            for t in range(3):
-                expected = {apply_stable_deletions(sigma, pat) for pat in all_patterns(4, t)}
-                assert stable_deletion_ball(sigma, t) == expected
-                expected_u = {apply_unstable_deletions(sigma, pat) for pat in all_patterns(4, t)}
-                assert unstable_deletion_ball(sigma, t) == expected_u
+        for n in range(1, 7):
+            patterns = list(all_patterns(n, n))
+            for images in itertools.permutations(range(1, n + 1)):
+                sigma = Permutation(images)
+                stable = [apply_stable_deletions(sigma, pat) for pat in patterns]
+                unstable = [apply_unstable_deletions(sigma, pat) for pat in patterns]
+                for t in range(n + 1):
+                    within = [len(pat.positions) <= t for pat in patterns]
+                    assert stable_deletion_ball(sigma, t) == set(itertools.compress(stable, within))
+                    assert unstable_deletion_ball(sigma, t) == set(
+                        itertools.compress(unstable, within)
+                    )
+
+    @given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))), st.data())
+    def test_bytes_keys_match_position_deletions(self, images, data):
+        t = data.draw(st.integers(0, len(images)))
+        for unstable in (False, True):
+            keys = sorted(tuple(key) for key in _ball_keys(len(images), t, unstable)(bytes(images)))
+            assert keys == position_deletion_keys(images, t, unstable)
+
+    def test_values_above_a_byte_refused(self):
+        with pytest.raises(ValueError, match="at most 255"):
+            _ball_keys(256, 1, False)
+        with pytest.raises(ValueError, match="at most 255"):
+            verify_sd_property(PermCodeBook(256, 1, (Permutation.identity(256),)))
 
     def test_size_bounded_by_pattern_count(self):
         for t in range(4):
