@@ -34,7 +34,6 @@ from .model import (
     apply_unstable_deletions,
     delete_positions,
     draw_deletion_pattern,
-    sample_deletion_pattern,
 )
 from .modular import Modulus, locator_roots, next_prime_above, power_sums_to_elementary
 from .multfree import (
@@ -69,7 +68,6 @@ from .vtcode import (
     SyndromeVector,
     VTParams,
     best_class,
-    bitword_to_subset,
     class_size,
     class_sizes,
     decode_asymmetric,

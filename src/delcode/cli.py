@@ -18,7 +18,6 @@ from .multfree import (
     MultFreeCodeSpec,
     SetCode,
     build_code,
-    code_size,
     decode_steps,
     load_spec,
     save_spec,
@@ -36,10 +35,8 @@ def _cmd_construct(args) -> int:
     p = next_prime_above(args.q)
     a, class_size = best_class(args.q, args.n, args.t, p)
     params = VTParams(args.q, args.n, args.t, p, a)
-    if args.mode == "stable":
-        book = greedy_sd_code(args.n, args.t)
-    else:
-        book = greedy_ud_code(args.n, args.t)
+    greedy = greedy_sd_code if args.mode == "stable" else greedy_ud_code
+    book = greedy(args.n, args.t)
     spec = MultFreeCodeSpec(args.q, args.n, args.t, args.mode, SetCode.from_vt(params), book)
     save_spec(spec, args.out)
     _emit(
@@ -49,7 +46,7 @@ def _cmd_construct(args) -> int:
             "a": list(a.residues),
             "set_code_size": class_size,
             "perm_code_size": len(book.codewords),
-            "code_size": code_size(spec),
+            "code_size": class_size * len(book.codewords),
         }
     )
     return 0
@@ -103,22 +100,19 @@ def _cmd_bounds(args) -> int:
 
 def _verify_set_code(spec: MultFreeCodeSpec) -> dict:
     checks = {}
-    sets = set_codewords(spec)
-    if spec.set_code.vt is not None:
-        params = spec.set_code.vt
-        checks["class_membership"] = all(
-            is_codeword(subset_to_bitword(s), params) for s in sets
-        )
-    else:
+    sets, vt = set_codewords(spec), spec.set_code.vt
+    if vt is None:
         n, t = spec.n, spec.t
         checks["pairwise_intersection_bound"] = all(
             (a.members & b.members).bit_count() <= n - t - 1
             for i, a in enumerate(sets)
             for b in sets[i + 1 :]
         )
-    # a deletion of at most t elements clears that many bits of a member's mask
-    code, ok = spec.set_code, True
+    # one pass over the members: class membership, then every deletion of at
+    # most t elements, which clears that many bits of the member's mask
+    code, member, ok = spec.set_code, True, True
     for s in sets:
+        member = member and (vt is None or is_codeword(subset_to_bitword(s), vt))
         bits = [1 << i for i in s.symbols()]
         for e in range(min(spec.t, len(bits)) + 1):
             for removed in combinations(bits, e):
@@ -126,18 +120,16 @@ def _verify_set_code(spec: MultFreeCodeSpec) -> dict:
                     ok = ok and code.decode(SymbolSet(s.members ^ sum(removed), spec.q)) == s
                 except DecodeError:
                     ok = False
+    if vt is not None:
+        checks["class_membership"] = member
     checks["set_deletion_soundness"] = ok
     return checks
 
 
 def _cmd_verify(args) -> int:
     spec = load_spec(args.spec)
-    checks = {}
-    if spec.mode == "stable":
-        checks["perm_balls_disjoint"] = verify_sd_property(spec.perm_code)
-    else:
-        checks["perm_balls_disjoint"] = verify_ud_property(spec.perm_code)
-    checks.update(_verify_set_code(spec))
+    balls_disjoint = verify_sd_property if spec.mode == "stable" else verify_ud_property
+    checks = {"perm_balls_disjoint": balls_disjoint(spec.perm_code), **_verify_set_code(spec)}
     ok = all(checks.values())
     _emit({"checks": checks, "ok": ok})
     return 0 if ok else 1

@@ -163,8 +163,3 @@ def draw_deletion_pattern(rng: random.Random, n: int, t_max: int) -> DeletionPat
         raise ValueError(f"t_max {t_max} must lie in [0, {n}]")
     size = rng.randint(0, t_max)
     return DeletionPattern(tuple(rng.sample(range(1, n + 1), size)), n)
-
-
-def sample_deletion_pattern(n: int, t_max: int, seed: int) -> DeletionPattern:
-    """Deterministic channel draw: the same (n, t_max, seed) gives the same pattern."""
-    return draw_deletion_pattern(random.Random(seed), n, t_max)

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .model import Permutation, SymbolSet, Word
 from .permcode import PermCodeBook, sd_decode, ud_decode
-from .vtcode import VTParams, bitword_to_subset, class_size, enumerate_class, set_decode
+from .vtcode import VTParams, class_size, enumerate_class, set_decode
 
 
 def induced_set(x: Word) -> SymbolSet:
@@ -158,8 +158,8 @@ def _count_sets(code: SetCode) -> int:
 def _materialize_sets(code: SetCode) -> tuple[SymbolSet, ...]:
     if code.sets is not None:
         return tuple(sorted(code.sets, key=lambda s: s.symbols()))
-    words = enumerate_class(code.q, code.n, code.t, code.vt.p, code.vt.a)
-    return tuple(sorted((bitword_to_subset(w) for w in words), key=lambda s: s.symbols()))
+    vt = code.vt  # its class comes as masks in encode order, so no sort
+    return tuple(SymbolSet(m, vt.q) for m in enumerate_class(vt.q, vt.n, vt.t, vt.p, vt.a))
 
 
 @dataclass(frozen=True)

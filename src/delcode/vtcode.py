@@ -1,6 +1,5 @@
-"""Constant-weight binary codes cut out by weighted power-sum syndromes, their
-decoder for asymmetric 1->0 errors, and the bridge between symbol sets and
-length-q bitwords.
+"""Constant-weight binary codes cut out by weighted power-sum syndromes and
+their decoders for asymmetric 1->0 errors, on bitwords and on bitmasks.
 
 Bit positions are 1-based to match the syndrome weights; alphabet symbol s sits
 at position s + 1, so that symbol 0 stays visible to every syndrome row.
@@ -73,8 +72,8 @@ def vt_syndrome(x: Sequence[int], t: int, p: Modulus) -> SyndromeVector:
     """Residue k is sum_i i^k x_i mod p, with 1-based positions."""
     if len(x) >= p.p:
         raise ValueError(f"modulus {p.p} must exceed the word length {len(x)}")
-    ones = list(compress(range(1, len(x) + 1), x))
-    return SyndromeVector(tuple(sum(pow(i, k, p.p) for i in ones) % p.p for k in range(1, t + 1)))
+    rows = _power_rows(len(x), t, p.p)
+    return SyndromeVector(tuple(sum(compress(row, x)) % p.p for row in rows))
 
 
 def is_codeword(x: Sequence[int], params: VTParams) -> bool:
@@ -121,13 +120,6 @@ def decode_asymmetric(y: Sequence[int], params: VTParams) -> BitWord:
     if not is_codeword(repaired_word, params):
         raise NoSolution("repaired word fails the full syndrome check")
     return repaired_word
-
-
-def _positions_to_bitword(positions: Sequence[int], q: int) -> BitWord:
-    bits = [0] * q
-    for i in positions:
-        bits[i - 1] = 1
-    return tuple(bits)
 
 
 def _digits(index: int, t: int, p: int) -> tuple[int, ...]:
@@ -219,45 +211,43 @@ def _reach_table(q: int, n: int, t: int, p: int) -> bytearray:
     return flags
 
 
-def enumerate_class(q: int, n: int, t: int, p: Modulus, a: SyndromeVector) -> list[BitWord]:
-    """All weight-n words of length q with syndrome a, in lexicographic order.
+def enumerate_class(q: int, n: int, t: int, p: Modulus, a: SyndromeVector) -> list[int]:
+    """Masks of all weight-n words of length q with syndrome a, bit i - 1 for
+    position i, in encode order: lexicographic in the sorted positions.
 
     An explicit-stack walk over the positions of the ones that enters a branch
     only if the suffix table says it still reaches syndrome a, so it visits
-    class members only.  Choosing later positions first yields the words in
-    lexicographic order.  The last one is looked up by its residue vector.
+    class members only.  Each branch carries its mask; pushing later positions
+    first pops earlier ones first, so no sort is needed.  The last one is
+    looked up by its residue vector.
     """
     size = class_size(q, n, t, p, a)
     check_enumerable(size, CLASS_ENUM_CAP, "class materialization")
     if size == 0:
         return []
     if n == 0:
-        return [(0,) * q]
+        return [0]
     m = p.p
     vectors = [None] + [tuple(pow(i, k, m) for k in range(1, t + 1)) for i in range(1, q + 1)]
     last_one: dict[tuple[int, ...], list[int]] = {}
-    for i in range(q, 0, -1):
+    for i in range(1, q + 1):
         last_one.setdefault(vectors[i], []).append(i)
     flags = _reach_table(q, n, t, m)
     stride = m**t
-    words = []
-    chosen = [0] * n
-    stack = [(-1, 0, n, tuple(a.residues))]  # (depth, position, ones left, residue left)
+    masks = []
+    stack = [(0, 0, n, tuple(a.residues))]  # (mask, last position, ones left, residue left)
     while stack:
-        depth, pos, w, need = stack.pop()
-        if depth >= 0:
-            chosen[depth] = pos
+        mask, pos, w, need = stack.pop()
         if w == 1:
             for j in last_one.get(need, ()):
                 if j > pos:
-                    chosen[n - 1] = j
-                    words.append(_positions_to_bitword(chosen, q))
+                    masks.append(mask | 1 << (j - 1))
             continue
-        for j in range(pos + 1, q - w + 2):
+        for j in range(q - w + 1, pos, -1):
             rest = tuple((x - y) % m for x, y in zip(need, vectors[j]))
             if flags[((j + 1) * n + w - 1) * stride + _flat(rest, m)]:
-                stack.append((depth + 1, j, w - 1, rest))
-    return words
+                stack.append((mask | 1 << (j - 1), j, w - 1, rest))
+    return masks
 
 
 def best_class(q: int, n: int, t: int, p: Modulus) -> tuple[SyndromeVector, int]:
@@ -286,14 +276,6 @@ def subset_to_bitword(subset: SymbolSet) -> BitWord:
     return tuple(format(subset.members, f"0{q}b")[:-q - 1:-1].encode().translate(_BIT_VALUES))
 
 
-def bitword_to_subset(x: Sequence[int]) -> SymbolSet:
-    mask = 0
-    for i, bit in enumerate(x):
-        if bit:
-            mask |= 1 << i
-    return SymbolSet(mask, len(x))
-
-
 @lru_cache(maxsize=None)
 def _power_rows(q: int, t: int, p: int) -> tuple[tuple[int, ...], ...]:
     """Row k - 1 holds (s + 1)^k mod p for every symbol s."""
@@ -316,18 +298,20 @@ def decode_mask(mask: int, params: VTParams) -> int:
         raise WeightTooLow(f"weight {weight} is below n - t = {n - t}")
     ones = set_bits(mask)
     rows = _power_rows(q, t, p)
-    sums = [sum(map(row.__getitem__, ones)) for row in rows]
-    deficits = [(a - s) % p for a, s in zip(params.a.residues, sums)]
+    deficits = [(a - sum(map(r.__getitem__, ones))) % p for a, r in zip(params.a.residues, rows)]
     if e == 0:
         if any(deficits):
             raise NoSolution("full-weight word is not in the code")
         return mask
     if e == 1:
         i = deficits[0]
-        roots = [i] if 0 < i <= q and not mask >> (i - 1) & 1 else []
-    else:
-        zeros = [i for i in range(1, q + 1) if not mask >> (i - 1) & 1]
-        roots = locator_roots(power_sums_to_elementary(deficits[:e], params.p), zeros, params.p)
+        if not 0 < i <= q or mask >> (i - 1) & 1:
+            raise NoSolution("locator polynomial has 0 roots among zeros, expected 1")
+        if t > 1 and [row[i - 1] for row in rows[1:]] != deficits[1:]:
+            raise NoSolution("repaired word fails the full syndrome check")
+        return mask | 1 << (i - 1)
+    zeros = [i for i in range(1, q + 1) if not mask >> (i - 1) & 1]
+    roots = locator_roots(power_sums_to_elementary(deficits[:e], params.p), zeros, params.p)
     if len(roots) != e:
         raise NoSolution(f"locator polynomial has {len(roots)} roots among zeros, expected {e}")
     # e distinct roots of the locator have the first e deficits as power sums

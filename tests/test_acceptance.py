@@ -33,6 +33,7 @@ from delcode import (
     sd_decode,
     simulate,
     size_lower_bound,
+    subset_to_bitword,
     symbol_ranks,
     verify_sd_property,
 )
@@ -90,7 +91,8 @@ def test_criterion_3_vt_asymmetric_decoding(criterion):
         assert p.p == 11
         a, _ = best_class(q, n, t, p)
         params = VTParams(q, n, t, p, a)
-        class_words = enumerate_class(q, n, t, p, a)
+        masks = enumerate_class(q, n, t, p, a)
+        class_words = [subset_to_bitword(SymbolSet(m, q)) for m in masks]
         assert class_words
         for codeword in class_words:
             ones = [i for i, bit in enumerate(codeword, start=1) if bit]

@@ -146,6 +146,37 @@ class TestVerify:
         assert payload["checks"]["class_membership"] is True
         assert payload["ok"] is False
 
+    def test_non_member_fails_membership(self, spec_path, monkeypatch, capsys):
+        # the one-pass loop checks every member until one fails, then stops checking
+        real = cli.is_codeword
+        calls = []
+
+        def reject_third(word, params):
+            calls.append(word)
+            return real(word, params) and len(calls) != 3
+
+        monkeypatch.setattr(cli, "is_codeword", reject_third)
+        assert cli.main(["verify", "--spec", str(spec_path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["checks"] == {
+            "class_membership": False,
+            "perm_balls_disjoint": True,
+            "set_deletion_soundness": True,
+        }
+        assert len(calls) == 3
+        monkeypatch.setattr(cli, "is_codeword", lambda word, params: calls.append(word) or True)
+        assert cli.main(["verify", "--spec", str(spec_path)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 3 + len(multfree.set_codewords(multfree.load_spec(spec_path)))
+
+    def test_construct_runs_the_census_once(self, tmp_path, monkeypatch, capsys):
+        real, calls = vtcode._census, []
+        monkeypatch.setattr(vtcode, "_census", lambda *args: calls.append(args) or real(*args))
+        assert cli.main(["construct", *SPEC_ARGS, "--out", str(tmp_path / "s.json")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert summary["code_size"] == summary["set_code_size"] * summary["perm_code_size"]
+
     def test_construct_builds_no_decoder_table(self, tmp_path):
         vtcode._power_rows.cache_clear()
         assert cli.main(["construct", *SPEC_ARGS, "--out", str(tmp_path / "s.json")]) == 0

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -12,8 +13,8 @@ from delcode import (
     apply_stable_deletions,
     apply_unstable_deletions,
     delete_positions,
+    draw_deletion_pattern,
     induced_permutation,
-    sample_deletion_pattern,
 )
 
 
@@ -211,22 +212,23 @@ class TestUnstableDeletions:
 class TestChannel:
     def test_zero_budget_gives_empty_pattern(self):
         for seed in range(20):
-            assert sample_deletion_pattern(5, 0, seed).positions == ()
+            assert draw_deletion_pattern(random.Random(seed), 5, 0).positions == ()
 
     def test_deterministic_for_fixed_seed(self):
         for seed in (0, 1, 12345):
-            assert sample_deletion_pattern(9, 3, seed) == sample_deletion_pattern(9, 3, seed)
+            draw = draw_deletion_pattern(random.Random(seed), 9, 3)
+            assert draw == draw_deletion_pattern(random.Random(seed), 9, 3)
 
     def test_budget_above_length_rejected(self):
         with pytest.raises(ValueError):
-            sample_deletion_pattern(3, 4, 0)
+            draw_deletion_pattern(random.Random(0), 3, 4)
 
     def test_size_distribution_uniform(self):
         # two-stage draw: the size itself is uniform over {0, 1, 2}
         counts = {0: 0, 1: 0, 2: 0}
         samples = 10_000
         for seed in range(samples):
-            counts[sample_deletion_pattern(5, 2, seed).size] += 1
+            counts[draw_deletion_pattern(random.Random(seed), 5, 2).size] += 1
         for size, count in counts.items():
             assert abs(count / samples - 1 / 3) <= 0.02, (size, count)
         expected = samples / 3

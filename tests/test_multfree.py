@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -38,6 +40,7 @@ from delcode import (
     save_spec,
     symbol_ranks,
 )
+from delcode.multfree import _materialize_sets, set_codewords
 
 
 def multfree_words(q, n):
@@ -245,6 +248,43 @@ class TestSetCode:
             SetCode(10, 4, 2, vt=VTParams(10, 5, 2, p, a))
         with pytest.raises(ValueError):
             SetCode(10, 5, 2)  # neither backend
+
+
+# sha256 of repr([s.members for s in set_codewords(spec)]) for the best class,
+# taken from the previous code, which materialized bitwords and sorted them
+SET_ORDER_SHA256 = {
+    (64, 4, 1): "4fd2bef113f3751893cd16a8d7f8cc17afe6905b95bee1632cbaed70eaf8ff0d",
+    (26, 6, 2): "2754821ef460fa4089ef296c38a4df280ddc0f114a2f81e9882bff17fd769992",
+    (24, 7, 2): "e21cc5b99f4f373f9ee02cfd31a705caf5ec6562fcd50f6d339d774d8beac096",
+    (20, 7, 1): "850b73612a2d7945b15f2bfa17201fc2ba79d0920185fba73aec32ac6887196c",
+}
+
+
+def best_class_spec(q, n, t):
+    p = next_prime_above(q)
+    a, _ = best_class(q, n, t, p)
+    book = PermCodeBook(n, t, (Permutation.identity(n),))
+    return MultFreeCodeSpec(q, n, t, "stable", SetCode.from_vt(VTParams(q, n, t, p, a)), book)
+
+
+class TestClassMaterialization:
+    @pytest.mark.parametrize("q, n, t", sorted(SET_ORDER_SHA256))
+    def test_pinned_encode_order(self, q, n, t):
+        members = [s.members for s in set_codewords(best_class_spec(q, n, t))]
+        assert hashlib.sha256(repr(members).encode()).hexdigest() == SET_ORDER_SHA256[q, n, t]
+
+    def test_peak_memory(self):
+        # the class is held as masks, never as length-q bitwords
+        spec = best_class_spec(64, 4, 1)
+        _materialize_sets.cache_clear()
+        tracemalloc.start()
+        try:
+            sets = set_codewords(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sets) == 9486
+        assert peak < 3_000_000
 
 
 class TestSpecValidation:

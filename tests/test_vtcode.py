@@ -17,7 +17,6 @@ from delcode import (
     VTParams,
     WeightTooLow,
     best_class,
-    bitword_to_subset,
     class_size,
     class_sizes,
     decode_asymmetric,
@@ -41,14 +40,19 @@ def flips_of(codeword, budget):
             yield tuple(hit)
 
 
+def to_mask(word):
+    return sum(bit << i for i, bit in enumerate(word))
+
+
 def oracle_census(q, n, t, p):
-    """Reference syndrome partition: walk every n-subset of the q positions."""
+    """Reference syndrome partition: walk every n-subset of the q positions.
+    combinations yields them in encode order, so each class lists its masks in
+    the order of SymbolSet.symbols()."""
     classes = {}
     for positions in itertools.combinations(range(1, q + 1), n):
         label = tuple(sum(pow(i, k, p.p) for i in positions) % p.p for k in range(1, t + 1))
-        word = tuple(1 if i in positions else 0 for i in range(1, q + 1))
-        classes.setdefault(label, []).append(word)
-    return {label: sorted(words) for label, words in classes.items()}
+        classes.setdefault(label, []).append(sum(1 << (i - 1) for i in positions))
+    return classes
 
 
 def dominating_search(y, class_words, n):
@@ -72,6 +76,13 @@ class TestSyndrome:
     def test_modulus_must_exceed_length(self):
         with pytest.raises(ValueError):
             vt_syndrome((0,) * 7, 1, Modulus(7))
+
+    @given(st.lists(st.integers(0, 1), max_size=30), st.integers(0, 4))
+    def test_matches_power_sums(self, word, t):
+        p = next_prime_above(max(len(word), 2))
+        ones = [i for i, bit in enumerate(word, start=1) if bit]
+        expected = tuple(sum(pow(i, k, p.p) for i in ones) % p.p for k in range(1, t + 1))
+        assert vt_syndrome(word, t, p).residues == expected
 
 
 class TestParams:
@@ -157,19 +168,22 @@ class TestEnumeration:
     def test_full_weight_class(self):
         p = Modulus(7)
         a_match = vt_syndrome((1, 1, 1), 1, p)
-        assert enumerate_class(3, 3, 1, p, a_match) == [(1, 1, 1)]
+        assert enumerate_class(3, 3, 1, p, a_match) == [0b111]
         a_miss = SyndromeVector(((a_match.residues[0] + 1) % 7,))
         assert enumerate_class(3, 3, 1, p, a_miss) == []
 
     def test_known_member(self):
         got = enumerate_class(5, 2, 2, Modulus(7), SyndromeVector((6, 6)))
-        assert (0, 1, 0, 1, 0) in got
+        assert to_mask((0, 1, 0, 1, 0)) in got
 
     def test_lexicographic_order(self):
-        p = next_prime_above(8)
-        a, _ = best_class(8, 3, 1, p)
-        words = enumerate_class(8, 3, 1, p, a)
-        assert words == sorted(words)
+        # encode order: strictly ascending in SymbolSet.symbols(), no sort needed
+        for q, n, t in [(8, 3, 1), (12, 5, 2), (13, 6, 3)]:
+            p = next_prime_above(q)
+            a, size = best_class(q, n, t, p)
+            symbols = [SymbolSet(m, q).symbols() for m in enumerate_class(q, n, t, p, a)]
+            assert len(symbols) == size > 1
+            assert all(x < y for x, y in zip(symbols, symbols[1:]))
 
     def test_partition(self):
         # classes are disjoint and their sizes add up to C(q, n)
@@ -271,25 +285,27 @@ class TestScaleGuard:
     def test_env_override_raises_cap(self, monkeypatch):
         monkeypatch.setenv("DELCODE_SCALE_GUARD", str(10**9))
         got = enumerate_class(5, 2, 2, Modulus(7), SyndromeVector((6, 6)))
-        assert (0, 1, 0, 1, 0) in got
+        assert to_mask((0, 1, 0, 1, 0)) in got
 
 
 class TestBitwordBridge:
     def test_known_subset(self):
         subset = SymbolSet.from_symbols({0, 2, 5, 6, 8}, 9)
         assert subset_to_bitword(subset) == (1, 0, 1, 0, 0, 1, 1, 0, 1)
-        assert bitword_to_subset((1, 0, 1, 0, 0, 1, 1, 0, 1)) == subset
+        assert to_mask((1, 0, 1, 0, 0, 1, 1, 0, 1)) == subset.members
 
     def test_empty_set(self):
         assert subset_to_bitword(SymbolSet(0, 4)) == (0, 0, 0, 0)
-        assert bitword_to_subset((0, 0, 0, 0)).cardinality == 0
+        assert subset_to_bitword(SymbolSet(0, 0)) == ()
 
     def test_random_masks_roundtrip(self):
         rng = random.Random(0)
         for _ in range(1000):
             q = rng.randrange(1, 24)
             subset = SymbolSet(rng.randrange(1 << q), q)
-            assert bitword_to_subset(subset_to_bitword(subset)) == subset
+            word = subset_to_bitword(subset)
+            assert word == tuple(int(s in subset) for s in range(q))
+            assert to_mask(word) == subset.members
 
 
 class TestSetDecode:
@@ -318,8 +334,8 @@ class TestSetDecode:
         p = next_prime_above(q)
         a, _ = best_class(q, n, t, p)
         params = VTParams(q, n, t, p, a)
-        for word in enumerate_class(q, n, t, p, a):
-            codeword_set = bitword_to_subset(word)
+        for mask in enumerate_class(q, n, t, p, a):
+            codeword_set = SymbolSet(mask, q)
             elements = codeword_set.symbols()
             for e in range(t + 1):
                 for removed in itertools.combinations(elements, e):
@@ -337,7 +353,7 @@ def outcome(decoder, *args):
 
 def reference_mask(mask, params):
     word = subset_to_bitword(SymbolSet(mask, params.q))
-    return bitword_to_subset(decode_asymmetric(word, params)).members
+    return to_mask(decode_asymmetric(word, params))
 
 
 def agree(mask, params):
@@ -352,8 +368,8 @@ class TestDecodeMask:
         p = next_prime_above(q)
         a, _ = best_class(q, n, t, p)
         params = VTParams(q, n, t, p, a)
-        for word in enumerate_class(q, n, t, p, a):
-            member = bitword_to_subset(word)
+        for mask in enumerate_class(q, n, t, p, a):
+            member = SymbolSet(mask, q)
             bits = [1 << s for s in member.symbols()]
             for e in range(t + 1):
                 for removed in itertools.combinations(bits, e):
@@ -383,8 +399,7 @@ class TestDecodeMask:
         agree(SymbolSet.from_symbols(symbols, q).members, params)
         members = enumerate_class(q, n, t, p, SyndromeVector(label))
         if members:
-            word = data.draw(st.sampled_from(members))
-            agree(bitword_to_subset(word).members, params)
+            agree(data.draw(st.sampled_from(members)), params)
 
     def test_bits_outside_the_block_rejected(self):
         params = VTParams(5, 2, 2, Modulus(7), SyndromeVector((6, 6)))
