@@ -43,7 +43,7 @@ def set_bits(mask: int) -> list[int]:
     return bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolSet:
     """An n-subset of the alphabet, stored as a bitmask (bit i set iff symbol i present)."""
 

@@ -209,8 +209,7 @@ class MultFreeCodeSpec:
 
 def save_spec(spec: MultFreeCodeSpec, path) -> None:
     with open(path, "w") as fh:
-        json.dump(spec.to_json_dict(), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(spec.to_json_dict(), sort_keys=True) + "\n")
 
 
 def load_spec(path) -> MultFreeCodeSpec:

@@ -8,8 +8,7 @@ at position s + 1, so that symbol 0 stays visible to every syndrome row.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
-from operator import add
+from itertools import compress, product
 from typing import Sequence
 
 from .errors import BoundViolated, NoSolution, WeightTooLow
@@ -122,16 +121,6 @@ def decode_asymmetric(y: Sequence[int], params: VTParams) -> BitWord:
     return repaired_word
 
 
-def _digits(index: int, t: int, p: int) -> tuple[int, ...]:
-    """Residue vector of a flat index; residue 1 is the most significant digit,
-    so flat order is lexicographic label order."""
-    digits = []
-    for _ in range(t):
-        index, r = divmod(index, p)
-        digits.append(r)
-    return tuple(reversed(digits))
-
-
 def _flat(residues: Sequence[int], p: int) -> int:
     index = 0
     for r in residues:
@@ -139,75 +128,82 @@ def _flat(residues: Sequence[int], p: int) -> int:
     return index
 
 
-def _shift(row, i: int, t: int, p: int):
-    """Move a row over the p^t residue vectors by position i's syndrome
-    contribution (i, i^2, ..., i^t): out[r + v_i] = row[r].  Level k of the flat
-    layout is a ring of p blocks, so the move is one slice rotation per block
-    and level.  Works on lists and bytearrays alike."""
+def _shift(row: int, i: int, t: int, p: int, width: int) -> int:
+    """Move a packed row over the p^t residue vectors by position i's syndrome
+    contribution (i, i^2, ..., i^t): out[r + v_i] = row[r].  The row is one int
+    of p^t fields, `width` bits each (a multiple of 8), in flat label order.
+    Level k is a ring of p blocks in each of p^(k - 1) groups, so the move is
+    two shifts per level: the low fields of every group go up, the rest down,
+    under a mask built from the level's repunit (a one at each group's start).
+    """
     for k in range(1, t + 1):
-        block = p ** (t - k)
+        block = p ** (t - k) * width
         span = p * block
-        cut = span - pow(i, k, p) * block
-        if cut == span:
-            continue
-        out = row[:0]
-        for s in range(0, len(row), span):
-            out += row[s + cut : s + span]
-            out += row[s : s + cut]
-        row = out
+        up = pow(i, k, p) * block
+        if up:
+            rep = 1 if k == 1 else int.from_bytes(
+                (b"\1" + bytes(span // 8 - 1)) * p ** (k - 1), "little"
+            )
+            low = row & (rep << span - up) - rep
+            row = low << up | (row ^ low) >> span - up
     return row
 
 
-def _census(q: int, n: int, t: int, p: Modulus) -> list[int]:
-    """Number of weight-n words of length q per flat residue index.
+def _census(q: int, n: int, t: int, p: Modulus) -> tuple[int, int]:
+    """Number of weight-n words of length q per flat residue index, packed as
+    p^t fields of the returned width in bits.
 
-    A rolling count over positions: rows[w][r] counts the words on the
-    positions seen so far with weight w and residue vector r.  Position i adds
-    a one to every word of weight w - 1, which moves its row by v_i.  Only
-    weights from which weight n is still reachable are kept up to date.
+    A rolling count over positions: rows[w] counts, field by field, the words
+    on the positions seen so far with weight w and each residue vector.
+    Position i adds a one to every word of weight w - 1, which moves its row by
+    v_i.  Only weights from which weight n is still reachable are kept up to
+    date.  No count exceeds C(q, min(n, q // 2)), so whole-byte fields of that
+    size never carry into each other.
     """
     if n < 0:
         raise ValueError(f"weight n must be nonnegative, got {n}")
-    size = p.p**t
-    check_enumerable(q * (n + 1) * size, CLASS_ENUM_CAP, "syndrome-class DP")
-    rows = [[1] + [0] * (size - 1)] + [[0] * size for _ in range(n)]
+    check_enumerable(q * (n + 1) * p.p**t, CLASS_ENUM_CAP, "syndrome-class DP")
+    width = -(-math.comb(q, min(n, q // 2)).bit_length() // 8) * 8
+    rows = [1] + [0] * n
     for i in range(1, q + 1):
         for w in range(min(i, n), max(0, n - q + i - 1), -1):
-            rows[w] = list(map(add, rows[w], _shift(rows[w - 1], i, t, p.p)))
-    return rows[n]
+            rows[w] += _shift(rows[w - 1], i, t, p.p, width)
+    return rows[n], width
 
 
 def class_sizes(q: int, n: int, t: int, p: Modulus) -> dict[tuple[int, ...], int]:
     """Census of the syndrome partition: class label -> number of weight-n
     words, nonempty classes only, in label order."""
-    return {_digits(r, t, p.p): c for r, c in enumerate(_census(q, n, t, p)) if c}
+    row, width = _census(q, n, t, p)
+    step = width // 8
+    raw = row.to_bytes(p.p**t * step, "little")
+    counts = (int.from_bytes(raw[j : j + step], "little") for j in range(0, len(raw), step))
+    return {label: c for label, c in zip(product(range(p.p), repeat=t), counts) if c}
 
 
 def class_size(q: int, n: int, t: int, p: Modulus, a: SyndromeVector) -> int:
     """Number of weight-n words of length q with syndrome a."""
     if len(a) != t or not all(0 <= r < p.p for r in a.residues):
         return 0
-    return _census(q, n, t, p)[_flat(a.residues, p.p)]
+    row, width = _census(q, n, t, p)
+    return row >> (_flat(a.residues, p.p) * width) & ((1 << width) - 1)
 
 
 def _reach_table(q: int, n: int, t: int, p: int) -> bytearray:
     """Suffix flags: entry ((i * n + w) * p^t + r) is 1 iff positions i..q can
-    hold w ones with residue vector r, for 1 <= i <= q + 1 and 0 <= w < n."""
+    hold w ones with residue vector r, for 1 <= i <= q + 1 and 0 <= w < n.
+    rows[w] packs the flags of the current i as one byte per residue vector."""
     size = p**t
     flags = bytearray((q + 2) * n * size)
-    flags[(q + 1) * n * size] = 1  # nothing left to place at the end
+    rows = [1] + [0] * (n - 1)  # nothing left to place at the end
+    flags[(q + 1) * n * size] = 1
     for i in range(q, 0, -1):
-        for w in range(min(n - 1, q - i + 1) + 1):
-            zero = ((i + 1) * n + w) * size
-            row = flags[zero : zero + size]
-            if w:
-                one = zero - size
-                moved = _shift(flags[one : one + size], i, t, p)
-                row = (int.from_bytes(row, "little") | int.from_bytes(moved, "little")).to_bytes(
-                    size, "little"
-                )
+        top = min(n - 1, q - i + 1)
+        for w in range(top, 0, -1):
+            rows[w] |= _shift(rows[w - 1], i, t, p, 8)
+        for w in range(top + 1):
             start = (i * n + w) * size
-            flags[start : start + size] = row
+            flags[start : start + size] = rows[w].to_bytes(size, "little")
     return flags
 
 

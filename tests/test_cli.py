@@ -90,6 +90,7 @@ class TestConstruct:
         assert result.returncode == 0, result.stdout
         summary = json.loads(result.stdout)
         assert summary["set_code_size"] >= math.ceil(math.comb(64, 8) / 67**2)
+        assert summary["set_code_size"] == 986340
 
     def test_scale_guard_env(self, tmp_path):
         result = run_cli(

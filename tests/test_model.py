@@ -76,6 +76,13 @@ class TestSymbolSet:
         assert small.issubset(big)
         assert not big.issubset(small)
 
+    def test_slotted_and_frozen(self):
+        # a class is materialized as one SymbolSet per member: no per-instance dict
+        s = SymbolSet.from_symbols({1, 3}, 6)
+        assert not hasattr(s, "__dict__")
+        with pytest.raises(AttributeError):
+            s.members = 0
+
 
 class TestPermutation:
     def test_images_must_be_rearrangement(self):

@@ -27,6 +27,7 @@ from delcode import (
     set_decode,
     subset_to_bitword,
     vt_syndrome,
+    vtcode,
 )
 
 
@@ -242,6 +243,97 @@ class TestAgainstOracle:
         p = Modulus(7)
         assert enumerate_class(5, 2, 2, p, SyndromeVector((7, 0))) == []
         assert class_size(5, 2, 2, p, SyndromeVector((1,))) == 0
+
+
+def list_shift(row, i, t, p):
+    """Reference move of a row by position i: one slice rotation per residue
+    level of the flat layout, on a list or a bytearray."""
+    for k in range(1, t + 1):
+        block = p ** (t - k)
+        span = p * block
+        cut = span - pow(i, k, p) * block
+        out = row[:0]
+        for s in range(0, len(row), span):
+            out += row[s + cut : s + span] + row[s : s + cut]
+        row = out
+    return row
+
+
+def list_census(q, n, t, p):
+    """Reference census: the syndrome-class DP on lists of Python ints, as a
+    dict in flat order, residue 1 most significant."""
+    size = p.p**t
+    rows = [[1] + [0] * (size - 1)] + [[0] * size for _ in range(n)]
+    for i in range(1, q + 1):
+        for w in range(min(i, n), 0, -1):
+            rows[w] = [x + y for x, y in zip(rows[w], list_shift(rows[w - 1], i, t, p.p))]
+    labels = []
+    for r in range(size):
+        digits = []
+        for _ in range(t):
+            r, d = divmod(r, p.p)
+            digits.append(d)
+        labels.append(tuple(reversed(digits)))
+    return {label: c for label, c in zip(labels, rows[n]) if c}
+
+
+def bytearray_reach_table(q, n, t, p):
+    """Reference suffix flags, one bytearray row per (i, w), moved by list_shift."""
+    size = p**t
+    flags = bytearray((q + 2) * n * size)
+    flags[(q + 1) * n * size] = 1
+    for i in range(q, 0, -1):
+        for w in range(min(n - 1, q - i + 1) + 1):
+            zero = ((i + 1) * n + w) * size
+            row = flags[zero : zero + size]
+            if w:
+                moved = list_shift(flags[zero - size : zero], i, t, p)
+                row = bytearray(x | y for x, y in zip(row, moved))
+            flags[(i * n + w) * size : (i * n + w + 1) * size] = row
+    return flags
+
+
+class TestPackedRows:
+    """The packed-int census and reach table against the list and bytearray DP."""
+
+    GRID = [(64, 4, 1), (26, 6, 2), (24, 7, 2), (20, 7, 1), (30, 7, 2), (13, 6, 3), (90, 45, 1)]
+
+    @pytest.mark.parametrize("q, n, t", GRID)
+    def test_census_matches_list_dp(self, q, n, t):
+        p = next_prime_above(q)
+        expected = list_census(q, n, t, p)
+        assert list(class_sizes(q, n, t, p).items()) == list(expected.items())
+        a = max(expected, key=expected.get)
+        assert class_size(q, n, t, p, SyndromeVector(a)) == expected[a]
+        empty = next((r for r in itertools.product(range(p.p), repeat=t) if r not in expected), None)
+        if empty is not None:
+            assert class_size(q, n, t, p, SyndromeVector(empty)) == 0
+
+    def test_counts_wider_than_64_bits(self):
+        q, n, t = 90, 45, 1
+        p = next_prime_above(q)
+        _, width = vtcode._census(q, n, t, p)
+        assert width >= math.comb(q, n).bit_length() > 64
+        assert max(class_sizes(q, n, t, p).values()) > 2**64
+
+    @pytest.mark.parametrize("q, n, t", GRID)
+    def test_reach_table_matches_bytearray(self, q, n, t):
+        p = next_prime_above(q).p
+        assert vtcode._reach_table(q, n, t, p) == bytearray_reach_table(q, n, t, p)
+
+    @given(st.integers(0, 14), st.data())
+    def test_small_points_match(self, q, data):
+        # moduli below, near and above the block length
+        n = data.draw(st.integers(0, q))
+        t = data.draw(st.integers(1, 3))
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 13, 17]))
+        if p**t > 3000:
+            t = 1
+        sizes = class_sizes(q, n, t, Modulus(p))
+        assert list(sizes.items()) == list(list_census(q, n, t, Modulus(p)).items())
+        assert sum(sizes.values()) == math.comb(q, n)
+        if n:
+            assert vtcode._reach_table(q, n, t, p) == bytearray_reach_table(q, n, t, p)
 
 
 class TestBestClass:
