@@ -65,18 +65,14 @@ from .permcode import (
     verify_ud_property,
 )
 from .vtcode import (
-    SyndromeVector,
     VTParams,
     best_class,
     class_size,
     class_sizes,
-    decode_asymmetric,
     decode_mask,
     enumerate_class,
     is_codeword,
     set_decode,
-    subset_to_bitword,
-    vt_syndrome,
 )
 
 __version__ = "0.1.0"

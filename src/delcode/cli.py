@@ -24,7 +24,7 @@ from .multfree import (
     set_codewords,
 )
 from .permcode import greedy_sd_code, greedy_ud_code, verify_sd_property, verify_ud_property
-from .vtcode import VTParams, best_class, is_codeword, subset_to_bitword
+from .vtcode import VTParams, best_class, is_codeword
 
 
 def _emit(payload) -> None:
@@ -43,7 +43,7 @@ def _cmd_construct(args) -> int:
         {
             "out": args.out,
             "p": p.p,
-            "a": list(a.residues),
+            "a": list(a),
             "set_code_size": class_size,
             "perm_code_size": len(book.codewords),
             "code_size": class_size * len(book.codewords),
@@ -112,7 +112,7 @@ def _verify_set_code(spec: MultFreeCodeSpec) -> dict:
     # most t elements, which clears that many bits of the member's mask
     code, member, ok = spec.set_code, True, True
     for s in sets:
-        member = member and (vt is None or is_codeword(subset_to_bitword(s), vt))
+        member = member and (vt is None or is_codeword(s.members, vt))
         bits = [1 << i for i in s.symbols()]
         for e in range(min(spec.t, len(bits)) + 1):
             for removed in combinations(bits, e):

@@ -110,7 +110,9 @@ class SetCode:
 
     def size(self) -> int:
         """Number of codewords, counted without materializing a syndrome class."""
-        return _count_sets(self)
+        if self.sets is not None:
+            return len(self.sets)
+        return class_size(self.q, self.n, self.t, self.vt.p, self.vt.a)
 
     def decode(self, survivors: SymbolSet) -> SymbolSet:
         if survivors.alphabet_size != self.q:
@@ -145,13 +147,6 @@ class SetCode:
             sets = tuple(SymbolSet.from_symbols(s, data["q"]) for s in data["sets"])
             return cls(data["q"], data["n"], data["t"], sets=sets)
         return cls.from_vt(VTParams.from_json_dict(data))
-
-
-@lru_cache(maxsize=None)
-def _count_sets(code: SetCode) -> int:
-    if code.sets is not None:
-        return len(code.sets)
-    return class_size(code.q, code.n, code.t, code.vt.p, code.vt.a)
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +226,7 @@ def perm_codewords(spec: MultFreeCodeSpec) -> tuple[Permutation, ...]:
 
 
 def code_size(spec: MultFreeCodeSpec) -> int:
-    return spec.set_code.size() * len(perm_codewords(spec))
+    return spec.set_code.size() * len(spec.perm_code.codewords)
 
 
 def build_code(spec: MultFreeCodeSpec) -> Iterator[Word]:

@@ -1,5 +1,5 @@
 """Constant-weight binary codes cut out by weighted power-sum syndromes and
-their decoders for asymmetric 1->0 errors, on bitwords and on bitmasks.
+their decoder for asymmetric 1->0 errors on bitmasks.
 
 Bit positions are 1-based to match the syndrome weights; alphabet symbol s sits
 at position s + 1, so that symbol 0 stays visible to every syndrome row.
@@ -8,7 +8,7 @@ at position s + 1, so that symbol 0 stays visible to every syndrome row.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, product
+from itertools import product
 from typing import Sequence
 
 from .errors import BoundViolated, NoSolution, WeightTooLow
@@ -16,34 +16,20 @@ from .guards import CLASS_ENUM_CAP, check_enumerable
 from .model import SymbolSet, set_bits
 from .modular import Modulus, locator_roots, power_sums_to_elementary
 
-BitWord = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SyndromeVector:
-    """t weighted power sums, reduced mod p."""
-
-    residues: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "residues", tuple(self.residues))
-
-    def __len__(self) -> int:
-        return len(self.residues)
-
 
 @dataclass(frozen=True)
 class VTParams:
     """Parameters of one syndrome class: block length q, weight n, error budget t,
-    prime modulus p and the class label a."""
+    prime modulus p and the class label a, t residues mod p."""
 
     q: int
     n: int
     t: int
     p: Modulus
-    a: SyndromeVector
+    a: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "a", tuple(self.a))
         if not 0 <= self.n <= self.q:
             raise ValueError(f"need 0 <= n <= q, got n={self.n}, q={self.q}")
         if not self.q < self.p.p <= 2 * self.q:
@@ -52,73 +38,17 @@ class VTParams:
             raise ValueError("error budget t must be at least 1")
         if len(self.a) != self.t:
             raise ValueError(f"syndrome vector has {len(self.a)} entries, expected t={self.t}")
-        for r in self.a.residues:
+        for r in self.a:
             if not 0 <= r < self.p.p:
                 raise ValueError(f"residue {r} outside [0, {self.p.p - 1}]")
         check_enumerable(self.q * self.t, CLASS_ENUM_CAP, "set-decoder power table")
 
     def to_json_dict(self) -> dict:
-        return {"q": self.q, "n": self.n, "t": self.t, "p": self.p.p, "a": list(self.a.residues)}
+        return {"q": self.q, "n": self.n, "t": self.t, "p": self.p.p, "a": list(self.a)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "VTParams":
-        return cls(
-            data["q"], data["n"], data["t"], Modulus(data["p"]), SyndromeVector(tuple(data["a"]))
-        )
-
-
-def vt_syndrome(x: Sequence[int], t: int, p: Modulus) -> SyndromeVector:
-    """Residue k is sum_i i^k x_i mod p, with 1-based positions."""
-    if len(x) >= p.p:
-        raise ValueError(f"modulus {p.p} must exceed the word length {len(x)}")
-    rows = _power_rows(len(x), t, p.p)
-    return SyndromeVector(tuple(sum(compress(row, x)) % p.p for row in rows))
-
-
-def is_codeword(x: Sequence[int], params: VTParams) -> bool:
-    if len(x) != params.q:
-        raise ValueError(f"word length {len(x)} differs from block length {params.q}")
-    return sum(x) == params.n and vt_syndrome(x, params.t, params.p) == params.a
-
-
-def decode_asymmetric(y: Sequence[int], params: VTParams) -> BitWord:
-    """Restore up to t ones that were flipped to zero.
-
-    The first e = n - wt(y) syndrome deficits are exactly the power sums of the
-    lost positions.  Newton's identities convert them into elementary symmetric
-    functions, and the locator polynomial built from those vanishes precisely at
-    the lost positions, which are searched among the zero positions of y.  Any
-    remaining syndrome rows act as a consistency check through the final
-    membership test.
-    """
-    if len(y) != params.q:
-        raise ValueError(f"word length {len(y)} differs from block length {params.q}")
-    weight = sum(y)
-    e = params.n - weight
-    if e < 0:
-        raise NoSolution(f"weight {weight} exceeds the code weight {params.n}")
-    if e > params.t:
-        raise WeightTooLow(f"weight {weight} is below n - t = {params.n - params.t}")
-    if e == 0:
-        if not is_codeword(y, params):
-            raise NoSolution("full-weight word is not in the code")
-        return tuple(y)
-
-    p = params.p.p
-    observed = vt_syndrome(y, params.t, params.p)
-    deficits = [(a_k - s_k) % p for a_k, s_k in zip(params.a.residues, observed.residues)]
-    elementary = power_sums_to_elementary(deficits[:e], params.p)
-    candidates = [i for i, bit in enumerate(y, start=1) if not bit]
-    roots = locator_roots(elementary, candidates, params.p)
-    if len(roots) != e:
-        raise NoSolution(f"locator polynomial has {len(roots)} roots among zeros, expected {e}")
-    repaired = list(y)
-    for i in roots:
-        repaired[i - 1] = 1
-    repaired_word = tuple(repaired)
-    if not is_codeword(repaired_word, params):
-        raise NoSolution("repaired word fails the full syndrome check")
-    return repaired_word
+        return cls(data["q"], data["n"], data["t"], Modulus(data["p"]), data["a"])
 
 
 def _flat(residues: Sequence[int], p: int) -> int:
@@ -151,7 +81,17 @@ def _shift(row: int, i: int, t: int, p: int, width: int) -> int:
 
 def _census(q: int, n: int, t: int, p: Modulus) -> tuple[int, int]:
     """Number of weight-n words of length q per flat residue index, packed as
-    p^t fields of the returned width in bits.
+    p^t fields of the returned width in bits.  The scale guard runs on every
+    call, the count once per (q, n, t, p)."""
+    if n < 0:
+        raise ValueError(f"weight n must be nonnegative, got {n}")
+    check_enumerable(q * (n + 1) * p.p**t, CLASS_ENUM_CAP, "syndrome-class DP")
+    return _packed_census(q, n, t, p)
+
+
+@lru_cache(maxsize=None)
+def _packed_census(q: int, n: int, t: int, p: Modulus) -> tuple[int, int]:
+    """The census behind _census.
 
     A rolling count over positions: rows[w] counts, field by field, the words
     on the positions seen so far with weight w and each residue vector.
@@ -160,9 +100,6 @@ def _census(q: int, n: int, t: int, p: Modulus) -> tuple[int, int]:
     date.  No count exceeds C(q, min(n, q // 2)), so whole-byte fields of that
     size never carry into each other.
     """
-    if n < 0:
-        raise ValueError(f"weight n must be nonnegative, got {n}")
-    check_enumerable(q * (n + 1) * p.p**t, CLASS_ENUM_CAP, "syndrome-class DP")
     width = -(-math.comb(q, min(n, q // 2)).bit_length() // 8) * 8
     rows = [1] + [0] * n
     for i in range(1, q + 1):
@@ -181,12 +118,12 @@ def class_sizes(q: int, n: int, t: int, p: Modulus) -> dict[tuple[int, ...], int
     return {label: c for label, c in zip(product(range(p.p), repeat=t), counts) if c}
 
 
-def class_size(q: int, n: int, t: int, p: Modulus, a: SyndromeVector) -> int:
+def class_size(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> int:
     """Number of weight-n words of length q with syndrome a."""
-    if len(a) != t or not all(0 <= r < p.p for r in a.residues):
+    if len(a) != t or not all(0 <= r < p.p for r in a):
         return 0
     row, width = _census(q, n, t, p)
-    return row >> (_flat(a.residues, p.p) * width) & ((1 << width) - 1)
+    return row >> (_flat(a, p.p) * width) & ((1 << width) - 1)
 
 
 def _reach_table(q: int, n: int, t: int, p: int) -> bytearray:
@@ -207,7 +144,7 @@ def _reach_table(q: int, n: int, t: int, p: int) -> bytearray:
     return flags
 
 
-def enumerate_class(q: int, n: int, t: int, p: Modulus, a: SyndromeVector) -> list[int]:
+def enumerate_class(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> list[int]:
     """Masks of all weight-n words of length q with syndrome a, bit i - 1 for
     position i, in encode order: lexicographic in the sorted positions.
 
@@ -231,7 +168,7 @@ def enumerate_class(q: int, n: int, t: int, p: Modulus, a: SyndromeVector) -> li
     flags = _reach_table(q, n, t, m)
     stride = m**t
     masks = []
-    stack = [(0, 0, n, tuple(a.residues))]  # (mask, last position, ones left, residue left)
+    stack = [(0, 0, n, tuple(a))]  # (mask, last position, ones left, residue left)
     while stack:
         mask, pos, w, need = stack.pop()
         if w == 1:
@@ -246,7 +183,7 @@ def enumerate_class(q: int, n: int, t: int, p: Modulus, a: SyndromeVector) -> li
     return masks
 
 
-def best_class(q: int, n: int, t: int, p: Modulus) -> tuple[SyndromeVector, int]:
+def best_class(q: int, n: int, t: int, p: Modulus) -> tuple[tuple[int, ...], int]:
     """Largest syndrome class; ties go to the lexicographically smallest label.
 
     Raises BoundViolated if the largest class is below the pigeonhole bound
@@ -259,17 +196,7 @@ def best_class(q: int, n: int, t: int, p: Modulus) -> tuple[SyndromeVector, int]
             f"largest of the {p.p}^{t} classes has {size} of C({q}, {n}) words, "
             "below the pigeonhole bound"
         )
-    return SyndromeVector(label), size
-
-
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def subset_to_bitword(subset: SymbolSet) -> BitWord:
-    """Symbol s becomes a one at 1-based position s + 1."""
-    q = subset.alphabet_size
-    # the q binary digits of the mask, low bit first
-    return tuple(format(subset.members, f"0{q}b")[:-q - 1:-1].encode().translate(_BIT_VALUES))
+    return label, size
 
 
 @lru_cache(maxsize=None)
@@ -278,27 +205,41 @@ def _power_rows(q: int, t: int, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(pow(i, k, p) for i in range(1, q + 1)) for k in range(1, t + 1))
 
 
-def decode_mask(mask: int, params: VTParams) -> int:
-    """decode_asymmetric on a bitmask, bit i - 1 standing for position i, with the
-    same result and errors.  The syndrome sums cached powers over the set bits.
-    A single lost one sits at the position the first deficit names; two or more
-    are located by Newton and the locator polynomial over the clear bits."""
-    q, n, t, p = params.q, params.n, params.t, params.p.p
+def _deficits(mask: int, params: VTParams) -> list[int]:
+    """Syndrome deficits a_k - sum over the set bits of i^k, mod p, for bit
+    i - 1 standing for position i: all zero on a class member, and the power
+    sums of the lost positions once ones are flipped to zero."""
+    q, p = params.q, params.p.p
     if mask < 0 or mask >> q:
         raise ValueError(f"bitmask has bits outside the block length {q}")
+    ones = set_bits(mask)
+    rows = _power_rows(q, params.t, p)
+    return [(a - sum(map(r.__getitem__, ones))) % p for a, r in zip(params.a, rows)]
+
+
+def is_codeword(mask: int, params: VTParams) -> bool:
+    """Class membership of a bitmask: weight n and syndrome a."""
+    return not any(_deficits(mask, params)) and mask.bit_count() == params.n
+
+
+def decode_mask(mask: int, params: VTParams) -> int:
+    """Restore up to t ones of a bitmask that were flipped to zero.  The first
+    e = n - wt(mask) deficits are the power sums of the lost positions.  A
+    single lost one sits at the position the first deficit names; two or more
+    are located by Newton and the locator polynomial over the clear bits."""
+    q, n, t, p = params.q, params.n, params.t, params.p.p
+    deficits = _deficits(mask, params)
     weight = mask.bit_count()
     e = n - weight
     if e < 0:
         raise NoSolution(f"weight {weight} exceeds the code weight {n}")
     if e > t:
         raise WeightTooLow(f"weight {weight} is below n - t = {n - t}")
-    ones = set_bits(mask)
-    rows = _power_rows(q, t, p)
-    deficits = [(a - sum(map(r.__getitem__, ones))) % p for a, r in zip(params.a.residues, rows)]
     if e == 0:
         if any(deficits):
             raise NoSolution("full-weight word is not in the code")
         return mask
+    rows = _power_rows(q, t, p)
     if e == 1:
         i = deficits[0]
         if not 0 < i <= q or mask >> (i - 1) & 1:

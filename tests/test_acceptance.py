@@ -19,7 +19,7 @@ from delcode import (
     best_class,
     build_code,
     class_sizes,
-    decode_asymmetric,
+    decode_mask,
     decode_steps,
     delete_positions,
     enumerate_class,
@@ -33,10 +33,11 @@ from delcode import (
     sd_decode,
     simulate,
     size_lower_bound,
-    subset_to_bitword,
     symbol_ranks,
     verify_sd_property,
 )
+
+from bitword_oracle import decode_asymmetric, subset_to_bitword
 
 
 def patterns_up_to(n, t):
@@ -102,8 +103,11 @@ def test_criterion_3_vt_asymmetric_decoding(criterion):
                     for i in flips:
                         y[i - 1] = 0
                     y = tuple(y)
-                    got = decode_asymmetric(y, params)
+                    mask = sum(bit << i for i, bit in enumerate(y))
+                    got = subset_to_bitword(SymbolSet(decode_mask(mask, params), q))
                     assert got == codeword
+                    # the bitword reference decoder agrees
+                    assert decode_asymmetric(y, params) == got
                     # brute-force class-search oracle: unique dominating word
                     dominating = [
                         c for c in class_words if all(ci >= yi for ci, yi in zip(c, y))

@@ -170,6 +170,20 @@ class TestVerify:
         capsys.readouterr()
         assert len(calls) == 3 + len(multfree.set_codewords(multfree.load_spec(spec_path)))
 
+    def test_explicit_set_spec_passes(self, explicit_spec, tmp_path, capsys):
+        # an explicit family is no syndrome class, so there is no membership check
+        path = tmp_path / "explicit.json"
+        multfree.save_spec(explicit_spec, path)
+        assert cli.main(["verify", "--spec", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "checks": {
+                "pairwise_intersection_bound": True,
+                "perm_balls_disjoint": True,
+                "set_deletion_soundness": True,
+            },
+            "ok": True,
+        }
+
     def test_construct_runs_the_census_once(self, tmp_path, monkeypatch, capsys):
         real, calls = vtcode._census, []
         monkeypatch.setattr(vtcode, "_census", lambda *args: calls.append(args) or real(*args))

@@ -39,6 +39,7 @@ from delcode import (
     psi,
     save_spec,
     symbol_ranks,
+    vtcode,
 )
 from delcode.multfree import _materialize_sets, set_codewords
 
@@ -272,6 +273,15 @@ class TestClassMaterialization:
     def test_pinned_encode_order(self, q, n, t):
         members = [s.members for s in set_codewords(best_class_spec(q, n, t))]
         assert hashlib.sha256(repr(members).encode()).hexdigest() == SET_ORDER_SHA256[q, n, t]
+
+    def test_census_runs_once_per_spec(self):
+        # best_class, code_size, the class walk and encode_index share one census
+        vtcode._packed_census.cache_clear()
+        _materialize_sets.cache_clear()
+        spec = best_class_spec(14, 5, 2)
+        assert code_size(spec) == len(set_codewords(spec))
+        encode_index(spec, code_size(spec) - 1)
+        assert vtcode._packed_census.cache_info().misses == 1
 
     def test_peak_memory(self):
         # the class is held as masks, never as length-q bitwords

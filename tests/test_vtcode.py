@@ -13,22 +13,21 @@ from delcode import (
     NoSolution,
     ScaleGuardExceeded,
     SymbolSet,
-    SyndromeVector,
     VTParams,
     WeightTooLow,
     best_class,
     class_size,
     class_sizes,
-    decode_asymmetric,
     decode_mask,
     enumerate_class,
     is_codeword,
     next_prime_above,
     set_decode,
-    subset_to_bitword,
-    vt_syndrome,
     vtcode,
 )
+
+from bitword_oracle import decode_asymmetric, subset_to_bitword, vt_syndrome
+from bitword_oracle import is_codeword as is_bitword_codeword
 
 
 def flips_of(codeword, budget):
@@ -65,14 +64,14 @@ def dominating_search(y, class_words, n):
 
 class TestSyndrome:
     def test_all_zeros(self):
-        assert vt_syndrome((0,) * 6, 3, Modulus(7)).residues == (0, 0, 0)
+        assert vt_syndrome((0,) * 6, 3, Modulus(7)) == (0, 0, 0)
 
     def test_single_one_at_position_one(self):
-        assert vt_syndrome((1, 0, 0, 0, 0), 2, Modulus(7)).residues == (1, 1)
+        assert vt_syndrome((1, 0, 0, 0, 0), 2, Modulus(7)) == (1, 1)
 
     def test_two_ones(self):
         # positions 2 and 4: 2+4 = 6, 4+16 = 20 = 6 mod 7
-        assert vt_syndrome((0, 1, 0, 1, 0), 2, Modulus(7)).residues == (6, 6)
+        assert vt_syndrome((0, 1, 0, 1, 0), 2, Modulus(7)) == (6, 6)
 
     def test_modulus_must_exceed_length(self):
         with pytest.raises(ValueError):
@@ -83,18 +82,18 @@ class TestSyndrome:
         p = next_prime_above(max(len(word), 2))
         ones = [i for i, bit in enumerate(word, start=1) if bit]
         expected = tuple(sum(pow(i, k, p.p) for i in ones) % p.p for k in range(1, t + 1))
-        assert vt_syndrome(word, t, p).residues == expected
+        assert vt_syndrome(word, t, p) == expected
 
 
 class TestParams:
     def make(self):
-        return VTParams(5, 2, 2, Modulus(7), SyndromeVector((6, 6)))
+        return VTParams(5, 2, 2, Modulus(7), (6, 6))
 
     def test_membership_definitional(self):
         params = self.make()
-        assert is_codeword((0, 1, 0, 1, 0), params)
-        assert not is_codeword((0, 0, 0, 0, 0), params)  # weight mismatch
-        assert not is_codeword((1, 1, 0, 0, 0), params)  # wrong syndrome
+        assert is_bitword_codeword((0, 1, 0, 1, 0), params)
+        assert not is_bitword_codeword((0, 0, 0, 0, 0), params)  # weight mismatch
+        assert not is_bitword_codeword((1, 1, 0, 0, 0), params)  # wrong syndrome
 
     def test_json_roundtrip(self):
         params = self.make()
@@ -104,22 +103,22 @@ class TestParams:
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            VTParams(5, 6, 1, Modulus(7), SyndromeVector((0,)))  # n > q
+            VTParams(5, 6, 1, Modulus(7), (0,))  # n > q
         with pytest.raises(ValueError):
-            VTParams(5, 2, 1, Modulus(5), SyndromeVector((0,)))  # p <= q
+            VTParams(5, 2, 1, Modulus(5), (0,))  # p <= q
         with pytest.raises(ValueError):
-            VTParams(5, 2, 1, Modulus(11), SyndromeVector((0,)))  # p > 2q
+            VTParams(5, 2, 1, Modulus(11), (0,))  # p > 2q
         with pytest.raises(ValueError):
-            VTParams(5, 2, 0, Modulus(7), SyndromeVector(()))  # t < 1
+            VTParams(5, 2, 0, Modulus(7), ())  # t < 1
         with pytest.raises(ValueError):
-            VTParams(5, 2, 2, Modulus(7), SyndromeVector((6,)))  # wrong length
+            VTParams(5, 2, 2, Modulus(7), (6,))  # wrong length
         with pytest.raises(ValueError):
-            VTParams(5, 2, 1, Modulus(7), SyndromeVector((7,)))  # residue range
+            VTParams(5, 2, 1, Modulus(7), (7,))  # residue range
 
 
 class TestDecodeAsymmetric:
     def setup_method(self):
-        self.params = VTParams(5, 2, 2, Modulus(7), SyndromeVector((6, 6)))
+        self.params = VTParams(5, 2, 2, Modulus(7), (6, 6))
         self.codeword = (0, 1, 0, 1, 0)
 
     def test_zero_error_passthrough(self):
@@ -132,7 +131,7 @@ class TestDecodeAsymmetric:
         assert decode_asymmetric((0, 0, 0, 0, 0), self.params) == self.codeword
 
     def test_weight_too_low(self):
-        params = VTParams(5, 3, 1, Modulus(7), SyndromeVector((1,)))
+        params = VTParams(5, 3, 1, Modulus(7), (1,))
         with pytest.raises(WeightTooLow):
             decode_asymmetric((1, 0, 0, 0, 0), params)
 
@@ -154,10 +153,10 @@ class TestDecodeAsymmetric:
                     classes: dict[tuple, list] = {}
                     for positions in itertools.combinations(range(1, q + 1), n):
                         word = tuple(1 if i + 1 in positions else 0 for i in range(q))
-                        label = vt_syndrome(word, t, p).residues
+                        label = vt_syndrome(word, t, p)
                         classes.setdefault(label, []).append(word)
                     for label, words in classes.items():
-                        params = VTParams(q, n, t, p, SyndromeVector(label))
+                        params = VTParams(q, n, t, p, label)
                         for codeword in words:
                             for y in flips_of(codeword, t):
                                 got = decode_asymmetric(y, params)
@@ -170,11 +169,11 @@ class TestEnumeration:
         p = Modulus(7)
         a_match = vt_syndrome((1, 1, 1), 1, p)
         assert enumerate_class(3, 3, 1, p, a_match) == [0b111]
-        a_miss = SyndromeVector(((a_match.residues[0] + 1) % 7,))
+        a_miss = ((a_match[0] + 1) % 7,)
         assert enumerate_class(3, 3, 1, p, a_miss) == []
 
     def test_known_member(self):
-        got = enumerate_class(5, 2, 2, Modulus(7), SyndromeVector((6, 6)))
+        got = enumerate_class(5, 2, 2, Modulus(7), (6, 6))
         assert to_mask((0, 1, 0, 1, 0)) in got
 
     def test_lexicographic_order(self):
@@ -192,7 +191,7 @@ class TestEnumeration:
         seen = set()
         total = 0
         for label in itertools.product(range(7), repeat=t):
-            words = enumerate_class(q, n, t, p, SyndromeVector(label))
+            words = enumerate_class(q, n, t, p, label)
             assert seen.isdisjoint(words)
             seen.update(words)
             total += len(words)
@@ -201,7 +200,7 @@ class TestEnumeration:
     def test_class_sizes_census(self):
         sizes = class_sizes(5, 2, 2, Modulus(7))
         assert sum(sizes.values()) == 10
-        assert sizes[(6, 6)] == len(enumerate_class(5, 2, 2, Modulus(7), SyndromeVector((6, 6))))
+        assert sizes[(6, 6)] == len(enumerate_class(5, 2, 2, Modulus(7), (6, 6)))
 
 
 class TestAgainstOracle:
@@ -225,9 +224,8 @@ class TestAgainstOracle:
                     every = itertools.product(range(p.p), repeat=t)
                     labels += [label for label in every if label not in oracle][:1]
                 for label in labels:
-                    a = SyndromeVector(label)
-                    assert enumerate_class(q, n, t, p, a) == oracle.get(label, [])
-                    assert class_size(q, n, t, p, a) == len(oracle.get(label, []))
+                    assert enumerate_class(q, n, t, p, label) == oracle.get(label, [])
+                    assert class_size(q, n, t, p, label) == len(oracle.get(label, []))
 
     def test_modulus_below_length(self):
         # p <= q: positions i and i + p share a residue vector, so the walk
@@ -237,12 +235,12 @@ class TestAgainstOracle:
                 oracle = oracle_census(q, n, t, Modulus(p))
                 assert class_sizes(q, n, t, Modulus(p)) == {a: len(w) for a, w in oracle.items()}
                 for label, words in oracle.items():
-                    assert enumerate_class(q, n, t, Modulus(p), SyndromeVector(label)) == words
+                    assert enumerate_class(q, n, t, Modulus(p), label) == words
 
     def test_label_outside_the_partition_is_empty(self):
         p = Modulus(7)
-        assert enumerate_class(5, 2, 2, p, SyndromeVector((7, 0))) == []
-        assert class_size(5, 2, 2, p, SyndromeVector((1,))) == 0
+        assert enumerate_class(5, 2, 2, p, (7, 0)) == []
+        assert class_size(5, 2, 2, p, (1,)) == 0
 
 
 def list_shift(row, i, t, p):
@@ -304,10 +302,10 @@ class TestPackedRows:
         expected = list_census(q, n, t, p)
         assert list(class_sizes(q, n, t, p).items()) == list(expected.items())
         a = max(expected, key=expected.get)
-        assert class_size(q, n, t, p, SyndromeVector(a)) == expected[a]
+        assert class_size(q, n, t, p, a) == expected[a]
         empty = next((r for r in itertools.product(range(p.p), repeat=t) if r not in expected), None)
         if empty is not None:
-            assert class_size(q, n, t, p, SyndromeVector(empty)) == 0
+            assert class_size(q, n, t, p, empty) == 0
 
     def test_counts_wider_than_64_bits(self):
         q, n, t = 90, 45, 1
@@ -360,23 +358,33 @@ class TestBestClass:
         # q=2, n=1: words (1,0) and (0,1) land in distinct singleton classes
         a, size = best_class(2, 1, 1, Modulus(3))
         assert size == 1
-        assert a.residues == (1,)
+        assert a == (1,)
 
 
 class TestScaleGuard:
     def test_default_guard_trips(self):
         p = next_prime_above(40)
         with pytest.raises(ScaleGuardExceeded):
-            enumerate_class(40, 20, 1, p, SyndromeVector((0,)))
+            enumerate_class(40, 20, 1, p, (0,))
 
     def test_env_override_lowers_cap(self, monkeypatch):
         monkeypatch.setenv("DELCODE_SCALE_GUARD", "5")
         with pytest.raises(ScaleGuardExceeded):
-            enumerate_class(5, 2, 2, Modulus(7), SyndromeVector((6, 6)))
+            enumerate_class(5, 2, 2, Modulus(7), (6, 6))
+
+    def test_guard_holds_after_a_cached_census(self, monkeypatch):
+        q, n, t, p = 12, 5, 2, Modulus(13)
+        sizes = class_sizes(q, n, t, p)
+        misses = vtcode._packed_census.cache_info().misses
+        assert class_sizes(q, n, t, p) == sizes
+        assert vtcode._packed_census.cache_info().misses == misses  # served from the cache
+        monkeypatch.setenv("DELCODE_SCALE_GUARD", str(q * (n + 1) * p.p**t - 1))
+        with pytest.raises(ScaleGuardExceeded):
+            class_sizes(q, n, t, p)
 
     def test_env_override_raises_cap(self, monkeypatch):
         monkeypatch.setenv("DELCODE_SCALE_GUARD", str(10**9))
-        got = enumerate_class(5, 2, 2, Modulus(7), SyndromeVector((6, 6)))
+        got = enumerate_class(5, 2, 2, Modulus(7), (6, 6))
         assert to_mask((0, 1, 0, 1, 0)) in got
 
 
@@ -417,7 +425,7 @@ class TestSetDecode:
         assert set_decode(survivors, params) == codeword_set
 
     def test_alphabet_mismatch(self):
-        params = VTParams(5, 2, 2, Modulus(7), SyndromeVector((6, 6)))
+        params = VTParams(5, 2, 2, Modulus(7), (6, 6))
         with pytest.raises(ValueError):
             set_decode(SymbolSet(0, 4), params)
 
@@ -450,10 +458,13 @@ def reference_mask(mask, params):
 
 def agree(mask, params):
     assert outcome(decode_mask, mask, params) == outcome(reference_mask, mask, params)
+    word = subset_to_bitword(SymbolSet(mask, params.q))
+    assert is_codeword(mask, params) == is_bitword_codeword(word, params)
 
 
 class TestDecodeMask:
-    """The bitmask decoder against the bitword reference decode_asymmetric."""
+    """The bitmask decoder and membership test against the bitword reference
+    decode_asymmetric and its is_codeword."""
 
     @pytest.mark.parametrize("q, n, t", [(64, 4, 1), (26, 6, 2), (24, 7, 2), (20, 7, 1)])
     def test_every_deletion_of_every_member(self, q, n, t):
@@ -475,7 +486,7 @@ class TestDecodeMask:
         q, p = 6, Modulus(7)
         for n in range(q + 1):
             for label in itertools.product(range(7), repeat=t):
-                params = VTParams(q, n, t, p, SyndromeVector(label))
+                params = VTParams(q, n, t, p, label)
                 for mask in range(1 << q):
                     agree(mask, params)
 
@@ -484,23 +495,25 @@ class TestDecodeMask:
         q, n, t = data.draw(st.sampled_from([(10, 5, 2), (9, 4, 1), (12, 5, 3), (13, 6, 2)]))
         p = next_prime_above(q)
         label = data.draw(st.tuples(*[st.integers(0, p.p - 1)] * t))
-        params = VTParams(q, n, t, p, SyndromeVector(label))
+        params = VTParams(q, n, t, p, label)
         # weights from below n - t through overweight, members included
         weight = data.draw(st.integers(0, q))
         symbols = data.draw(st.sets(st.integers(0, q - 1), min_size=weight, max_size=weight))
         agree(SymbolSet.from_symbols(symbols, q).members, params)
-        members = enumerate_class(q, n, t, p, SyndromeVector(label))
+        members = enumerate_class(q, n, t, p, label)
         if members:
             agree(data.draw(st.sampled_from(members)), params)
 
     def test_bits_outside_the_block_rejected(self):
-        params = VTParams(5, 2, 2, Modulus(7), SyndromeVector((6, 6)))
+        params = VTParams(5, 2, 2, Modulus(7), (6, 6))
         for mask in (-1, 1 << 5):
             with pytest.raises(ValueError):
                 decode_mask(mask, params)
+            with pytest.raises(ValueError):
+                is_codeword(mask, params)
 
     def test_huge_alphabet_refused_before_any_table(self):
         # q = 2^89 - 2 sits below the Mersenne prime 2^89 - 1; nothing of size q is built
         q = 2**89 - 2
         with pytest.raises(ScaleGuardExceeded):
-            VTParams(q, 5, 1, Modulus(q + 1), SyndromeVector((0,)))
+            VTParams(q, 5, 1, Modulus(q + 1), (0,))
