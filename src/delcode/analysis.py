@@ -87,7 +87,9 @@ class BoundReport:
     delta_adjusted_bound: float | None = None  # 4t-1 term replaced by delta*t
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The fields, each non-finite float (which JSON cannot hold) as None."""
+        fields = asdict(self).items()
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in fields}
 
 
 def singleton_report(
@@ -95,6 +97,8 @@ def singleton_report(
 ) -> BoundReport:
     """Full bound report: guaranteed size, redundancy bound, Singleton-gap eta
     for a supplied code size, and the alpha threshold that closes the gap."""
+    if delta is not None and not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     exact, log2_bound = size_lower_bound(q, n, t)
     try:
         bound_float = float(exact)

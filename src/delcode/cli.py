@@ -20,6 +20,7 @@ from .multfree import (
     build_code,
     decode_steps,
     load_spec,
+    pairwise_intersection_bound,
     save_spec,
     set_codewords,
 )
@@ -28,7 +29,7 @@ from .vtcode import VTParams, best_class, is_codeword
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True, allow_nan=False))
 
 
 def _cmd_construct(args) -> int:
@@ -102,12 +103,7 @@ def _verify_set_code(spec: MultFreeCodeSpec) -> dict:
     checks = {}
     sets, vt = set_codewords(spec), spec.set_code.vt
     if vt is None:
-        n, t = spec.n, spec.t
-        checks["pairwise_intersection_bound"] = all(
-            (a.members & b.members).bit_count() <= n - t - 1
-            for i, a in enumerate(sets)
-            for b in sets[i + 1 :]
-        )
+        checks["pairwise_intersection_bound"] = pairwise_intersection_bound(sets, spec.n, spec.t)
     # one pass over the members: class membership, then every deletion of at
     # most t elements, which clears that many bits of the member's mask
     code, member, ok = spec.set_code, True, True

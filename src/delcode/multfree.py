@@ -10,6 +10,7 @@ two component decoders can be run one after the other and the word reassembled.
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator
 
 from .errors import (
@@ -64,6 +65,13 @@ def symbol_ranks(subset: SymbolSet, y: Word) -> Word:
     return Word(tuple(ranks), subset.cardinality + 1, multiplicity_free=True)
 
 
+def pairwise_intersection_bound(sets: tuple[SymbolSet, ...], n: int, t: int) -> bool:
+    """True iff every two of the sets share at most n - t - 1 elements: sharing
+    an (n - t)-subset would make some deletion of t elements ambiguous."""
+    members = [s.members for s in sets]
+    return all((a & b).bit_count() <= n - t - 1 for a, b in combinations(members, 2))
+
+
 @dataclass(frozen=True)
 class SetCode:
     """A deletion-correcting family of n-subsets: either one syndrome class
@@ -87,12 +95,8 @@ class SetCode:
             for s in self.sets:
                 if s.alphabet_size != self.q or s.cardinality != self.n:
                     raise ValueError("explicit set with the wrong alphabet or cardinality")
-            members = [s.members for s in self.sets]
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    # sharing an (n - t)-subset would make some deletion ambiguous
-                    if (a & b).bit_count() > self.n - self.t - 1:
-                        raise ValueError("explicit sets too close to correct t deletions")
+            if not pairwise_intersection_bound(self.sets, self.n, self.t):
+                raise ValueError("explicit sets too close to correct t deletions")
 
     @classmethod
     def from_vt(cls, params: VTParams) -> "SetCode":
@@ -221,10 +225,6 @@ def set_codewords(spec: MultFreeCodeSpec) -> tuple[SymbolSet, ...]:
     return spec.set_code.codewords()
 
 
-def perm_codewords(spec: MultFreeCodeSpec) -> tuple[Permutation, ...]:
-    return tuple(sorted(spec.perm_code.codewords, key=lambda s: s.images))
-
-
 def code_size(spec: MultFreeCodeSpec) -> int:
     return spec.set_code.size() * len(spec.perm_code.codewords)
 
@@ -232,7 +232,7 @@ def code_size(spec: MultFreeCodeSpec) -> int:
 def build_code(spec: MultFreeCodeSpec) -> Iterator[Word]:
     """Yield every codeword, outer loop over sets and inner loop over
     permutations, both in lexicographic order."""
-    perms = perm_codewords(spec)
+    perms = spec.perm_code.codewords
     for subset in set_codewords(spec):
         for sigma in perms:
             yield psi(subset, sigma)
@@ -243,7 +243,7 @@ def encode_index(spec: MultFreeCodeSpec, index: int) -> Word:
     total = code_size(spec)
     if not 0 <= index < total:
         raise IndexError(f"index {index} outside [0, {total})")
-    perms = perm_codewords(spec)
+    perms = spec.perm_code.codewords
     i_set, i_perm = divmod(index, len(perms))
     return psi(set_codewords(spec)[i_set], perms[i_perm])
 

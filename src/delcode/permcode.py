@@ -17,7 +17,8 @@ from .model import DeletionPattern, Permutation, Word, apply_unstable_deletions
 
 @dataclass(frozen=True)
 class PermCodeBook:
-    """A permutation code with its deletion budget and enumeration-order tag."""
+    """A permutation code with its deletion budget and enumeration-order tag.
+    The codewords are held sorted by their images, the order that "lex" names."""
 
     n: int
     t: int
@@ -25,7 +26,7 @@ class PermCodeBook:
     order: str = "lex"
 
     def __post_init__(self):
-        object.__setattr__(self, "codewords", tuple(self.codewords))
+        object.__setattr__(self, "codewords", tuple(sorted(self.codewords, key=lambda s: s.images)))
         if not 0 <= self.t <= self.n:
             raise ValueError(f"deletion budget t={self.t} outside [0, {self.n}]")
         for sigma in self.codewords:

@@ -58,6 +58,12 @@ def _flat(residues: Sequence[int], p: int) -> int:
     return index
 
 
+@lru_cache(maxsize=None)
+def _repunit(groups: int, span: int) -> int:
+    """A set bit at the start of each of `groups` runs of `span` bits."""
+    return int.from_bytes((b"\1" + bytes(span // 8 - 1)) * groups, "little")
+
+
 def _shift(row: int, i: int, t: int, p: int, width: int) -> int:
     """Move a packed row over the p^t residue vectors by position i's syndrome
     contribution (i, i^2, ..., i^t): out[r + v_i] = row[r].  The row is one int
@@ -71,50 +77,55 @@ def _shift(row: int, i: int, t: int, p: int, width: int) -> int:
         span = p * block
         up = pow(i, k, p) * block
         if up:
-            rep = 1 if k == 1 else int.from_bytes(
-                (b"\1" + bytes(span // 8 - 1)) * p ** (k - 1), "little"
-            )
+            rep = _repunit(p ** (k - 1), span)
             low = row & (rep << span - up) - rep
             row = low << up | (row ^ low) >> span - up
     return row
 
 
-def _census(q: int, n: int, t: int, p: Modulus) -> tuple[int, int]:
-    """Number of weight-n words of length q per flat residue index, packed as
-    p^t fields of the returned width in bits.  The scale guard runs on every
-    call, the count once per (q, n, t, p)."""
+def _census(q: int, n: int, t: int, p: Modulus) -> tuple[bytearray, int]:
+    """The suffix-count table of weight-n words of length q and its field width
+    in bits.  The scale guard runs on every call, the table is built once per
+    (q, n, t, p)."""
     if n < 0:
         raise ValueError(f"weight n must be nonnegative, got {n}")
     check_enumerable(q * (n + 1) * p.p**t, CLASS_ENUM_CAP, "syndrome-class DP")
-    return _packed_census(q, n, t, p)
+    return _suffix_counts(q, n, t, p)
 
 
 @lru_cache(maxsize=None)
-def _packed_census(q: int, n: int, t: int, p: Modulus) -> tuple[int, int]:
-    """The census behind _census.
+def _suffix_counts(q: int, n: int, t: int, p: Modulus) -> tuple[bytearray, int]:
+    """The table behind _census: row (i, w), for 1 <= i <= q + 1 and
+    0 <= w <= n, is p^t whole-byte fields in flat label order, starting at
+    field ((i - 1) * (n + 1) + w) * p^t.  Field r counts the ways positions
+    i..q can hold w ones with residue vector r, so row (1, n) is the census.
 
-    A rolling count over positions: rows[w] counts, field by field, the words
-    on the positions seen so far with weight w and each residue vector.
-    Position i adds a one to every word of weight w - 1, which moves its row by
-    v_i.  Only weights from which weight n is still reachable are kept up to
-    date.  No count exceeds C(q, min(n, q // 2)), so whole-byte fields of that
-    size never carry into each other.
+    Built from the empty word at q + 1 down: a word on i..q leaves i clear, or
+    is a word on i + 1..q of weight w - 1 with a one added at i, which moves
+    its row by v_i.  No count exceeds C(q, min(n, q // 2)), so fields of that
+    size never carry.
     """
     width = -(-math.comb(q, min(n, q // 2)).bit_length() // 8) * 8
+    row_bytes = p.p**t * width // 8
+    table = bytearray((q + 1) * (n + 1) * row_bytes)
     rows = [1] + [0] * n
-    for i in range(1, q + 1):
-        for w in range(min(i, n), max(0, n - q + i - 1), -1):
+    for i in range(q + 1, 0, -1):
+        top = min(n, q - i + 1)
+        for w in range(top, 0, -1):
             rows[w] += _shift(rows[w - 1], i, t, p.p, width)
-    return rows[n], width
+        for w in range(top + 1):
+            start = ((i - 1) * (n + 1) + w) * row_bytes
+            table[start : start + row_bytes] = rows[w].to_bytes(row_bytes, "little")
+    return table, width
 
 
 def class_sizes(q: int, n: int, t: int, p: Modulus) -> dict[tuple[int, ...], int]:
     """Census of the syndrome partition: class label -> number of weight-n
     words, nonempty classes only, in label order."""
-    row, width = _census(q, n, t, p)
-    step = width // 8
-    raw = row.to_bytes(p.p**t * step, "little")
-    counts = (int.from_bytes(raw[j : j + step], "little") for j in range(0, len(raw), step))
+    table, width = _census(q, n, t, p)
+    step, row_bytes = width // 8, p.p**t * width // 8
+    root = table[n * row_bytes : (n + 1) * row_bytes]
+    counts = (int.from_bytes(root[j : j + step], "little") for j in range(0, row_bytes, step))
     return {label: c for label, c in zip(product(range(p.p), repeat=t), counts) if c}
 
 
@@ -122,26 +133,10 @@ def class_size(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> int:
     """Number of weight-n words of length q with syndrome a."""
     if len(a) != t or not all(0 <= r < p.p for r in a):
         return 0
-    row, width = _census(q, n, t, p)
-    return row >> (_flat(a, p.p) * width) & ((1 << width) - 1)
-
-
-def _reach_table(q: int, n: int, t: int, p: int) -> bytearray:
-    """Suffix flags: entry ((i * n + w) * p^t + r) is 1 iff positions i..q can
-    hold w ones with residue vector r, for 1 <= i <= q + 1 and 0 <= w < n.
-    rows[w] packs the flags of the current i as one byte per residue vector."""
-    size = p**t
-    flags = bytearray((q + 2) * n * size)
-    rows = [1] + [0] * (n - 1)  # nothing left to place at the end
-    flags[(q + 1) * n * size] = 1
-    for i in range(q, 0, -1):
-        top = min(n - 1, q - i + 1)
-        for w in range(top, 0, -1):
-            rows[w] |= _shift(rows[w - 1], i, t, p, 8)
-        for w in range(top + 1):
-            start = (i * n + w) * size
-            flags[start : start + size] = rows[w].to_bytes(size, "little")
-    return flags
+    table, width = _census(q, n, t, p)
+    step = width // 8
+    field = (n * p.p**t + _flat(a, p.p)) * step
+    return int.from_bytes(table[field : field + step], "little")
 
 
 def enumerate_class(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> list[int]:
@@ -149,10 +144,10 @@ def enumerate_class(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> lis
     position i, in encode order: lexicographic in the sorted positions.
 
     An explicit-stack walk over the positions of the ones that enters a branch
-    only if the suffix table says it still reaches syndrome a, so it visits
-    class members only.  Each branch carries its mask; pushing later positions
-    first pops earlier ones first, so no sort is needed.  The last one is
-    looked up by its residue vector.
+    only if the suffix-count table has a nonzero count for what it still has to
+    place, so it visits class members only.  Each branch carries its mask;
+    pushing later positions first pops earlier ones first, so no sort is
+    needed.  The last one is looked up by its residue vector.
     """
     size = class_size(q, n, t, p, a)
     check_enumerable(size, CLASS_ENUM_CAP, "class materialization")
@@ -165,8 +160,9 @@ def enumerate_class(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> lis
     last_one: dict[tuple[int, ...], list[int]] = {}
     for i in range(1, q + 1):
         last_one.setdefault(vectors[i], []).append(i)
-    flags = _reach_table(q, n, t, m)
-    stride = m**t
+    table, width = _census(q, n, t, p)
+    step, stride = width // 8, m**t
+    zero = bytes(step)
     masks = []
     stack = [(0, 0, n, tuple(a))]  # (mask, last position, ones left, residue left)
     while stack:
@@ -178,7 +174,9 @@ def enumerate_class(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> lis
             continue
         for j in range(q - w + 1, pos, -1):
             rest = tuple((x - y) % m for x, y in zip(need, vectors[j]))
-            if flags[((j + 1) * n + w - 1) * stride + _flat(rest, m)]:
+            # row (j + 1, w - 1): the ones left after a one at j
+            field = ((j * (n + 1) + w - 1) * stride + _flat(rest, m)) * step
+            if table[field : field + step] != zero:
                 stack.append((mask | 1 << (j - 1), j, w - 1, rest))
     return masks
 

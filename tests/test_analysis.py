@@ -143,6 +143,12 @@ class TestSingletonReport:
         data = singleton_report(8, 5, 2, code_size=4).to_json_dict()
         assert data["q"] == 8 and data["redundancy_actual"] == 13.0
 
+    def test_json_dict_writes_non_finite_as_null(self):
+        report = singleton_report(5, 2, 1, code_size=5)
+        assert report.alpha_threshold == math.inf  # eta is 0; the library value stays
+        assert report.to_json_dict()["alpha_threshold"] is None
+        assert singleton_report(5, 1, 1).to_json_dict()["alpha"] is None
+
 
 class TestSimulate:
     def test_zero_budget_always_succeeds(self, explicit_spec):

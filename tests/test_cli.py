@@ -26,6 +26,15 @@ def run_cli(*args, env_extra=None, **run_options):
     )
 
 
+def strict_json(text):
+    """json.loads that refuses the non-standard constants NaN and Infinity."""
+
+    def refuse(name):
+        raise AssertionError(f"stdout holds the non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def _cap_address_space():
     # a regression that builds an O(q) table fails fast instead of filling memory
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -301,6 +310,31 @@ class TestBounds:
         payload = json.loads(result.stdout)
         assert payload["error"] == "ValueError"
         assert "q!/(q-n)! = 124251000" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (("--q", "1000000", "--n", "400", "--t", "1"), "size_lower_bound"),
+            (("--q", "5", "--n", "1", "--t", "1"), "alpha"),
+            (("--q", "5", "--n", "2", "--t", "1", "--size", "5"), "alpha_threshold"),
+        ],
+    )
+    def test_non_finite_values_print_as_null(self, args, key):
+        result = run_cli("bounds", *args)
+        assert result.returncode == 0, result.stderr
+        assert strict_json(result.stdout)[key] is None
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_delta_must_be_finite(self, delta):
+        result = run_cli("bounds", "--q", "8", "--n", "4", "--t", "1", "--delta", delta)
+        assert result.returncode == 2
+        payload = strict_json(result.stdout)
+        assert payload["error"] == "ValueError"
+        assert "delta must be finite" in payload["message"]
+
+    def test_emit_refuses_non_finite_floats(self):
+        with pytest.raises(ValueError):
+            cli._emit({"alpha": math.inf})
 
 
 class TestErrors:

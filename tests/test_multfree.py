@@ -41,7 +41,7 @@ from delcode import (
     symbol_ranks,
     vtcode,
 )
-from delcode.multfree import _materialize_sets, set_codewords
+from delcode.multfree import _materialize_sets, pairwise_intersection_bound, set_codewords
 
 
 def multfree_words(q, n):
@@ -192,6 +192,9 @@ class TestSetCode:
         )
         with pytest.raises(ValueError):
             SetCode.explicit(close, t=2)
+        assert not pairwise_intersection_bound(close, 5, 2)
+        assert pairwise_intersection_bound(close, 5, 1)
+        assert pairwise_intersection_bound(self.explicit_sets(), 5, 2)
 
     def test_explicit_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -276,12 +279,12 @@ class TestClassMaterialization:
 
     def test_census_runs_once_per_spec(self):
         # best_class, code_size, the class walk and encode_index share one census
-        vtcode._packed_census.cache_clear()
+        vtcode._suffix_counts.cache_clear()
         _materialize_sets.cache_clear()
         spec = best_class_spec(14, 5, 2)
         assert code_size(spec) == len(set_codewords(spec))
         encode_index(spec, code_size(spec) - 1)
-        assert vtcode._packed_census.cache_info().misses == 1
+        assert vtcode._suffix_counts.cache_info().misses == 1
 
     def test_peak_memory(self):
         # the class is held as masks, never as length-q bitwords
@@ -350,6 +353,17 @@ class TestEncodeIndex:
             encode_index(explicit_spec, 4)
         with pytest.raises(IndexError):
             encode_index(explicit_spec, -1)
+
+    def test_out_of_order_book(self):
+        # a book given out of order encodes, enumerates and saves in lex order
+        lex = greedy_sd_code(4, 1).codewords
+        assert len(lex) > 2
+        book = PermCodeBook(4, 1, lex[1:] + lex[:1])
+        spec = MultFreeCodeSpec(8, 4, 1, "stable", best_class_spec(8, 4, 1).set_code, book)
+        expected = [psi(s, sigma) for s in set_codewords(spec) for sigma in lex]
+        assert list(build_code(spec)) == expected
+        assert [encode_index(spec, i) for i in range(code_size(spec))] == expected
+        assert book.to_json_dict()["codewords"] == [list(sigma.images) for sigma in lex]
 
     def test_zero_deletion_roundtrip(self, explicit_spec):
         for i in range(code_size(explicit_spec)):

@@ -291,8 +291,38 @@ def bytearray_reach_table(q, n, t, p):
     return flags
 
 
+def table_rows(q, n, t, p):
+    """The suffix-count table read back as (i, w) -> list of p^t counts."""
+    table, width = vtcode._census(q, n, t, Modulus(p))
+    step, size = width // 8, p**t
+    assert len(table) == (q + 1) * (n + 1) * size * step
+    fields = [int.from_bytes(table[j : j + step], "little") for j in range(0, len(table), step)]
+    return {
+        (i, w): fields[((i - 1) * (n + 1) + w) * size : ((i - 1) * (n + 1) + w + 1) * size]
+        for i in range(1, q + 2)
+        for w in range(n + 1)
+    }
+
+
+def assert_table_matches_references(q, n, t, p):
+    """Root row (1, n) against the list census, and the nonzero pattern of
+    every row (i, w < n) against the bytearray reach flags."""
+    rows = table_rows(q, n, t, p)
+    labels = itertools.product(range(p), repeat=t)
+    root = {label: c for label, c in zip(labels, rows[1, n]) if c}
+    assert list(root.items()) == list(list_census(q, n, t, Modulus(p)).items())
+    if n == 0:
+        return
+    flags, size = bytearray_reach_table(q, n, t, p), p**t
+    for i in range(1, q + 2):
+        for w in range(n):
+            start = (i * n + w) * size
+            assert [1 if c else 0 for c in rows[i, w]] == list(flags[start : start + size])
+
+
 class TestPackedRows:
-    """The packed-int census and reach table against the list and bytearray DP."""
+    """The suffix-count table against the list DP, the bytearray reach flags
+    and a brute-force suffix count."""
 
     GRID = [(64, 4, 1), (26, 6, 2), (24, 7, 2), (20, 7, 1), (30, 7, 2), (13, 6, 3), (90, 45, 1)]
 
@@ -316,8 +346,7 @@ class TestPackedRows:
 
     @pytest.mark.parametrize("q, n, t", GRID)
     def test_reach_table_matches_bytearray(self, q, n, t):
-        p = next_prime_above(q).p
-        assert vtcode._reach_table(q, n, t, p) == bytearray_reach_table(q, n, t, p)
+        assert_table_matches_references(q, n, t, next_prime_above(q).p)
 
     @given(st.integers(0, 14), st.data())
     def test_small_points_match(self, q, data):
@@ -330,8 +359,24 @@ class TestPackedRows:
         sizes = class_sizes(q, n, t, Modulus(p))
         assert list(sizes.items()) == list(list_census(q, n, t, Modulus(p)).items())
         assert sum(sizes.values()) == math.comb(q, n)
-        if n:
-            assert vtcode._reach_table(q, n, t, p) == bytearray_reach_table(q, n, t, p)
+        assert_table_matches_references(q, n, t, p)
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_every_field_matches_brute_force(self, t):
+        # moduli below and above the block length; labels in flat order
+        for q in range(11):
+            for p in {3, 5, next_prime_above(max(q, 2)).p}:
+                flat = {label: r for r, label in enumerate(itertools.product(range(p), repeat=t))}
+                expected = {}  # (i, w) -> per-label count of the w-subsets of positions i..q
+                for i in range(1, q + 2):
+                    for w in range(q - i + 2):
+                        row = expected[i, w] = [0] * p**t
+                        for ones in itertools.combinations(range(i, q + 1), w):
+                            label = tuple(sum(j**k for j in ones) % p for k in range(1, t + 1))
+                            row[flat[label]] += 1
+                for n in range(q + 1):
+                    for (i, w), row in table_rows(q, n, t, p).items():
+                        assert row == expected.get((i, w), [0] * p**t), (q, n, t, p, i, w)
 
 
 class TestBestClass:
@@ -375,9 +420,9 @@ class TestScaleGuard:
     def test_guard_holds_after_a_cached_census(self, monkeypatch):
         q, n, t, p = 12, 5, 2, Modulus(13)
         sizes = class_sizes(q, n, t, p)
-        misses = vtcode._packed_census.cache_info().misses
+        misses = vtcode._suffix_counts.cache_info().misses
         assert class_sizes(q, n, t, p) == sizes
-        assert vtcode._packed_census.cache_info().misses == misses  # served from the cache
+        assert vtcode._suffix_counts.cache_info().misses == misses  # served from the cache
         monkeypatch.setenv("DELCODE_SCALE_GUARD", str(q * (n + 1) * p.p**t - 1))
         with pytest.raises(ScaleGuardExceeded):
             class_sizes(q, n, t, p)
