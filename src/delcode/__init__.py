@@ -58,9 +58,7 @@ from .permcode import (
     greedy_ud_code,
     reference_size_bound,
     sd_decode,
-    stable_deletion_ball,
     ud_decode,
-    unstable_deletion_ball,
     verify_sd_property,
     verify_ud_property,
 )
@@ -69,7 +67,6 @@ from .vtcode import (
     best_class,
     class_size,
     class_sizes,
-    decode_mask,
     enumerate_class,
     is_codeword,
     set_decode,

@@ -8,21 +8,21 @@ exit nonzero.
 import argparse
 import json
 import sys
-from itertools import combinations, islice
+from itertools import islice
 
 from .analysis import simulate, singleton_report
 from .errors import DecodeError, DelcodeError
-from .model import SymbolSet, Word
+from .model import Word, set_bits
 from .modular import next_prime_above
 from .multfree import (
     MultFreeCodeSpec,
     SetCode,
     build_code,
     decode_steps,
+    deletion_masks,
     load_spec,
     pairwise_intersection_bound,
     save_spec,
-    set_codewords,
 )
 from .permcode import greedy_sd_code, greedy_ud_code, verify_sd_property, verify_ud_property
 from .vtcode import VTParams, best_class, is_codeword
@@ -99,35 +99,32 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _verify_set_code(spec: MultFreeCodeSpec) -> dict:
-    checks = {}
-    sets, vt = set_codewords(spec), spec.set_code.vt
-    if vt is None:
-        checks["pairwise_intersection_bound"] = pairwise_intersection_bound(sets, spec.n, spec.t)
-    # one pass over the members: class membership, then every deletion of at
-    # most t elements, which clears that many bits of the member's mask
-    code, member, ok = spec.set_code, True, True
-    for s in sets:
-        member = member and (vt is None or is_codeword(s.members, vt))
-        bits = [1 << i for i in s.symbols()]
-        for e in range(min(spec.t, len(bits)) + 1):
-            for removed in combinations(bits, e):
-                try:
-                    ok = ok and code.decode(SymbolSet(s.members ^ sum(removed), spec.q)) == s
-                except DecodeError:
-                    ok = False
-    if vt is not None:
-        checks["class_membership"] = member
-    checks["set_deletion_soundness"] = ok
-    return checks
-
-
 def _cmd_verify(args) -> int:
     spec = load_spec(args.spec)
+    code, vt, n, t = spec.set_code, spec.set_code.vt, spec.n, spec.t
     balls_disjoint = verify_sd_property if spec.mode == "stable" else verify_ud_property
-    checks = {"perm_balls_disjoint": balls_disjoint(spec.perm_code), **_verify_set_code(spec)}
+    checks = {"perm_balls_disjoint": balls_disjoint(spec.perm_code)}
+    if vt is None:
+        checks["pairwise_intersection_bound"] = pairwise_intersection_bound(code.sets, n, t)
+    # one pass over the members' masks: class membership, then every deletion
+    # of at most t elements until one does not decode back to its member
+    member, witness = True, None
+    for mask in code.masks():
+        member = member and (vt is None or is_codeword(mask, vt))
+        for removed in () if witness else deletion_masks(mask, t):
+            try:
+                got = code.decode_mask(mask ^ removed)
+                outcome = None if got == mask else {"decoded": set_bits(got)}
+            except DecodeError as exc:
+                outcome = {"error": type(exc).__name__}
+            if outcome:
+                witness = {"member": set_bits(mask), "removed": set_bits(removed), **outcome}
+                break
+    if vt is not None:
+        checks["class_membership"] = member
+    checks["set_deletion_soundness"] = witness is None
     ok = all(checks.values())
-    _emit({"checks": checks, "ok": ok})
+    _emit({"checks": checks, "ok": ok, **({"set_deletion_witness": witness} if witness else {})})
     return 0 if ok else 1
 
 

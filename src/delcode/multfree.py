@@ -9,7 +9,7 @@ two component decoders can be run one after the other and the word reassembled.
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -24,7 +24,7 @@ from .errors import (
     SymbolNotInSet,
     WeightTooLow,
 )
-from .model import Permutation, SymbolSet, Word
+from .model import Permutation, SymbolSet, Word, set_bits
 from .permcode import PermCodeBook, sd_decode, ud_decode
 from .vtcode import VTParams, class_size, enumerate_class, set_decode
 
@@ -72,11 +72,18 @@ def pairwise_intersection_bound(sets: tuple[SymbolSet, ...], n: int, t: int) -> 
     return all((a & b).bit_count() <= n - t - 1 for a, b in combinations(members, 2))
 
 
+def deletion_masks(mask: int, t: int) -> Iterator[int]:
+    """Every set of at most t of the mask's set bits, as a mask, fewest first."""
+    bits = [1 << i for i in set_bits(mask)]
+    for e in range(min(t, len(bits)) + 1):
+        yield from map(sum, combinations(bits, e))
+
+
 @dataclass(frozen=True)
 class SetCode:
     """A deletion-correcting family of n-subsets: either one syndrome class
-    (decoded algebraically) or an explicit list (decoded by unique-superset
-    search).  Explicit lists are validated pairwise at construction."""
+    (decoded algebraically) or an explicit list, validated pairwise at
+    construction and decoded by a lookup in its members' deletion balls."""
 
     q: int
     n: int
@@ -109,6 +116,13 @@ class SetCode:
             raise ValueError("explicit set code must be nonempty")
         return cls(sets[0].alphabet_size, sets[0].cardinality, t, sets=sets)
 
+    def masks(self) -> list[int]:
+        """The members' masks in encode order; a class is walked on every call."""
+        if self.sets is not None:
+            return sorted((s.members for s in self.sets), key=set_bits)
+        vt = self.vt  # its class comes as masks in encode order, so no sort
+        return enumerate_class(vt.q, vt.n, vt.t, vt.p, vt.a)
+
     def codewords(self) -> tuple[SymbolSet, ...]:
         return _materialize_sets(self)
 
@@ -118,22 +132,27 @@ class SetCode:
             return len(self.sets)
         return class_size(self.q, self.n, self.t, self.vt.p, self.vt.a)
 
-    def decode(self, survivors: SymbolSet) -> SymbolSet:
-        if survivors.alphabet_size != self.q:
-            raise ValueError(f"alphabet size {survivors.alphabet_size} differs from q = {self.q}")
+    def decode_mask(self, survivors: int) -> int:
+        """The member whose mask lost at most t elements to leave `survivors`."""
         if self.vt is not None:
             try:
                 return set_decode(survivors, self.vt)
             except (NoSolution, WeightTooLow) as exc:
                 raise SetDecodeFailed(str(exc)) from exc
-        if survivors.cardinality < self.n - self.t:
-            raise SetDecodeFailed(
-                f"{survivors.cardinality} surviving elements is below n - t = {self.n - self.t}"
-            )
-        hits = [s for s in self.sets if survivors.issubset(s)]
-        if len(hits) != 1:
-            raise SetDecodeFailed(f"{len(hits)} candidate supersets, expected exactly one")
-        return hits[0]
+        if survivors not in self._ball_index:
+            raise SetDecodeFailed(f"no member lies within {self.t} deletions of the survivors")
+        return self._ball_index[survivors]
+
+    def decode(self, survivors: SymbolSet) -> SymbolSet:
+        if survivors.alphabet_size != self.q:
+            raise ValueError(f"alphabet size {survivors.alphabet_size} differs from q = {self.q}")
+        return SymbolSet(self.decode_mask(survivors.members), self.q)
+
+    @cached_property
+    def _ball_index(self) -> dict[int, int]:
+        """Every explicit member's mask with at most t bits cleared, mapped to
+        the member.  No two members share n - t elements, so no key repeats."""
+        return {m ^ r: m for m in self.masks() for r in deletion_masks(m, self.t)}
 
     def to_json_dict(self) -> dict:
         if self.vt is not None:
@@ -155,10 +174,7 @@ class SetCode:
 
 @lru_cache(maxsize=None)
 def _materialize_sets(code: SetCode) -> tuple[SymbolSet, ...]:
-    if code.sets is not None:
-        return tuple(sorted(code.sets, key=lambda s: s.symbols()))
-    vt = code.vt  # its class comes as masks in encode order, so no sort
-    return tuple(SymbolSet(m, vt.q) for m in enumerate_class(vt.q, vt.n, vt.t, vt.p, vt.a))
+    return tuple(SymbolSet(m, code.q) for m in code.masks())
 
 
 @dataclass(frozen=True)

@@ -73,17 +73,6 @@ def _ball_keys(n: int, t: int, unstable: bool) -> Callable:
     return lambda images: map(images.translate, tables, deletes)
 
 
-def stable_deletion_ball(sigma: Permutation, t: int) -> set[Word]:
-    """Every word reachable from sigma by at most t stable deletions."""
-    keys = _ball_keys(len(sigma), t, False)(bytes(sigma.images))
-    return {Word(key, len(sigma) + 1, multiplicity_free=True) for key in keys}
-
-
-def unstable_deletion_ball(sigma: Permutation, t: int) -> set[Permutation]:
-    """Every permutation reachable from sigma by at most t unstable deletions."""
-    return {Permutation(key) for key in _ball_keys(len(sigma), t, True)(bytes(sigma.images))}
-
-
 def _first_fit(candidates: Iterable[bytes], ball_keys: Callable) -> Iterator[bytes]:
     """Yield each candidate whose ball shares no key with the ball of an earlier
     yielded one; admission only consults earlier admissions."""

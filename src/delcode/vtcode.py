@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .errors import BoundViolated, NoSolution, WeightTooLow
 from .guards import CLASS_ENUM_CAP, check_enumerable
-from .model import SymbolSet, set_bits
+from .model import set_bits
 from .modular import Modulus, locator_roots, power_sums_to_elementary
 
 
@@ -220,11 +220,18 @@ def is_codeword(mask: int, params: VTParams) -> bool:
     return not any(_deficits(mask, params)) and mask.bit_count() == params.n
 
 
-def decode_mask(mask: int, params: VTParams) -> int:
-    """Restore up to t ones of a bitmask that were flipped to zero.  The first
-    e = n - wt(mask) deficits are the power sums of the lost positions.  A
-    single lost one sits at the position the first deficit names; two or more
-    are located by Newton and the locator polynomial over the clear bits."""
+@lru_cache(maxsize=None)
+def _square_roots(p: int) -> dict[int, int]:
+    """A square root mod p of every square mod p."""
+    return {r * r % p: r for r in range(p // 2 + 1)}
+
+
+def set_decode(mask: int, params: VTParams) -> int:
+    """Restore up to t ones of a member's mask that were flipped to zero (deleted
+    elements).  The first e = n - wt(mask) deficits are the power sums s_k of
+    the lost positions: one sits at s_1, two at (s_1 +- r) / 2 with
+    r^2 = 2 s_2 - s_1^2, and more are located by Newton and the locator
+    polynomial over the clear bits."""
     q, n, t, p = params.q, params.n, params.t, params.p.p
     deficits = _deficits(mask, params)
     weight = mask.bit_count()
@@ -237,27 +244,20 @@ def decode_mask(mask: int, params: VTParams) -> int:
         if any(deficits):
             raise NoSolution("full-weight word is not in the code")
         return mask
-    rows = _power_rows(q, t, p)
     if e == 1:
-        i = deficits[0]
-        if not 0 < i <= q or mask >> (i - 1) & 1:
-            raise NoSolution("locator polynomial has 0 roots among zeros, expected 1")
-        if t > 1 and [row[i - 1] for row in rows[1:]] != deficits[1:]:
-            raise NoSolution("repaired word fails the full syndrome check")
-        return mask | 1 << (i - 1)
-    zeros = [i for i in range(1, q + 1) if not mask >> (i - 1) & 1]
-    roots = locator_roots(power_sums_to_elementary(deficits[:e], params.p), zeros, params.p)
+        found = deficits[:1]
+    elif e == 2:
+        s1, s2, half = deficits[0], deficits[1], (p + 1) // 2  # half is 1/2 mod p
+        r = _square_roots(p).get((2 * s2 - s1 * s1) % p)
+        found = () if r is None else {(s1 + r) * half % p, (s1 - r) * half % p}
+    else:
+        zeros = [i for i in range(1, q + 1) if not mask >> (i - 1) & 1]
+        found = locator_roots(power_sums_to_elementary(deficits[:e], params.p), zeros, params.p)
+    roots = [i for i in found if 0 < i <= q and not mask >> (i - 1) & 1]
     if len(roots) != e:
         raise NoSolution(f"locator polynomial has {len(roots)} roots among zeros, expected {e}")
     # e distinct roots of the locator have the first e deficits as power sums
+    rows = _power_rows(q, t, p)
     if any(sum(rows[k][i - 1] for i in roots) % p != deficits[k] for k in range(e, t)):
         raise NoSolution("repaired word fails the full syndrome check")
     return mask | sum(1 << (i - 1) for i in roots)
-
-
-def set_decode(subset: SymbolSet, params: VTParams) -> SymbolSet:
-    """Recover the unique codeword-set containing the survivors; element deletions
-    are 1->0 flips under the bitword correspondence."""
-    if subset.alphabet_size != params.q:
-        raise ValueError(f"alphabet size {subset.alphabet_size} differs from q = {params.q}")
-    return SymbolSet(decode_mask(subset.members, params), params.q)

@@ -1,6 +1,6 @@
 """Reference set-layer decoder on length-q bitwords, for the tests only.
 
-The shipped decoder works on bitmasks (`delcode.vtcode.decode_mask`).  This
+The shipped decoder works on bitmasks (`delcode.vtcode.set_decode`).  This
 module keeps the slow, definitional form of the same algorithm: a word is a
 tuple of q bits, position i holding bit i - 1 of the mask, and the syndrome is
 computed over the whole word.  The tests hold the mask path to it, in result

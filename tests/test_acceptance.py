@@ -19,7 +19,6 @@ from delcode import (
     best_class,
     build_code,
     class_sizes,
-    decode_mask,
     decode_steps,
     delete_positions,
     enumerate_class,
@@ -31,6 +30,7 @@ from delcode import (
     redundancy,
     redundancy_bound,
     sd_decode,
+    set_decode,
     simulate,
     size_lower_bound,
     symbol_ranks,
@@ -104,7 +104,7 @@ def test_criterion_3_vt_asymmetric_decoding(criterion):
                         y[i - 1] = 0
                     y = tuple(y)
                     mask = sum(bit << i for i, bit in enumerate(y))
-                    got = subset_to_bitword(SymbolSet(decode_mask(mask, params), q))
+                    got = subset_to_bitword(SymbolSet(set_decode(mask, params), q))
                     assert got == codeword
                     # the bitword reference decoder agrees
                     assert decode_asymmetric(y, params) == got

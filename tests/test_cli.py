@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from delcode import SymbolSet, cli, multfree, vtcode
+from delcode import NoSolution, cli, multfree, vtcode
+from delcode.model import set_bits
 
 SPEC_ARGS = ["--q", "8", "--n", "4", "--t", "1"]
 
@@ -140,14 +141,14 @@ class TestVerify:
         assert json.loads(result.stdout)["checks"]["perm_balls_disjoint"] is False
 
     def test_wrong_set_decode_fails_soundness(self, spec_path, monkeypatch, capsys):
-        # one survivor set decodes to a wrong set: the merged deletion loop must see it
+        # one survivor mask decodes to a wrong mask: the merged deletion loop must see it
         real = multfree.set_decode
         calls = []
 
-        def corrupt(subset, params):
-            calls.append(subset)
-            got = real(subset, params)
-            return got if len(calls) != 7 else SymbolSet(got.members ^ 1, got.alphabet_size)
+        def corrupt(mask, params):
+            calls.append(mask)
+            got = real(mask, params)
+            return got if len(calls) != 7 else got ^ 1
 
         monkeypatch.setattr(multfree, "set_decode", corrupt)
         assert cli.main(["verify", "--spec", str(spec_path)]) == 1
@@ -155,6 +156,63 @@ class TestVerify:
         assert payload["checks"]["set_deletion_soundness"] is False
         assert payload["checks"]["class_membership"] is True
         assert payload["ok"] is False
+
+    def test_wrong_set_decode_reports_witness(self, spec_path, monkeypatch, capsys):
+        # (8,4,1): five decodes per member, the undeleted one first, so call 7
+        # is the second member with its first symbol removed
+        real = multfree.set_decode
+        calls = []
+
+        def corrupt(mask, params):
+            calls.append(mask)
+            got = real(mask, params)
+            return got if len(calls) != 7 else got ^ 1
+
+        monkeypatch.setattr(multfree, "set_decode", corrupt)
+        assert cli.main(["verify", "--spec", str(spec_path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        member = multfree.load_spec(spec_path).set_code.masks()[1]
+        symbols = set_bits(member)
+        assert payload["set_deletion_witness"] == {
+            "member": symbols,
+            "removed": [symbols[0]],
+            "decoded": set_bits(member ^ 1),
+        }
+        assert len(calls) == 7  # decoding stops at the first witness
+
+    def test_failing_set_decode_reports_error_class(self, spec_path, monkeypatch, capsys):
+        # call 3 is the first member with its second symbol removed
+        real = multfree.set_decode
+        calls = []
+
+        def refuse_third(mask, params):
+            calls.append(mask)
+            if len(calls) == 3:
+                raise NoSolution("corrupted decoder")
+            return real(mask, params)
+
+        monkeypatch.setattr(multfree, "set_decode", refuse_third)
+        assert cli.main(["verify", "--spec", str(spec_path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["checks"]["set_deletion_soundness"] is False
+        symbols = set_bits(multfree.load_spec(spec_path).set_code.masks()[0])
+        assert payload["set_deletion_witness"] == {
+            "member": symbols,
+            "removed": [symbols[1]],
+            "error": "SetDecodeFailed",
+        }
+
+    @pytest.mark.parametrize("q, n, t", [(64, 4, 1), (26, 6, 2)])
+    def test_decodes_every_deletion_once(self, q, n, t, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "spec.json"
+        args = ["--q", str(q), "--n", str(n), "--t", str(t), "--out", str(path)]
+        assert cli.main(["construct", *args]) == 0
+        size = json.loads(capsys.readouterr().out)["set_code_size"]
+        real, calls = multfree.set_decode, []
+        monkeypatch.setattr(multfree, "set_decode", lambda *args: calls.append(1) or real(*args))
+        assert cli.main(["verify", "--spec", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert len(calls) == size * sum(math.comb(n, e) for e in range(t + 1))
 
     def test_non_member_fails_membership(self, spec_path, monkeypatch, capsys):
         # the one-pass loop checks every member until one fails, then stops checking
@@ -203,8 +261,10 @@ class TestVerify:
 
     def test_construct_builds_no_decoder_table(self, tmp_path):
         vtcode._power_rows.cache_clear()
+        vtcode._square_roots.cache_clear()
         assert cli.main(["construct", *SPEC_ARGS, "--out", str(tmp_path / "s.json")]) == 0
         assert vtcode._power_rows.cache_info().currsize == 0
+        assert vtcode._square_roots.cache_info().currsize == 0
 
 
 class TestEnumerate:

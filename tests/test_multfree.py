@@ -172,6 +172,39 @@ class TestCommutation:
         assert induced_permutation(y) == apply_unstable_deletions(sigma, pat)
 
 
+def superset_search(code, survivors):
+    """The linear search explicit set codes were decoded by before the ball-key
+    lookup, kept as its oracle: the one member holding the survivors, if at
+    least n - t of its elements survive."""
+    if survivors.bit_count() < code.n - code.t:
+        raise SetDecodeFailed("too few survivors")
+    hits = [s.members for s in code.sets if survivors & ~s.members == 0]
+    if len(hits) != 1:
+        raise SetDecodeFailed(f"{len(hits)} candidate supersets, expected exactly one")
+    return hits[0]
+
+
+def first_fit_sets(q, n, t):
+    """An explicit set code: the n-subsets of range(q) in lexicographic order,
+    each kept if it shares at most n - t - 1 elements with every one kept."""
+    kept = []
+    for symbols in itertools.combinations(range(q), n):
+        mask = sum(1 << s for s in symbols)
+        if all((mask & k).bit_count() < n - t for k in kept):
+            kept.append(mask)
+    return tuple(SymbolSet(m, q) for m in kept)
+
+
+def set_outcome(decoder, *args):
+    try:
+        return decoder(*args)
+    except SetDecodeFailed:
+        return SetDecodeFailed
+
+
+EXPLICIT_POINTS = [(8, 5, 2), (9, 4, 1), (10, 5, 2), (10, 4, 1), (12, 6, 3)]
+
+
 class TestSetCode:
     def explicit_sets(self):
         return (
@@ -211,6 +244,26 @@ class TestSetCode:
             sc.decode(SymbolSet.from_symbols({3, 4}, 8))  # too few survivors
         with pytest.raises(SetDecodeFailed):
             sc.decode(SymbolSet.from_symbols({2, 5, 6}, 8))  # no superset
+
+    @pytest.mark.parametrize("q, n, t", EXPLICIT_POINTS)
+    def test_explicit_lookup_matches_superset_search(self, q, n, t):
+        # every deletion of every member: at most t decode, more are too short
+        code = SetCode.explicit(first_fit_sets(q, n, t), t)
+        assert len(code.sets) > 1
+        for member in code.masks():
+            symbols = SymbolSet(member, q).symbols()
+            for e in range(n + 1):
+                for removed in itertools.combinations(symbols, e):
+                    survivors = member ^ sum(1 << s for s in removed)
+                    got = set_outcome(code.decode_mask, survivors)
+                    assert got == set_outcome(superset_search, code, survivors)
+                    assert got == (member if e <= t else SetDecodeFailed)
+
+    @pytest.mark.parametrize("q, n, t", EXPLICIT_POINTS)
+    def test_explicit_lookup_on_every_mask(self, q, n, t):
+        code = SetCode.explicit(first_fit_sets(q, n, t), t)
+        for mask in range(1 << q):
+            assert set_outcome(code.decode_mask, mask) == set_outcome(superset_search, code, mask)
 
     def test_vt_backend_decode_and_materialize(self):
         q, n, t = 10, 5, 2

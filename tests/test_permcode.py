@@ -23,13 +23,23 @@ from delcode import (
     greedy_ud_code,
     reference_size_bound,
     sd_decode,
-    stable_deletion_ball,
     ud_decode,
-    unstable_deletion_ball,
     verify_sd_property,
     verify_ud_property,
 )
 from delcode.permcode import _ball_keys
+
+
+def stable_deletion_ball(sigma, t):
+    """Every word reachable from sigma by at most t stable deletions, as the
+    greedy scan and verify list them (`_ball_keys`)."""
+    keys = _ball_keys(len(sigma), t, False)(bytes(sigma.images))
+    return {Word(key, len(sigma) + 1, multiplicity_free=True) for key in keys}
+
+
+def unstable_deletion_ball(sigma, t):
+    """Every permutation reachable from sigma by at most t unstable deletions."""
+    return {Permutation(key) for key in _ball_keys(len(sigma), t, True)(bytes(sigma.images))}
 
 
 def all_patterns(n, t):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -12,13 +13,13 @@ from delcode import (
     Modulus,
     NoSolution,
     ScaleGuardExceeded,
+    SetCode,
     SymbolSet,
     VTParams,
     WeightTooLow,
     best_class,
     class_size,
     class_sizes,
-    decode_mask,
     enumerate_class,
     is_codeword,
     next_prime_above,
@@ -243,6 +244,62 @@ class TestAgainstOracle:
         assert class_size(5, 2, 2, p, (1,)) == 0
 
 
+class CountingTable(bytearray):
+    """A suffix-count table that counts the nonzero fields read from it."""
+
+    nonzero = 0
+
+    def __getitem__(self, key):
+        got = super().__getitem__(key)
+        if isinstance(key, slice) and any(got):
+            self.nonzero += 1
+        return got
+
+
+def walk_with_counted_reads(q, n, t, p, label):
+    """enumerate_class on a counting copy of the table: the masks and the
+    number of nonzero fields the walk read."""
+    table, width = vtcode._census(q, n, t, p)
+    counting = CountingTable(table)
+    with mock.patch.object(vtcode, "_census", lambda *args: (counting, width)):
+        masks = enumerate_class(q, n, t, p, label)
+    return masks, counting.nonzero
+
+
+def member_prefixes(masks, n):
+    """Distinct first-k-positions prefixes of the members, 1 <= k < n."""
+    prefixes = set()
+    for mask in masks:
+        positions = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        prefixes.update(positions[:k] for k in range(1, n))
+    return prefixes
+
+
+class TestWalkPruning:
+    """The walk enters a branch only for a prefix of some member.  Each entered
+    branch is one nonzero read; one more is class_size's guard."""
+
+    @pytest.mark.parametrize("q, n, t", [(26, 6, 2), (20, 7, 1)])
+    def test_enters_member_prefixes_only(self, q, n, t):
+        p = next_prime_above(q)
+        label, size = best_class(q, n, t, p)
+        masks, reads = walk_with_counted_reads(q, n, t, p, label)
+        assert len(masks) == size
+        assert reads == 1 + len(member_prefixes(masks, n))
+
+    @given(st.data())
+    def test_enters_member_prefixes_only_anywhere(self, data):
+        q = data.draw(st.integers(2, 12))
+        n = data.draw(st.integers(1, q))
+        t = data.draw(st.integers(1, 2))
+        p = next_prime_above(q)
+        oracle = oracle_census(q, n, t, p)
+        label = data.draw(st.sampled_from(sorted(oracle)))
+        masks, reads = walk_with_counted_reads(q, n, t, p, label)
+        assert masks == oracle[label]
+        assert reads == 1 + len(member_prefixes(oracle[label], n))
+
+
 def list_shift(row, i, t, p):
     """Reference move of a row by position i: one slice rotation per residue
     level of the flat layout, on a list or a bytearray."""
@@ -459,7 +516,7 @@ class TestSetDecode:
         p = next_prime_above(8)
         a = vt_syndrome(subset_to_bitword(codeword_set), 2, p)
         params = VTParams(8, 5, 2, p, a)
-        assert set_decode(codeword_set, params) == codeword_set
+        assert set_decode(codeword_set.members, params) == codeword_set.members
 
     def test_recovers_after_two_deletions(self):
         codeword_set = SymbolSet.from_symbols({3, 4, 5, 6, 7}, 8)
@@ -467,12 +524,13 @@ class TestSetDecode:
         a = vt_syndrome(subset_to_bitword(codeword_set), 2, p)
         params = VTParams(8, 5, 2, p, a)
         survivors = SymbolSet.from_symbols({3, 4, 6}, 8)
-        assert set_decode(survivors, params) == codeword_set
+        assert set_decode(survivors.members, params) == codeword_set.members
 
     def test_alphabet_mismatch(self):
+        # the mask decoder has no alphabet; the SymbolSet entry checks it
         params = VTParams(5, 2, 2, Modulus(7), (6, 6))
         with pytest.raises(ValueError):
-            set_decode(SymbolSet(0, 4), params)
+            SetCode.from_vt(params).decode(SymbolSet(0, 4))
 
     def test_exhaustive_deletions_over_best_class(self):
         q, n, t = 10, 5, 2
@@ -480,12 +538,11 @@ class TestSetDecode:
         a, _ = best_class(q, n, t, p)
         params = VTParams(q, n, t, p, a)
         for mask in enumerate_class(q, n, t, p, a):
-            codeword_set = SymbolSet(mask, q)
-            elements = codeword_set.symbols()
+            elements = SymbolSet(mask, q).symbols()
             for e in range(t + 1):
                 for removed in itertools.combinations(elements, e):
                     survivors = SymbolSet.from_symbols(set(elements) - set(removed), q)
-                    assert set_decode(survivors, params) == codeword_set
+                    assert set_decode(survivors.members, params) == mask
 
 
 def outcome(decoder, *args):
@@ -502,7 +559,7 @@ def reference_mask(mask, params):
 
 
 def agree(mask, params):
-    assert outcome(decode_mask, mask, params) == outcome(reference_mask, mask, params)
+    assert outcome(set_decode, mask, params) == outcome(reference_mask, mask, params)
     word = subset_to_bitword(SymbolSet(mask, params.q))
     assert is_codeword(mask, params) == is_bitword_codeword(word, params)
 
@@ -522,7 +579,7 @@ class TestDecodeMask:
             for e in range(t + 1):
                 for removed in itertools.combinations(bits, e):
                     survivors = member.members ^ sum(removed)
-                    got = outcome(decode_mask, survivors, params)
+                    got = outcome(set_decode, survivors, params)
                     assert got == outcome(reference_mask, survivors, params) == member.members
 
     @pytest.mark.parametrize("t", [1, 2])
@@ -531,6 +588,17 @@ class TestDecodeMask:
         q, p = 6, Modulus(7)
         for n in range(q + 1):
             for label in itertools.product(range(7), repeat=t):
+                params = VTParams(q, n, t, p, label)
+                for mask in range(1 << q):
+                    agree(mask, params)
+
+    def test_every_mask_and_label_at_p_13(self):
+        # p = 13 is 1 mod 4, so -1 is a square: v and -v are squares together,
+        # where at p = 7 exactly one of them is.  Every two-loss discriminant
+        # 2 s2 - s1^2 is met: zero, a square and a non-square
+        q, t, p = 7, 2, Modulus(13)
+        for n in range(q + 1):
+            for label in itertools.product(range(13), repeat=t):
                 params = VTParams(q, n, t, p, label)
                 for mask in range(1 << q):
                     agree(mask, params)
@@ -553,7 +621,7 @@ class TestDecodeMask:
         params = VTParams(5, 2, 2, Modulus(7), (6, 6))
         for mask in (-1, 1 << 5):
             with pytest.raises(ValueError):
-                decode_mask(mask, params)
+                set_decode(mask, params)
             with pytest.raises(ValueError):
                 is_codeword(mask, params)
 
