@@ -30,7 +30,6 @@ from .model import (
     Permutation,
     SymbolSet,
     Word,
-    apply_stable_deletions,
     apply_unstable_deletions,
     delete_positions,
     draw_deletion_pattern,

@@ -155,10 +155,6 @@ class SimulationReport:
     failures: int
     by_weight: dict
 
-    @property
-    def all_recovered(self) -> bool:
-        return self.failures == 0
-
     def to_json_dict(self) -> dict:
         return {
             "trials": self.trials,

@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     except DecodeError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 1
-    except (DelcodeError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (DelcodeError, ValueError, OSError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 2
 

@@ -1,5 +1,5 @@
-"""Words, symbol sets, permutations, the two deletion semantics, and a seeded
-deletion channel.
+"""Words, symbol sets, permutations, position deletion, unstable (rank-compressing)
+deletion of permutations, and a seeded deletion channel.
 
 Positions are 1-based throughout the public API and in every file format.
 """
@@ -77,9 +77,6 @@ class SymbolSet:
     def __contains__(self, symbol: int) -> bool:
         return 0 <= symbol < self.alphabet_size and self.members >> symbol & 1 == 1
 
-    def issubset(self, other: "SymbolSet") -> bool:
-        return self.members & ~other.members == 0
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -119,13 +116,6 @@ class DeletionPattern:
     def size(self) -> int:
         return len(self.positions)
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.original_length, "positions": list(self.positions)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DeletionPattern":
-        return cls(tuple(data["positions"]), data["n"])
-
 
 def _check_positions(pattern: DeletionPattern, length: int) -> None:
     if pattern.positions and pattern.positions[-1] > length:
@@ -138,14 +128,6 @@ def delete_positions(x: Word, pattern: DeletionPattern) -> Word:
     drop = set(pattern.positions)
     kept = tuple(s for k, s in enumerate(x.symbols, start=1) if k not in drop)
     return Word(kept, x.alphabet_size, x.multiplicity_free)
-
-
-def apply_stable_deletions(sigma: Permutation, pattern: DeletionPattern) -> Word:
-    """Drop positions; survivors keep their values, so the result is no longer a permutation."""
-    _check_positions(pattern, len(sigma))
-    drop = set(pattern.positions)
-    kept = tuple(v for k, v in enumerate(sigma.images, start=1) if k not in drop)
-    return Word(kept, len(sigma) + 1, multiplicity_free=True)
 
 
 def apply_unstable_deletions(sigma: Permutation, pattern: DeletionPattern) -> Permutation:

@@ -9,7 +9,7 @@ two component decoders can be run one after the other and the word reassembled.
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
@@ -124,7 +124,12 @@ class SetCode:
         return enumerate_class(vt.q, vt.n, vt.t, vt.p, vt.a)
 
     def codewords(self) -> tuple[SymbolSet, ...]:
-        return _materialize_sets(self)
+        """The members as symbol sets in encode order, built once per code."""
+        return self._codewords
+
+    @cached_property
+    def _codewords(self) -> tuple[SymbolSet, ...]:
+        return tuple(SymbolSet(m, self.q) for m in self.masks())
 
     def size(self) -> int:
         """Number of codewords, counted without materializing a syndrome class."""
@@ -170,11 +175,6 @@ class SetCode:
             sets = tuple(SymbolSet.from_symbols(s, data["q"]) for s in data["sets"])
             return cls(data["q"], data["n"], data["t"], sets=sets)
         return cls.from_vt(VTParams.from_json_dict(data))
-
-
-@lru_cache(maxsize=None)
-def _materialize_sets(code: SetCode) -> tuple[SymbolSet, ...]:
-    return tuple(SymbolSet(m, code.q) for m in code.masks())
 
 
 @dataclass(frozen=True)
@@ -227,9 +227,32 @@ def save_spec(spec: MultFreeCodeSpec, path) -> None:
         fh.write(json.dumps(spec.to_json_dict(), sort_keys=True) + "\n")
 
 
+def _holds_bool(data) -> bool:
+    """True iff parsed JSON holds true or false; a stack, so no nesting overflows it."""
+    stack = [data]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, list):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, bool):
+            return True
+    return False
+
+
 def load_spec(path) -> MultFreeCodeSpec:
+    def refuse(text):
+        raise MalformedSpec(f"{path}: {text} where the spec holds an integer")
+
+    # every number in a spec is an integer; bool is an int subclass, so refuse it too
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh, parse_float=refuse, parse_constant=refuse)
+        except RecursionError as exc:
+            raise MalformedSpec(f"{path}: nested too deeply") from exc
+    if _holds_bool(data):
+        refuse("true or false")
     try:
         return MultFreeCodeSpec.from_json_dict(data)
     except (KeyError, TypeError) as exc:

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, ClassVar, Iterable, Iterator
 
 from .errors import Ambiguous, NotFound
 from .guards import PERM_ENUM_CAP, check_enumerable
@@ -17,13 +17,13 @@ from .model import DeletionPattern, Permutation, Word, apply_unstable_deletions
 
 @dataclass(frozen=True)
 class PermCodeBook:
-    """A permutation code with its deletion budget and enumeration-order tag.
-    The codewords are held sorted by their images, the order that "lex" names."""
+    """A permutation code with its deletion budget.  The codewords are held
+    sorted by their images, the one order there is: spec files name it "lex"."""
 
     n: int
     t: int
     codewords: tuple[Permutation, ...]
-    order: str = "lex"
+    order: ClassVar[str] = "lex"
 
     def __post_init__(self):
         object.__setattr__(self, "codewords", tuple(sorted(self.codewords, key=lambda s: s.images)))
@@ -43,12 +43,9 @@ class PermCodeBook:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PermCodeBook":
-        return cls(
-            data["n"],
-            data["t"],
-            tuple(Permutation(tuple(images)) for images in data["codewords"]),
-            data.get("order", "lex"),
-        )
+        if "order" in data and data["order"] != cls.order:
+            raise ValueError(f"unknown codeword order {data['order']!r}")
+        return cls(data["n"], data["t"], tuple(Permutation(tuple(images)) for images in data["codewords"]))
 
 
 def _ball_keys(n: int, t: int, unstable: bool) -> Callable:
@@ -87,7 +84,7 @@ def _first_fit(candidates: Iterable[bytes], ball_keys: Callable) -> Iterator[byt
 def _greedy_book(n: int, t: int, unstable: bool) -> PermCodeBook:
     check_enumerable(math.factorial(n), PERM_ENUM_CAP, "symmetric-group scan")
     admitted = _first_fit(map(bytes, permutations(range(1, n + 1))), _ball_keys(n, t, unstable))
-    return PermCodeBook(n, t, tuple(Permutation(images) for images in admitted), "lex")
+    return PermCodeBook(n, t, tuple(Permutation(images) for images in admitted))
 
 
 def greedy_sd_code(n: int, t: int) -> PermCodeBook:

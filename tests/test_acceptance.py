@@ -14,7 +14,6 @@ from delcode import (
     SymbolSet,
     VTParams,
     Word,
-    apply_stable_deletions,
     apply_unstable_deletions,
     best_class,
     build_code,
@@ -38,6 +37,7 @@ from delcode import (
 )
 
 from bitword_oracle import decode_asymmetric, subset_to_bitword
+from deletion_oracle import apply_stable_deletions
 
 
 def patterns_up_to(n, t):

@@ -13,6 +13,13 @@ from delcode.model import set_bits
 
 SPEC_ARGS = ["--q", "8", "--n", "4", "--t", "1"]
 
+# the spec file that `construct --q 12 --n 5 --t 2` writes
+Q12_SPEC = (
+    '{"mode": "stable", "n": 5, "perm_code": {"codewords": [[1, 2, 3, 4, 5], [1, 5, 4, 3, 2], '
+    '[3, 2, 5, 1, 4], [4, 5, 2, 1, 3]], "n": 5, "order": "lex", "t": 2}, "q": 12, '
+    '"set_code": {"a": [1, 3], "n": 5, "p": 13, "q": 12, "t": 2}, "t": 2}'
+)
+
 
 def run_cli(*args, env_extra=None, **run_options):
     env = dict(os.environ)
@@ -440,7 +447,20 @@ class TestErrors:
         assert payload["error"] == "ValueError"
         assert "at most 255" in payload["message"]
 
-    @pytest.mark.parametrize("content", ['{"q": 12}', "[1, 2]"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"q": 12}',
+            "[1, 2]",
+            # a float or a bool where the spec holds an integer
+            pytest.param(Q12_SPEC.replace('"q": 12,', '"q": 12.0,', 1), id="float-q"),
+            pytest.param(Q12_SPEC.replace('"q": 12,', '"q": NaN,', 1), id="nan-q"),
+            pytest.param(Q12_SPEC.replace('"a": [1, 3]', '"a": [0.5, 1]'), id="float-residue"),
+            pytest.param(Q12_SPEC.replace("[[1, 2, 3, 4, 5]", "[[true, 2, 3, 4, 5]"), id="bool-image"),
+            # deeper than the parser's recursion limit
+            pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
+        ],
+    )
     @pytest.mark.parametrize(
         "command",
         [
@@ -456,3 +476,49 @@ class TestErrors:
         result = run_cli(command[0], "--spec", str(path), *command[1:])
         assert result.returncode == 2, result.stderr
         assert json.loads(result.stdout)["error"] == "MalformedSpec"
+
+
+class TestCodewordOrder:
+    @pytest.mark.parametrize("command", [("verify",), ("decode", "--word", "[1,2,3]")])
+    def test_unknown_order_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "spec.json"
+        path.write_text(Q12_SPEC.replace('"lex"', '"zzz"'))
+        assert cli.main([command[0], "--spec", str(path), *command[1:]]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "ValueError"
+        assert "'zzz'" in payload["message"]
+
+    def test_missing_order_loads(self, tmp_path, capsys):
+        bare, full = tmp_path / "bare.json", tmp_path / "full.json"
+        bare.write_text(Q12_SPEC.replace(', "order": "lex"', ""))
+        full.write_text(Q12_SPEC)
+        assert multfree.load_spec(bare) == multfree.load_spec(full)
+        assert cli.main(["verify", "--spec", str(bare)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+class TestSimulateAtBenchmarkScale:
+    """The channel workload's specs and its pinned tallies (trials, successes,
+    failures by deletion count), run through the CLI."""
+
+    @pytest.mark.parametrize(
+        "q, n, t, mode, args, tally",
+        [
+            (24, 7, 2, "stable", ("300", "3", "7"),
+             {0: (83, 83, 0), 1: (69, 69, 0), 2: (72, 72, 0), 3: (76, 0, 76)}),
+            (20, 7, 1, "unstable", ("100", "1", "7"), {0: (45, 45, 0), 1: (55, 55, 0)}),
+        ],
+    )
+    def test_pinned_tally(self, tmp_path, q, n, t, mode, args, tally):
+        path = tmp_path / "spec.json"
+        construct = ("--q", str(q), "--n", str(n), "--t", str(t), "--mode", mode, "--out", str(path))
+        assert run_cli("construct", *construct).returncode == 0
+        trials, tmax, seed = args
+        result = run_cli(
+            "simulate", "--spec", str(path), "--trials", trials, "--tmax", tmax, "--seed", seed
+        )
+        assert result.returncode == 0, result.stderr
+        by_weight = json.loads(result.stdout)["by_weight"]
+        assert by_weight == {
+            str(w): {"trials": a, "successes": b, "failures": c} for w, (a, b, c) in tally.items()
+        }

@@ -1,8 +1,10 @@
 import functools
+import gc
 import hashlib
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given
@@ -21,7 +23,6 @@ from delcode import (
     SymbolSet,
     VTParams,
     Word,
-    apply_stable_deletions,
     apply_unstable_deletions,
     best_class,
     build_code,
@@ -41,7 +42,9 @@ from delcode import (
     symbol_ranks,
     vtcode,
 )
-from delcode.multfree import _materialize_sets, pairwise_intersection_bound, set_codewords
+from delcode.multfree import pairwise_intersection_bound, set_codewords
+
+from deletion_oracle import apply_stable_deletions
 
 
 def multfree_words(q, n):
@@ -333,16 +336,23 @@ class TestClassMaterialization:
     def test_census_runs_once_per_spec(self):
         # best_class, code_size, the class walk and encode_index share one census
         vtcode._suffix_counts.cache_clear()
-        _materialize_sets.cache_clear()
         spec = best_class_spec(14, 5, 2)
         assert code_size(spec) == len(set_codewords(spec))
         encode_index(spec, code_size(spec) - 1)
         assert vtcode._suffix_counts.cache_info().misses == 1
 
+    def test_members_live_on_the_code(self):
+        # built once per code, and released with it
+        code = best_class_spec(14, 5, 2).set_code
+        assert code.codewords() is code.codewords()
+        alive = weakref.ref(code)
+        del code
+        gc.collect()
+        assert alive() is None
+
     def test_peak_memory(self):
         # the class is held as masks, never as length-q bitwords
         spec = best_class_spec(64, 4, 1)
-        _materialize_sets.cache_clear()
         tracemalloc.start()
         try:
             sets = set_codewords(spec)

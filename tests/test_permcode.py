@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -17,7 +18,6 @@ from delcode import (
     Permutation,
     ScaleGuardExceeded,
     Word,
-    apply_stable_deletions,
     apply_unstable_deletions,
     greedy_sd_code,
     greedy_ud_code,
@@ -28,6 +28,8 @@ from delcode import (
     verify_ud_property,
 )
 from delcode.permcode import _ball_keys
+
+from deletion_oracle import apply_stable_deletions
 
 
 def stable_deletion_ball(sigma, t):
@@ -199,6 +201,8 @@ class TestGreedyConstruction:
             greedy_sd_code(9, 1)
 
     def test_order_tag(self):
+        # the one order there is: a class constant, not a field
+        assert "order" not in {field.name for field in dataclasses.fields(PermCodeBook)}
         assert greedy_sd_code(3, 1).order == "lex"
 
 

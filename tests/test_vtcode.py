@@ -4,7 +4,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delcode import (
@@ -405,6 +405,8 @@ class TestPackedRows:
     def test_reach_table_matches_bytearray(self, q, n, t):
         assert_table_matches_references(q, n, t, next_prime_above(q).p)
 
+    # the largest draws take 0.20-0.23 s, over Hypothesis's 200 ms default deadline
+    @settings(deadline=2000)
     @given(st.integers(0, 14), st.data())
     def test_small_points_match(self, q, data):
         # moduli below, near and above the block length
