@@ -21,7 +21,6 @@ from .multfree import (
     decode_steps,
     deletion_masks,
     load_spec,
-    pairwise_intersection_bound,
     save_spec,
 )
 from .permcode import greedy_sd_code, greedy_ud_code, verify_sd_property, verify_ud_property
@@ -54,6 +53,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     spec = load_spec(args.spec)
     words = build_code(spec)
     if args.limit is not None:
@@ -101,15 +102,15 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = load_spec(args.spec)
-    code, vt, n, t = spec.set_code, spec.set_code.vt, spec.n, spec.t
+    code, vt, t = spec.set_code, spec.set_code.vt, spec.t
     balls_disjoint = verify_sd_property if spec.mode == "stable" else verify_ud_property
     checks = {"perm_balls_disjoint": balls_disjoint(spec.perm_code)}
     if vt is None:
-        checks["pairwise_intersection_bound"] = pairwise_intersection_bound(code.sets, n, t)
+        checks["pairwise_intersection_bound"] = code.balls_disjoint()
     # one pass over the members' masks: class membership, then every deletion
     # of at most t elements until one does not decode back to its member
     member, witness = True, None
-    for mask in code.masks():
+    for mask in code.masks:
         member = member and (vt is None or is_codeword(mask, vt))
         for removed in () if witness else deletion_masks(mask, t):
             try:

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import comb
 from typing import Iterator
 
 from .errors import (
@@ -65,13 +66,6 @@ def symbol_ranks(subset: SymbolSet, y: Word) -> Word:
     return Word(tuple(ranks), subset.cardinality + 1, multiplicity_free=True)
 
 
-def pairwise_intersection_bound(sets: tuple[SymbolSet, ...], n: int, t: int) -> bool:
-    """True iff every two of the sets share at most n - t - 1 elements: sharing
-    an (n - t)-subset would make some deletion of t elements ambiguous."""
-    members = [s.members for s in sets]
-    return all((a & b).bit_count() <= n - t - 1 for a, b in combinations(members, 2))
-
-
 def deletion_masks(mask: int, t: int) -> Iterator[int]:
     """Every set of at most t of the mask's set bits, as a mask, fewest first."""
     bits = [1 << i for i in set_bits(mask)]
@@ -81,15 +75,15 @@ def deletion_masks(mask: int, t: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class SetCode:
-    """A deletion-correcting family of n-subsets: either one syndrome class
-    (decoded algebraically) or an explicit list, validated pairwise at
-    construction and decoded by a lookup in its members' deletion balls."""
+    """A deletion-correcting family of n-subsets, held as bitmasks: either one
+    syndrome class (decoded algebraically) or an explicit list, checked at
+    construction and decoded through one index of its members' deletion balls."""
 
     q: int
     n: int
     t: int
     vt: VTParams | None = None
-    sets: tuple[SymbolSet, ...] | None = None
+    sets: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if (self.vt is None) == (self.sets is None):
@@ -97,13 +91,15 @@ class SetCode:
         if self.vt is not None:
             if (self.vt.q, self.vt.n, self.vt.t) != (self.q, self.n, self.t):
                 raise ValueError("vt params disagree with the set code's (q, n, t)")
-        else:
-            object.__setattr__(self, "sets", tuple(self.sets))
-            for s in self.sets:
-                if s.alphabet_size != self.q or s.cardinality != self.n:
-                    raise ValueError("explicit set with the wrong alphabet or cardinality")
-            if not pairwise_intersection_bound(self.sets, self.n, self.t):
-                raise ValueError("explicit sets too close to correct t deletions")
+            return
+        object.__setattr__(self, "sets", tuple(self.sets))
+        if not self.sets:
+            raise ValueError("explicit set code must be nonempty")
+        for m in self.sets:
+            if m < 0 or m >> self.q or m.bit_count() != self.n:
+                raise ValueError("explicit set with the wrong alphabet or cardinality")
+        if not self.balls_disjoint():
+            raise ValueError("explicit sets too close to correct t deletions")
 
     @classmethod
     def from_vt(cls, params: VTParams) -> "SetCode":
@@ -111,31 +107,34 @@ class SetCode:
 
     @classmethod
     def explicit(cls, sets, t: int) -> "SetCode":
+        """An explicit code from SymbolSets; q and n are read off the first."""
         sets = tuple(sets)
-        if not sets:
-            raise ValueError("explicit set code must be nonempty")
-        return cls(sets[0].alphabet_size, sets[0].cardinality, t, sets=sets)
-
-    def masks(self) -> list[int]:
-        """The members' masks in encode order; a class is walked on every call."""
-        if self.sets is not None:
-            return sorted((s.members for s in self.sets), key=set_bits)
-        vt = self.vt  # its class comes as masks in encode order, so no sort
-        return enumerate_class(vt.q, vt.n, vt.t, vt.p, vt.a)
-
-    def codewords(self) -> tuple[SymbolSet, ...]:
-        """The members as symbol sets in encode order, built once per code."""
-        return self._codewords
+        q, n = (sets[0].alphabet_size, sets[0].cardinality) if sets else (0, 0)
+        if any(s.alphabet_size != q for s in sets):
+            raise ValueError("explicit set with the wrong alphabet or cardinality")
+        return cls(q, n, t, sets=tuple(s.members for s in sets))
 
     @cached_property
-    def _codewords(self) -> tuple[SymbolSet, ...]:
-        return tuple(SymbolSet(m, self.q) for m in self.masks())
+    def masks(self) -> tuple[int, ...]:
+        """The members' masks in encode order, built once per code."""
+        if self.sets is not None:
+            return tuple(sorted(self.sets, key=set_bits))
+        vt = self.vt  # its class comes as masks in encode order, so no sort
+        return tuple(enumerate_class(vt.q, vt.n, vt.t, vt.p, vt.a))
 
     def size(self) -> int:
         """Number of codewords, counted without materializing a syndrome class."""
         if self.sets is not None:
             return len(self.sets)
         return class_size(self.q, self.n, self.t, self.vt.p, self.vt.a)
+
+    def balls_disjoint(self) -> bool:
+        """True iff no two explicit members' radius-t deletion balls meet, that
+        is, every two share at most n - t - 1 elements; a repeated set fails.
+        Each ball holds sum_{e <= t} C(n, e) keys, so a meeting shows up as a
+        missing key in the ball index."""
+        per_ball = sum(comb(self.n, e) for e in range(min(self.t, self.n) + 1))
+        return len(self._ball_index) == len(self.sets) * per_ball
 
     def decode_mask(self, survivors: int) -> int:
         """The member whose mask lost at most t elements to leave `survivors`."""
@@ -148,16 +147,11 @@ class SetCode:
             raise SetDecodeFailed(f"no member lies within {self.t} deletions of the survivors")
         return self._ball_index[survivors]
 
-    def decode(self, survivors: SymbolSet) -> SymbolSet:
-        if survivors.alphabet_size != self.q:
-            raise ValueError(f"alphabet size {survivors.alphabet_size} differs from q = {self.q}")
-        return SymbolSet(self.decode_mask(survivors.members), self.q)
-
     @cached_property
     def _ball_index(self) -> dict[int, int]:
         """Every explicit member's mask with at most t bits cleared, mapped to
-        the member.  No two members share n - t elements, so no key repeats."""
-        return {m ^ r: m for m in self.masks() for r in deletion_masks(m, self.t)}
+        the member; a key two members share keeps only one of them."""
+        return {m ^ r: m for m in self.masks for r in deletion_masks(m, self.t)}
 
     def to_json_dict(self) -> dict:
         if self.vt is not None:
@@ -166,13 +160,13 @@ class SetCode:
             "q": self.q,
             "n": self.n,
             "t": self.t,
-            "sets": [list(s.symbols()) for s in self.sets],
+            "sets": [set_bits(m) for m in self.sets],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SetCode":
         if "sets" in data:
-            sets = tuple(SymbolSet.from_symbols(s, data["q"]) for s in data["sets"])
+            sets = tuple(SymbolSet.from_symbols(s, data["q"]).members for s in data["sets"])
             return cls(data["q"], data["n"], data["t"], sets=sets)
         return cls.from_vt(VTParams.from_json_dict(data))
 
@@ -260,10 +254,6 @@ def load_spec(path) -> MultFreeCodeSpec:
         raise MalformedSpec(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def set_codewords(spec: MultFreeCodeSpec) -> tuple[SymbolSet, ...]:
-    return spec.set_code.codewords()
-
-
 def code_size(spec: MultFreeCodeSpec) -> int:
     return spec.set_code.size() * len(spec.perm_code.codewords)
 
@@ -272,7 +262,8 @@ def build_code(spec: MultFreeCodeSpec) -> Iterator[Word]:
     """Yield every codeword, outer loop over sets and inner loop over
     permutations, both in lexicographic order."""
     perms = spec.perm_code.codewords
-    for subset in set_codewords(spec):
+    for mask in spec.set_code.masks:
+        subset = SymbolSet(mask, spec.q)
         for sigma in perms:
             yield psi(subset, sigma)
 
@@ -284,7 +275,7 @@ def encode_index(spec: MultFreeCodeSpec, index: int) -> Word:
         raise IndexError(f"index {index} outside [0, {total})")
     perms = spec.perm_code.codewords
     i_set, i_perm = divmod(index, len(perms))
-    return psi(set_codewords(spec)[i_set], perms[i_perm])
+    return psi(SymbolSet(spec.set_code.masks[i_set], spec.q), perms[i_perm])
 
 
 @dataclass(frozen=True)
@@ -310,7 +301,9 @@ def decode_steps(spec: MultFreeCodeSpec, y: Word) -> DecodeSteps:
         raise ValueError(f"received length {len(y)} exceeds the code length {spec.n}")
     if len(y) < spec.n - spec.t:
         raise InputTooShort(f"received length {len(y)} is below n - t = {spec.n - spec.t}")
-    recovered = spec.set_code.decode(induced_set(y))
+    if y.alphabet_size != spec.q:
+        raise ValueError(f"alphabet size {y.alphabet_size} differs from q = {spec.q}")
+    recovered = SymbolSet(spec.set_code.decode_mask(induced_set(y).members), spec.q)
     if spec.mode == "stable":
         tau = symbol_ranks(recovered, y)
         try:

@@ -1,0 +1,18 @@
+"""Reference check for explicit set codes, for the tests only.
+
+The shipped check (`delcode.multfree.SetCode.balls_disjoint`) counts the keys
+of one deletion-ball index.  This module keeps the quadratic, definitional
+form: every two sets compared directly.  The tests hold the ball-index check
+to it.
+"""
+
+from itertools import combinations
+
+from delcode.model import SymbolSet
+
+
+def pairwise_intersection_bound(sets: tuple[SymbolSet, ...], n: int, t: int) -> bool:
+    """True iff every two of the sets share at most n - t - 1 elements: sharing
+    an (n - t)-subset would make some deletion of t elements ambiguous."""
+    members = [s.members for s in sets]
+    return all((a & b).bit_count() <= n - t - 1 for a, b in combinations(members, 2))

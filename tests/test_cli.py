@@ -178,7 +178,7 @@ class TestVerify:
         monkeypatch.setattr(multfree, "set_decode", corrupt)
         assert cli.main(["verify", "--spec", str(spec_path)]) == 1
         payload = json.loads(capsys.readouterr().out)
-        member = multfree.load_spec(spec_path).set_code.masks()[1]
+        member = multfree.load_spec(spec_path).set_code.masks[1]
         symbols = set_bits(member)
         assert payload["set_deletion_witness"] == {
             "member": symbols,
@@ -202,7 +202,7 @@ class TestVerify:
         assert cli.main(["verify", "--spec", str(spec_path)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["checks"]["set_deletion_soundness"] is False
-        symbols = set_bits(multfree.load_spec(spec_path).set_code.masks()[0])
+        symbols = set_bits(multfree.load_spec(spec_path).set_code.masks[0])
         assert payload["set_deletion_witness"] == {
             "member": symbols,
             "removed": [symbols[1]],
@@ -242,7 +242,7 @@ class TestVerify:
         monkeypatch.setattr(cli, "is_codeword", lambda word, params: calls.append(word) or True)
         assert cli.main(["verify", "--spec", str(spec_path)]) == 0
         capsys.readouterr()
-        assert len(calls) == 3 + len(multfree.set_codewords(multfree.load_spec(spec_path)))
+        assert len(calls) == 3 + len(multfree.load_spec(spec_path).set_code.masks)
 
     def test_explicit_set_spec_passes(self, explicit_spec, tmp_path, capsys):
         # an explicit family is no syndrome class, so there is no membership check
@@ -257,6 +257,15 @@ class TestVerify:
             },
             "ok": True,
         }
+
+    def test_explicit_check_is_read_not_assumed(self, explicit_spec, monkeypatch, capsys):
+        # the pairwise_intersection_bound key reports SetCode.balls_disjoint
+        monkeypatch.setattr(cli, "load_spec", lambda path: explicit_spec)
+        monkeypatch.setattr(multfree.SetCode, "balls_disjoint", lambda self: False)
+        assert cli.main(["verify", "--spec", "unused.json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["checks"]["pairwise_intersection_bound"] is False
+        assert payload["ok"] is False
 
     def test_construct_runs_the_census_once(self, tmp_path, monkeypatch, capsys):
         real, calls = vtcode._census, []
@@ -287,6 +296,15 @@ class TestEnumerate:
     def test_limit(self, spec_path):
         result = run_cli("enumerate", "--spec", str(spec_path), "--limit", "3")
         assert len(result.stdout.strip().splitlines()) == 3
+
+    def test_zero_limit_prints_nothing(self, spec_path, capsys):
+        assert cli.main(["enumerate", "--spec", str(spec_path), "--limit", "0"]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_negative_limit_refused(self, spec_path, capsys):
+        assert cli.main(["enumerate", "--spec", str(spec_path), "--limit", "-1"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"error": "ValueError", "message": "--limit must be nonnegative, got -1"}
 
 
 class TestDecode:
@@ -476,6 +494,36 @@ class TestErrors:
         result = run_cli(command[0], "--spec", str(path), *command[1:])
         assert result.returncode == 2, result.stderr
         assert json.loads(result.stdout)["error"] == "MalformedSpec"
+
+
+class TestExplicitSetSpec:
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            ("[]", "explicit set code must be nonempty"),
+            (
+                "[[0, 1, 2, 3, 4], [0, 1, 2, 3, 4]]",
+                "explicit sets too close to correct t deletions",
+            ),
+        ],
+        ids=["empty", "repeated"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("verify",),
+            ("simulate", "--trials", "1", "--tmax", "1", "--seed", "0"),
+            ("enumerate",),
+            ("decode", "--word", "[1,2,3]"),
+        ],
+    )
+    def test_refused_on_load(self, tmp_path, capsys, sets, message, command):
+        path = tmp_path / "spec.json"
+        class_code = '"set_code": {"a": [1, 3], "n": 5, "p": 13, "q": 12, "t": 2}'
+        explicit = f'"set_code": {{"n": 5, "q": 12, "sets": {sets}, "t": 2}}'
+        path.write_text(Q12_SPEC.replace(class_code, explicit))
+        assert cli.main([command[0], "--spec", str(path), *command[1:]]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": "ValueError", "message": message}
 
 
 class TestCodewordOrder:

@@ -7,7 +7,7 @@ import tracemalloc
 import weakref
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delcode import (
@@ -42,9 +42,10 @@ from delcode import (
     symbol_ranks,
     vtcode,
 )
-from delcode.multfree import pairwise_intersection_bound, set_codewords
+from delcode.model import set_bits
 
 from deletion_oracle import apply_stable_deletions
+from pairwise_oracle import pairwise_intersection_bound
 
 
 def multfree_words(q, n):
@@ -181,7 +182,7 @@ def superset_search(code, survivors):
     least n - t of its elements survive."""
     if survivors.bit_count() < code.n - code.t:
         raise SetDecodeFailed("too few survivors")
-    hits = [s.members for s in code.sets if survivors & ~s.members == 0]
+    hits = [m for m in code.sets if survivors & ~m == 0]
     if len(hits) != 1:
         raise SetDecodeFailed(f"{len(hits)} candidate supersets, expected exactly one")
     return hits[0]
@@ -218,7 +219,7 @@ class TestSetCode:
     def test_explicit_infers_parameters(self):
         sc = SetCode.explicit(self.explicit_sets(), t=2)
         assert (sc.q, sc.n, sc.t) == (8, 5, 2)
-        assert sc.codewords() == self.explicit_sets()
+        assert sc.masks == tuple(s.members for s in self.explicit_sets())
 
     def test_explicit_rejects_close_sets(self):
         # the sets share three elements, so two deletions can collide
@@ -235,25 +236,60 @@ class TestSetCode:
     def test_explicit_rejects_empty(self):
         with pytest.raises(ValueError):
             SetCode.explicit((), t=1)
+        # the check lives in construction, so every path to a SetCode meets it
+        with pytest.raises(ValueError, match="must be nonempty"):
+            SetCode(12, 5, 2, sets=())
+        with pytest.raises(ValueError, match="must be nonempty"):
+            SetCode.from_json_dict({"q": 12, "n": 5, "t": 2, "sets": []})
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_explicit_check_matches_pairwise_oracle(self, data):
+        q = data.draw(st.integers(1, 9))
+        n = data.draw(st.integers(0, q))
+        t = data.draw(st.integers(0, q + 2))
+        subsets = st.sets(st.integers(0, q - 1), min_size=n, max_size=n)
+        # sampling from a small pool makes repeated sets common
+        pool = data.draw(st.lists(subsets, min_size=1, max_size=6))
+        family = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+        sets = tuple(SymbolSet.from_symbols(s, q) for s in family)
+        try:
+            code = SetCode.explicit(sets, t)
+        except ValueError as exc:
+            assert str(exc) == "explicit sets too close to correct t deletions"
+            accepted = False
+        else:
+            assert code.balls_disjoint()
+            accepted = True
+        assert accepted == pairwise_intersection_bound(sets, n, t)
+
+    def test_explicit_family_of_a_class(self):
+        # a syndrome class corrects t deletions, so its members pass as an
+        # explicit family, in the same encode order
+        for q, n, t in [(64, 4, 1), (26, 6, 2)]:
+            vt = best_class_spec(q, n, t).set_code
+            code = SetCode.explicit([SymbolSet(m, q) for m in reversed(vt.masks)], t)
+            assert code.masks == vt.masks
 
     def test_explicit_decode_unique_superset(self):
         sc = SetCode.explicit(self.explicit_sets(), t=2)
         survivors = SymbolSet.from_symbols({3, 4, 6}, 8)
-        assert sc.decode(survivors) == SymbolSet.from_symbols({3, 4, 5, 6, 7}, 8)
+        member = SymbolSet.from_symbols({3, 4, 5, 6, 7}, 8)
+        assert sc.decode_mask(survivors.members) == member.members
 
     def test_explicit_decode_failures(self):
         sc = SetCode.explicit(self.explicit_sets(), t=2)
         with pytest.raises(SetDecodeFailed):
-            sc.decode(SymbolSet.from_symbols({3, 4}, 8))  # too few survivors
+            sc.decode_mask(SymbolSet.from_symbols({3, 4}, 8).members)  # too few survivors
         with pytest.raises(SetDecodeFailed):
-            sc.decode(SymbolSet.from_symbols({2, 5, 6}, 8))  # no superset
+            sc.decode_mask(SymbolSet.from_symbols({2, 5, 6}, 8).members)  # no superset
 
     @pytest.mark.parametrize("q, n, t", EXPLICIT_POINTS)
     def test_explicit_lookup_matches_superset_search(self, q, n, t):
         # every deletion of every member: at most t decode, more are too short
         code = SetCode.explicit(first_fit_sets(q, n, t), t)
         assert len(code.sets) > 1
-        for member in code.masks():
+        for member in code.masks:
             symbols = SymbolSet(member, q).symbols()
             for e in range(n + 1):
                 for removed in itertools.combinations(symbols, e):
@@ -273,14 +309,14 @@ class TestSetCode:
         p = next_prime_above(q)
         a, size = best_class(q, n, t, p)
         sc = SetCode.from_vt(VTParams(q, n, t, p, a))
-        sets = sc.codewords()
+        sets = sc.masks
         assert len(sets) == size
-        assert list(sets) == sorted(sets, key=lambda s: s.symbols())
+        assert list(sets) == sorted(sets, key=set_bits)
         for s in sets:
-            elements = s.symbols()
+            elements = set_bits(s)
             for removed in itertools.combinations(elements, 2):
                 survivors = SymbolSet.from_symbols(set(elements) - set(removed), q)
-                assert sc.decode(survivors) == s
+                assert sc.decode_mask(survivors.members) == s
 
     def test_vt_backend_decode_failure_wrapped(self):
         q, n, t = 10, 5, 2
@@ -288,7 +324,7 @@ class TestSetCode:
         a, _ = best_class(q, n, t, p)
         sc = SetCode.from_vt(VTParams(q, n, t, p, a))
         with pytest.raises(SetDecodeFailed):
-            sc.decode(SymbolSet.from_symbols({0, 1}, q))  # below n - t survivors
+            sc.decode_mask(SymbolSet.from_symbols({0, 1}, q).members)  # below n - t survivors
 
     def test_json_roundtrip_both_backends(self):
         explicit = SetCode.explicit(self.explicit_sets(), t=2)
@@ -310,7 +346,7 @@ class TestSetCode:
             SetCode(10, 5, 2)  # neither backend
 
 
-# sha256 of repr([s.members for s in set_codewords(spec)]) for the best class,
+# sha256 of repr(list(spec.set_code.masks)) for the best class,
 # taken from the previous code, which materialized bitwords and sorted them
 SET_ORDER_SHA256 = {
     (64, 4, 1): "4fd2bef113f3751893cd16a8d7f8cc17afe6905b95bee1632cbaed70eaf8ff0d",
@@ -330,21 +366,21 @@ def best_class_spec(q, n, t):
 class TestClassMaterialization:
     @pytest.mark.parametrize("q, n, t", sorted(SET_ORDER_SHA256))
     def test_pinned_encode_order(self, q, n, t):
-        members = [s.members for s in set_codewords(best_class_spec(q, n, t))]
+        members = list(best_class_spec(q, n, t).set_code.masks)
         assert hashlib.sha256(repr(members).encode()).hexdigest() == SET_ORDER_SHA256[q, n, t]
 
     def test_census_runs_once_per_spec(self):
         # best_class, code_size, the class walk and encode_index share one census
         vtcode._suffix_counts.cache_clear()
         spec = best_class_spec(14, 5, 2)
-        assert code_size(spec) == len(set_codewords(spec))
+        assert code_size(spec) == len(spec.set_code.masks)
         encode_index(spec, code_size(spec) - 1)
         assert vtcode._suffix_counts.cache_info().misses == 1
 
     def test_members_live_on_the_code(self):
         # built once per code, and released with it
         code = best_class_spec(14, 5, 2).set_code
-        assert code.codewords() is code.codewords()
+        assert code.masks is code.masks
         alive = weakref.ref(code)
         del code
         gc.collect()
@@ -355,7 +391,7 @@ class TestClassMaterialization:
         spec = best_class_spec(64, 4, 1)
         tracemalloc.start()
         try:
-            sets = set_codewords(spec)
+            sets = spec.set_code.masks
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -423,7 +459,7 @@ class TestEncodeIndex:
         assert len(lex) > 2
         book = PermCodeBook(4, 1, lex[1:] + lex[:1])
         spec = MultFreeCodeSpec(8, 4, 1, "stable", best_class_spec(8, 4, 1).set_code, book)
-        expected = [psi(s, sigma) for s in set_codewords(spec) for sigma in lex]
+        expected = [psi(SymbolSet(m, 8), sigma) for m in spec.set_code.masks for sigma in lex]
         assert list(build_code(spec)) == expected
         assert [encode_index(spec, i) for i in range(code_size(spec))] == expected
         assert book.to_json_dict()["codewords"] == [list(sigma.images) for sigma in lex]
@@ -509,7 +545,7 @@ class TestDecodeFuzz:
         except DecodeError:
             return
         assert len(got) == spec.n
-        assert spec.set_code.decode(induced_set(got)) == induced_set(got)
+        assert spec.set_code.decode_mask(induced_set(got).members) == induced_set(got).members
 
 
 class TestSpecSerialization:

@@ -11,15 +11,20 @@ from delcode import (
     BoundViolated,
     DecodeError,
     Modulus,
+    MultFreeCodeSpec,
     NoSolution,
+    PermCodeBook,
+    Permutation,
     ScaleGuardExceeded,
     SetCode,
     SymbolSet,
     VTParams,
     WeightTooLow,
+    Word,
     best_class,
     class_size,
     class_sizes,
+    decode_steps,
     enumerate_class,
     is_codeword,
     next_prime_above,
@@ -529,10 +534,12 @@ class TestSetDecode:
         assert set_decode(survivors.members, params) == codeword_set.members
 
     def test_alphabet_mismatch(self):
-        # the mask decoder has no alphabet; the SymbolSet entry checks it
+        # the mask decoder has no alphabet; decode_steps checks the received word's
         params = VTParams(5, 2, 2, Modulus(7), (6, 6))
-        with pytest.raises(ValueError):
-            SetCode.from_vt(params).decode(SymbolSet(0, 4))
+        book = PermCodeBook(2, 2, (Permutation.identity(2),))
+        spec = MultFreeCodeSpec(5, 2, 2, "stable", SetCode.from_vt(params), book)
+        with pytest.raises(ValueError, match="alphabet size 4 differs from q = 5"):
+            decode_steps(spec, Word((), 4))
 
     def test_exhaustive_deletions_over_best_class(self):
         q, n, t = 10, 5, 2
