@@ -66,7 +66,10 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_decode(args) -> int:
     spec = load_spec(args.spec)
-    symbols = json.loads(args.word)
+    try:
+        symbols = json.loads(args.word)
+    except RecursionError:
+        symbols = None  # nested too deeply to be a flat array
     # bool is an int subclass, so true would otherwise read as symbol 1
     if not isinstance(symbols, list) or any(type(s) is not int for s in symbols):
         raise ValueError(f"--word must be a JSON array of integers, got {args.word}")

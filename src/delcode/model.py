@@ -1,5 +1,5 @@
 """Words, symbol sets, permutations, position deletion, unstable (rank-compressing)
-deletion of permutations, and a seeded deletion channel.
+deletion of permutations, a seeded deletion channel and the deletion-ball index.
 
 Positions are 1-based throughout the public API and in every file format.
 """
@@ -41,6 +41,16 @@ def set_bits(mask: int) -> list[int]:
         bits.append(low.bit_length() - 1)
         mask ^= low
     return bits
+
+
+def ball_index(members, ball_keys) -> dict:
+    """Each ball key -> its member's position, or None where two positions' balls meet."""
+    index = {}
+    for position, member in enumerate(members):
+        for key in ball_keys(member):
+            if index.setdefault(key, position) != position:
+                index[key] = None
+    return index
 
 
 @dataclass(frozen=True, slots=True)

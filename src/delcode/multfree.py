@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import comb
 from typing import Iterator
 
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     SymbolNotInSet,
     WeightTooLow,
 )
-from .model import Permutation, SymbolSet, Word, set_bits
+from .model import Permutation, SymbolSet, Word, ball_index, set_bits
 from .permcode import PermCodeBook, sd_decode, ud_decode
 from .vtcode import VTParams, class_size, enumerate_class, set_decode
 
@@ -86,6 +85,8 @@ class SetCode:
     sets: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if self.t < 0:
+            raise ValueError(f"deletion budget t={self.t} is negative")
         if (self.vt is None) == (self.sets is None):
             raise ValueError("exactly one of vt params or an explicit set list is required")
         if self.vt is not None:
@@ -130,11 +131,8 @@ class SetCode:
 
     def balls_disjoint(self) -> bool:
         """True iff no two explicit members' radius-t deletion balls meet, that
-        is, every two share at most n - t - 1 elements; a repeated set fails.
-        Each ball holds sum_{e <= t} C(n, e) keys, so a meeting shows up as a
-        missing key in the ball index."""
-        per_ball = sum(comb(self.n, e) for e in range(min(self.t, self.n) + 1))
-        return len(self._ball_index) == len(self.sets) * per_ball
+        is, every two share at most n - t - 1 elements; a repeated set fails."""
+        return None not in self._ball_index.values()
 
     def decode_mask(self, survivors: int) -> int:
         """The member whose mask lost at most t elements to leave `survivors`."""
@@ -143,15 +141,15 @@ class SetCode:
                 return set_decode(survivors, self.vt)
             except (NoSolution, WeightTooLow) as exc:
                 raise SetDecodeFailed(str(exc)) from exc
-        if survivors not in self._ball_index:
+        if self._ball_index.get(survivors) is None:  # construction refused meeting balls
             raise SetDecodeFailed(f"no member lies within {self.t} deletions of the survivors")
-        return self._ball_index[survivors]
+        return self.masks[self._ball_index[survivors]]
 
     @cached_property
-    def _ball_index(self) -> dict[int, int]:
+    def _ball_index(self) -> dict[int, int | None]:
         """Every explicit member's mask with at most t bits cleared, mapped to
-        the member; a key two members share keeps only one of them."""
-        return {m ^ r: m for m in self.masks for r in deletion_masks(m, self.t)}
+        the member's position in `masks`, as one `model.ball_index`."""
+        return ball_index(self.masks, lambda m: (m ^ r for r in deletion_masks(m, self.t)))
 
     def to_json_dict(self) -> dict:
         if self.vt is not None:

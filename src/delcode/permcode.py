@@ -1,4 +1,4 @@
-"""Greedy deletion-ball packings in the symmetric group, with brute-force decoders.
+"""Greedy deletion-ball packings in the symmetric group, their checks and decoders.
 
 A radius-t stable ball is the set of subsequences of length >= n - t; unstable
 deletions also rank-compress the survivors (codebooks only for t <= 1).  One key
@@ -7,12 +7,13 @@ function serves the greedy scan, disjointness checks and balls of both."""
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from typing import Callable, ClassVar, Iterable, Iterator
 
 from .errors import Ambiguous, NotFound
 from .guards import PERM_ENUM_CAP, check_enumerable
-from .model import DeletionPattern, Permutation, Word, apply_unstable_deletions
+from .model import DeletionPattern, Permutation, Word, apply_unstable_deletions, ball_index
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,11 @@ class PermCodeBook:
         if "order" in data and data["order"] != cls.order:
             raise ValueError(f"unknown codeword order {data['order']!r}")
         return cls(data["n"], data["t"], tuple(Permutation(tuple(images)) for images in data["codewords"]))
+
+    @cached_property
+    def _stable_index(self) -> dict[bytes, int | None]:
+        """Stable ball index, built on first use; `_ball_keys` refuses n > 255 first."""
+        return ball_index((bytes(s.images) for s in self.codewords), _ball_keys(self.n, self.t, False))
 
 
 def _ball_keys(n: int, t: int, unstable: bool) -> Callable:
@@ -101,41 +107,34 @@ def greedy_ud_code(n: int, t: int = 1) -> PermCodeBook:
     return _greedy_book(n, t, True)
 
 
-def _balls_disjoint(book: PermCodeBook, unstable: bool) -> bool:
-    images = (bytes(sigma.images) for sigma in book.codewords)
-    return len(list(_first_fit(images, _ball_keys(book.n, book.t, unstable)))) == len(book.codewords)
-
-
 def verify_sd_property(book: PermCodeBook) -> bool:
     """True iff the radius-t stable-deletion balls are pairwise disjoint."""
-    return _balls_disjoint(book, False)
+    return None not in book._stable_index.values()
 
 
 def verify_ud_property(book: PermCodeBook) -> bool:
     """True iff the radius-t unstable-deletion balls are pairwise disjoint."""
-    return _balls_disjoint(book, True)
-
-
-def _is_subsequence(short: tuple[int, ...], long: tuple[int, ...]) -> bool:
-    it = iter(long)
-    return all(s in it for s in short)
+    keys = _ball_keys(book.n, book.t, True)
+    return None not in ball_index([bytes(s.images) for s in book.codewords], keys).values()
 
 
 def sd_decode(book: PermCodeBook, received: Word) -> Permutation:
     """The unique codeword whose radius-t stable-deletion ball contains the
-    received word; ball membership is a subsequence test."""
+    received word: one lookup in the book's stable ball index."""
     if len(received) < book.n - book.t:
         raise NotFound(f"received length {len(received)} is below n - t = {book.n - book.t}")
-    hits = [s for s in book.codewords if _is_subsequence(received.symbols, s.images)]
-    if not hits:
+    index = book._stable_index  # a symbol above a byte is above n, so in no key
+    key = bytes(received.symbols) if max(received.symbols, default=0) < 256 else None
+    if key not in index:
         raise NotFound("no codeword ball contains the received word")
-    if len(hits) > 1:
+    if index[key] is None:
         raise Ambiguous("multiple codeword balls contain the received word")
-    return hits[0]
+    return book.codewords[index[key]]
 
 
 def ud_decode(book: PermCodeBook, received: Permutation) -> Permutation:
-    """The unique codeword reaching the received permutation by <= t unstable deletions."""
+    """The unique codeword reaching the received permutation by <= t unstable deletions.
+    Brute force, not indexed: ROADMAP item 10 decodes unstable specs by the stable lookup."""
     missing = book.n - len(received)
     if missing < 0 or missing > book.t:
         raise NotFound(f"received length {len(received)} is outside [n - t, n]")

@@ -93,7 +93,7 @@ def _census(q: int, n: int, t: int, p: Modulus) -> tuple[bytearray, int]:
     return _suffix_counts(q, n, t, p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)  # a channel holds two specs; a table can reach tens of MB
 def _suffix_counts(q: int, n: int, t: int, p: Modulus) -> tuple[bytearray, int]:
     """The table behind _census: row (i, w), for 1 <= i <= q + 1 and
     0 <= w <= n, is p^t whole-byte fields in flat label order, starting at

@@ -1,9 +1,9 @@
 """Reference check for explicit set codes, for the tests only.
 
-The shipped check (`delcode.multfree.SetCode.balls_disjoint`) counts the keys
-of one deletion-ball index.  This module keeps the quadratic, definitional
-form: every two sets compared directly.  The tests hold the ball-index check
-to it.
+The shipped check (`delcode.multfree.SetCode.balls_disjoint`) looks for a key
+that two members share in one deletion-ball index.  This module keeps the
+quadratic, definitional form: every two sets compared directly.  The tests
+hold the ball-index check to it.
 """
 
 from itertools import combinations

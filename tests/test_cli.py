@@ -340,7 +340,14 @@ class TestDecode:
         assert result.returncode == 2
         assert json.loads(result.stdout)["error"] == "ValueError"
 
-    @pytest.mark.parametrize("word", ["[1.5,2,3]", '{"a":1}', "7", "null", "[true,3,4]"])
+    @pytest.mark.parametrize(
+        "word",
+        [
+            "[1.5,2,3]", '{"a":1}', "7", "null", "[true,3,4]",
+            # deeper than the parser's recursion limit
+            pytest.param("[" * 100_000, id="deep-nesting"),
+        ],
+    )
     def test_structured_error_on_non_integer_array(self, spec_path, word):
         result = run_cli("decode", "--spec", str(spec_path), "--word", word)
         assert result.returncode == 2, result.stderr
@@ -447,6 +454,24 @@ class TestErrors:
         )
         assert result.returncode == 2, result.stderr
         assert json.loads(result.stdout)["error"] == "ScaleGuardExceeded"
+
+    def test_decode_refuses_perm_length_above_255(self, tmp_path):
+        # the stable ball index holds values as bytes, as verify's does
+        spec = {
+            "q": 257,
+            "n": 256,
+            "t": 1,
+            "mode": "stable",
+            "set_code": {"q": 257, "n": 256, "t": 1, "sets": [list(range(256))]},
+            "perm_code": {"n": 256, "t": 1, "codewords": [list(range(1, 257))], "order": "lex"},
+        }
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(spec))
+        result = run_cli("decode", "--spec", str(path), "--word", json.dumps(list(range(256))))
+        assert result.returncode == 2, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["error"] == "ValueError"
+        assert "at most 255" in payload["message"]
 
     def test_verify_refuses_perm_length_above_255(self, tmp_path):
         spec = {

@@ -15,6 +15,7 @@ from delcode import (
     draw_deletion_pattern,
     induced_permutation,
 )
+from delcode.model import ball_index
 
 from deletion_oracle import apply_stable_deletions
 
@@ -231,3 +232,19 @@ class TestChannel:
         expected = samples / 3
         chi_square = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi_square < 13.82  # 99.9% quantile, 2 degrees of freedom
+
+
+class TestBallIndex:
+    def test_positions_and_meetings(self):
+        index = ball_index(["ab", "bc"], lambda word: [word, word[0], word[1]])
+        assert index == {"ab": 0, "a": 0, "b": None, "bc": 1, "c": 1}
+
+    def test_repeated_member_meets_itself(self):
+        # compared by position, so an equal value at another position still meets
+        assert ball_index([5, 5], lambda m: [m]) == {5: None}
+
+    def test_key_yielded_twice_in_one_ball(self):
+        assert ball_index([7, 8], lambda m: [m, m, -m, m]) == {7: 0, -7: 0, 8: 1, -8: 1}
+
+    def test_empty(self):
+        assert ball_index([], lambda m: [m]) == {}

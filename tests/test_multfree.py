@@ -233,6 +233,15 @@ class TestSetCode:
         assert pairwise_intersection_bound(close, 5, 1)
         assert pairwise_intersection_bound(self.explicit_sets(), 5, 2)
 
+    def test_rejects_negative_budget(self):
+        with pytest.raises(ValueError, match="deletion budget t=-1 is negative"):
+            SetCode.explicit(self.explicit_sets(), -1)
+        with pytest.raises(ValueError, match="deletion budget t=-1 is negative"):
+            SetCode.from_json_dict({"q": 8, "n": 5, "t": -1, "sets": [[0, 1, 2, 3, 4]]})
+        # a budget above n is still a code: its one member's ball holds the empty set
+        lone = SetCode.explicit(self.explicit_sets()[:1], 6)
+        assert lone.decode_mask(0) == lone.masks[0]
+
     def test_explicit_rejects_empty(self):
         with pytest.raises(ValueError):
             SetCode.explicit((), t=1)

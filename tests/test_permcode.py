@@ -13,15 +13,20 @@ from hypothesis import strategies as st
 from delcode import (
     Ambiguous,
     DeletionPattern,
+    MultFreeCodeSpec,
     NotFound,
     PermCodeBook,
     Permutation,
     ScaleGuardExceeded,
+    SetCode,
+    SymbolSet,
     Word,
     apply_unstable_deletions,
+    cli,
     greedy_sd_code,
     greedy_ud_code,
     reference_size_bound,
+    save_spec,
     sd_decode,
     ud_decode,
     verify_sd_property,
@@ -30,6 +35,7 @@ from delcode import (
 from delcode.permcode import _ball_keys
 
 from deletion_oracle import apply_stable_deletions
+from deletion_oracle import sd_decode as scan_sd_decode
 
 
 def stable_deletion_ball(sigma, t):
@@ -42,6 +48,14 @@ def stable_deletion_ball(sigma, t):
 def unstable_deletion_ball(sigma, t):
     """Every permutation reachable from sigma by at most t unstable deletions."""
     return {Permutation(key) for key in _ball_keys(len(sigma), t, True)(bytes(sigma.images))}
+
+
+def decode_outcome(decode, book, received):
+    """The codeword a stable decoder returns, or the class of the error it raises."""
+    try:
+        return decode(book, received)
+    except (NotFound, Ambiguous) as exc:
+        return type(exc)
 
 
 def all_patterns(n, t):
@@ -263,6 +277,60 @@ class TestStableDecode:
                 for pat in all_patterns(n, t):
                     received = apply_stable_deletions(sigma, pat)
                     assert sd_decode(book, received) == sigma
+
+
+class TestLookupMatchesScan:
+    """The ball-index lookup against the subsequence scan of every codeword."""
+
+    @pytest.mark.parametrize("n, t", [(n, t) for n in range(1, 8) for t in (1, 2) if t <= n])
+    def test_every_arrangement(self, n, t):
+        book = greedy_sd_code(n, t)
+        decoded = set()
+        for length in range(n - t, n + 1):
+            for symbols in itertools.permutations(range(1, n + 1), length):
+                received = Word(symbols, n + 1, multiplicity_free=True)
+                outcome = decode_outcome(sd_decode, book, received)
+                assert outcome == decode_outcome(scan_sd_decode, book, received), symbols
+                decoded.add(outcome)
+        assert set(book.codewords) <= decoded
+
+    def test_corrupt_book_ambiguous_on_both_paths(self, tmp_path, capsys):
+        # two neighbours swapped: Ulam distance 1, so the radius-1 balls meet
+        book = PermCodeBook(5, 1, (Permutation((1, 2, 3, 4, 5)), Permutation((2, 1, 3, 4, 5))))
+        received = Word((1, 3, 4, 5), 6, multiplicity_free=True)
+        for decode in (sd_decode, scan_sd_decode):
+            with pytest.raises(Ambiguous, match="multiple codeword balls"):
+                decode(book, received)
+        assert not verify_sd_property(book)
+        sets = SetCode.explicit([SymbolSet.from_symbols(range(5), 6)], 1)
+        save_spec(MultFreeCodeSpec(6, 5, 1, "stable", sets, book), tmp_path / "corrupt.json")
+        assert cli.main(["verify", "--spec", str(tmp_path / "corrupt.json")]) == 1
+        assert json.loads(capsys.readouterr().out)["checks"]["perm_balls_disjoint"] is False
+
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_repeated_codeword(self, t):
+        sigma = Permutation((2, 4, 1, 3))
+        book = PermCodeBook(4, t, (sigma, sigma))
+        assert not verify_sd_property(book)
+        assert not verify_ud_property(book)
+        for decode in (sd_decode, scan_sd_decode):
+            with pytest.raises(Ambiguous):
+                decode(book, Word(sigma.images, 5, multiplicity_free=True))
+
+    @pytest.mark.parametrize("stray", [0, 6, 255, 256, 1000])
+    def test_symbol_outside_the_book_not_found(self, stray):
+        book = greedy_sd_code(5, 1)
+        received = Word((1, 2, 3, stray), 1001, multiplicity_free=True)
+        for decode in (sd_decode, scan_sd_decode):
+            with pytest.raises(NotFound, match="no codeword ball"):
+                decode(book, received)
+
+    def test_index_built_on_first_use_and_kept(self):
+        book = greedy_sd_code(5, 1)
+        assert "_stable_index" not in vars(book)  # construction does not pay for it
+        assert sd_decode(book, Word(book.codewords[0].images, 6)) == book.codewords[0]
+        index = vars(book)["_stable_index"]
+        assert verify_sd_property(book) and book._stable_index is index
 
 
 class TestUnstable:

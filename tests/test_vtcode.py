@@ -491,6 +491,21 @@ class TestScaleGuard:
         with pytest.raises(ScaleGuardExceeded):
             class_sizes(q, n, t, p)
 
+    def test_table_cache_evicts_the_oldest(self):
+        # a bounded cache: a third table evicts the first, the newest stays
+        size = vtcode._suffix_counts.cache_info().maxsize
+        assert size is not None and size >= 2
+        points = [(q, 3, 1, next_prime_above(q)) for q in range(10, 11 + size)]
+        vtcode._suffix_counts.cache_clear()
+        for point in points:
+            class_sizes(*point)
+        assert vtcode._suffix_counts.cache_info().currsize == size
+        misses = vtcode._suffix_counts.cache_info().misses
+        class_sizes(*points[-1])
+        assert vtcode._suffix_counts.cache_info().misses == misses
+        class_sizes(*points[0])
+        assert vtcode._suffix_counts.cache_info().misses == misses + 1
+
     def test_env_override_raises_cap(self, monkeypatch):
         monkeypatch.setenv("DELCODE_SCALE_GUARD", str(10**9))
         got = enumerate_class(5, 2, 2, Modulus(7), (6, 6))
