@@ -28,7 +28,6 @@ from .errors import (
 from .model import (
     DeletionPattern,
     Permutation,
-    SymbolSet,
     Word,
     apply_unstable_deletions,
     delete_positions,

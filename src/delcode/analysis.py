@@ -9,7 +9,7 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .errors import DecodeError
+from .errors import BoundViolated, DecodeError
 from .model import delete_positions, draw_deletion_pattern
 from .multfree import MultFreeCodeSpec, code_size, decode, encode_index
 
@@ -38,13 +38,13 @@ def size_lower_bound(q: int, n: int, t: int) -> tuple[Fraction, float]:
         math.comb(q, n), (2 * q) ** t
     )
     direct = _log2(exact)
-    log_space = (
-        sum(math.log2(q - i) for i in range(n))
-        - (3 * t - 1) * math.log2(2 * n)
-        - t * math.log2(2 * q)
+    # fsum, as a plain sum of n terms drifts past the bound at n in the thousands
+    log_space = math.fsum(
+        [math.log2(q - i) for i in range(n)]
+        + [-(3 * t - 1) * math.log2(2 * n), -t * math.log2(2 * q)]
     )
     if abs(direct - log_space) > _LOG_AGREEMENT:
-        raise ArithmeticError(f"log-space evaluation drifted: {direct} vs {log_space}")
+        raise BoundViolated(f"log-space evaluation drifted: {direct} vs {log_space}")
     return exact, direct
 
 

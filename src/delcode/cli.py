@@ -72,12 +72,16 @@ def _cmd_decode(args) -> int:
         symbols = None  # nested too deeply to be a flat array
     # bool is an int subclass, so true would otherwise read as symbol 1
     if not isinstance(symbols, list) or any(type(s) is not int for s in symbols):
-        raise ValueError(f"--word must be a JSON array of integers, got {args.word}")
+        # quote a bounded prefix: the argument can be megabytes long
+        raise ValueError(
+            f"--word must be a JSON array of integers, got {args.word[:80]} "
+            f"({len(args.word)} characters)"
+        )
     y = Word(tuple(symbols), spec.q, multiplicity_free=True)
     steps = decode_steps(spec, y)
     result = {"codeword": list(steps.codeword.symbols)}
     if args.trace:
-        result["recovered_set"] = list(steps.recovered_set.symbols())
+        result["recovered_set"] = set_bits(steps.recovered_set)
         if steps.tau is not None:
             result["tau"] = list(steps.tau.symbols)
         if steps.reduced_perm is not None:

@@ -1,5 +1,6 @@
-"""Words, symbol sets, permutations, position deletion, unstable (rank-compressing)
-deletion of permutations, a seeded deletion channel and the deletion-ball index.
+"""Words, the set bits of a symbol-set mask, permutations, position deletion,
+unstable (rank-compressing) deletion of permutations, a seeded deletion channel
+and the deletion-ball index.
 
 Positions are 1-based throughout the public API and in every file format.
 """
@@ -51,41 +52,6 @@ def ball_index(members, ball_keys) -> dict:
             if index.setdefault(key, position) != position:
                 index[key] = None
     return index
-
-
-@dataclass(frozen=True, slots=True)
-class SymbolSet:
-    """An n-subset of the alphabet, stored as a bitmask (bit i set iff symbol i present)."""
-
-    members: int
-    alphabet_size: int
-
-    def __post_init__(self):
-        if self.alphabet_size < 0:
-            raise ValueError("alphabet size must be nonnegative")
-        if self.members < 0 or self.members >> self.alphabet_size:
-            raise ValueError("bitmask has bits outside the alphabet")
-
-    @classmethod
-    def from_symbols(cls, symbols, alphabet_size: int) -> "SymbolSet":
-        mask = 0
-        for s in symbols:
-            if not 0 <= s < alphabet_size:
-                raise ValueError(f"symbol {s} outside [0, {alphabet_size - 1}]")
-            if mask >> s & 1:
-                raise ValueError(f"duplicate symbol {s}")
-            mask |= 1 << s
-        return cls(mask, alphabet_size)
-
-    @property
-    def cardinality(self) -> int:
-        return self.members.bit_count()
-
-    def symbols(self) -> tuple[int, ...]:
-        return tuple(set_bits(self.members))
-
-    def __contains__(self, symbol: int) -> bool:
-        return 0 <= symbol < self.alphabet_size and self.members >> symbol & 1 == 1
 
 
 @dataclass(frozen=True)

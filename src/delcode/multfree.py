@@ -1,6 +1,7 @@
 """Multiplicity-free codewords as (symbol set, permutation) pairs: the
 decomposition bijection, code assembly from a set code and a permutation code,
-and the end-to-end deletion decoder.
+and the end-to-end deletion decoder.  A symbol set is held as its bitmask, bit
+s set iff symbol s is present.
 
 Deleting symbols from a multiplicity-free word removes the same elements from
 its symbol set and performs stable deletions on its rank permutation, so the
@@ -24,14 +25,20 @@ from .errors import (
     SymbolNotInSet,
     WeightTooLow,
 )
-from .model import Permutation, SymbolSet, Word, ball_index, set_bits
+from .model import Permutation, Word, ball_index, set_bits
 from .permcode import PermCodeBook, sd_decode, ud_decode
 from .vtcode import VTParams, class_size, enumerate_class, set_decode
 
 
-def induced_set(x: Word) -> SymbolSet:
-    """The symbols of x as a set; rejects repeated symbols."""
-    return SymbolSet.from_symbols(x.symbols, x.alphabet_size)
+def induced_set(x: Word) -> int:
+    """The symbols of x as a mask, bit s for symbol s; rejects repeated symbols.
+    The Word has already refused symbols outside its alphabet."""
+    mask = 0
+    for s in x.symbols:
+        if mask >> s & 1:
+            raise ValueError(f"duplicate symbol {s}")
+        mask |= 1 << s
+    return mask
 
 
 def induced_permutation(x: Word) -> Permutation:
@@ -42,27 +49,28 @@ def induced_permutation(x: Word) -> Permutation:
     return Permutation(tuple(rank[v] for v in x.symbols))
 
 
-def psi(subset: SymbolSet, sigma: Permutation) -> Word:
-    """Reassemble the word whose k-th entry is the sigma_k-th smallest element of the set."""
-    ordered = subset.symbols()
+def psi(mask: int, sigma: Permutation, q: int) -> Word:
+    """Reassemble the q-ary word whose k-th entry is the sigma_k-th smallest
+    element of the mask's set."""
+    ordered = set_bits(mask)
     if len(ordered) != len(sigma):
         raise ValueError(f"set of size {len(ordered)} paired with a length-{len(sigma)} permutation")
-    return Word(tuple(ordered[s - 1] for s in sigma.images), subset.alphabet_size, True)
+    return Word(tuple(ordered[s - 1] for s in sigma.images), q, True)
 
 
-def symbol_ranks(subset: SymbolSet, y: Word) -> Word:
+def symbol_ranks(mask: int, y: Word) -> Word:
     """Rewrite y symbol-by-symbol as 1-based ranks inside the set.
 
     When the set is the decoded original and y the received word, this equals
     the stable deletion of the original word's rank permutation.
     """
-    rank = {v: j for j, v in enumerate(subset.symbols(), start=1)}
+    rank = {v: j for j, v in enumerate(set_bits(mask), start=1)}
     ranks = []
     for s in y.symbols:
         if s not in rank:
             raise SymbolNotInSet(f"received symbol {s} is not in the recovered set")
         ranks.append(rank[s])
-    return Word(tuple(ranks), subset.cardinality + 1, multiplicity_free=True)
+    return Word(tuple(ranks), mask.bit_count() + 1, multiplicity_free=True)
 
 
 def deletion_masks(mask: int, t: int) -> Iterator[int]:
@@ -105,15 +113,6 @@ class SetCode:
     @classmethod
     def from_vt(cls, params: VTParams) -> "SetCode":
         return cls(params.q, params.n, params.t, vt=params)
-
-    @classmethod
-    def explicit(cls, sets, t: int) -> "SetCode":
-        """An explicit code from SymbolSets; q and n are read off the first."""
-        sets = tuple(sets)
-        q, n = (sets[0].alphabet_size, sets[0].cardinality) if sets else (0, 0)
-        if any(s.alphabet_size != q for s in sets):
-            raise ValueError("explicit set with the wrong alphabet or cardinality")
-        return cls(q, n, t, sets=tuple(s.members for s in sets))
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -164,7 +163,7 @@ class SetCode:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SetCode":
         if "sets" in data:
-            sets = tuple(SymbolSet.from_symbols(s, data["q"]).members for s in data["sets"])
+            sets = tuple(induced_set(Word(s, data["q"])) for s in data["sets"])
             return cls(data["q"], data["n"], data["t"], sets=sets)
         return cls.from_vt(VTParams.from_json_dict(data))
 
@@ -261,9 +260,8 @@ def build_code(spec: MultFreeCodeSpec) -> Iterator[Word]:
     permutations, both in lexicographic order."""
     perms = spec.perm_code.codewords
     for mask in spec.set_code.masks:
-        subset = SymbolSet(mask, spec.q)
         for sigma in perms:
-            yield psi(subset, sigma)
+            yield psi(mask, sigma, spec.q)
 
 
 def encode_index(spec: MultFreeCodeSpec, index: int) -> Word:
@@ -273,14 +271,14 @@ def encode_index(spec: MultFreeCodeSpec, index: int) -> Word:
         raise IndexError(f"index {index} outside [0, {total})")
     perms = spec.perm_code.codewords
     i_set, i_perm = divmod(index, len(perms))
-    return psi(SymbolSet(spec.set_code.masks[i_set], spec.q), perms[i_perm])
+    return psi(spec.set_code.masks[i_set], perms[i_perm], spec.q)
 
 
 @dataclass(frozen=True)
 class DecodeSteps:
     """Intermediate decoder state, kept for inspection and tests."""
 
-    recovered_set: SymbolSet
+    recovered_set: int  # mask
     tau: Word | None
     reduced_perm: Permutation | None
     sigma: Permutation
@@ -301,20 +299,20 @@ def decode_steps(spec: MultFreeCodeSpec, y: Word) -> DecodeSteps:
         raise InputTooShort(f"received length {len(y)} is below n - t = {spec.n - spec.t}")
     if y.alphabet_size != spec.q:
         raise ValueError(f"alphabet size {y.alphabet_size} differs from q = {spec.q}")
-    recovered = SymbolSet(spec.set_code.decode_mask(induced_set(y).members), spec.q)
+    recovered = spec.set_code.decode_mask(induced_set(y))
     if spec.mode == "stable":
         tau = symbol_ranks(recovered, y)
         try:
             sigma = sd_decode(spec.perm_code, tau)
         except (NotFound, Ambiguous) as exc:
             raise PermDecodeFailed(str(exc)) from exc
-        return DecodeSteps(recovered, tau, None, sigma, psi(recovered, sigma))
+        return DecodeSteps(recovered, tau, None, sigma, psi(recovered, sigma, spec.q))
     reduced = induced_permutation(y)
     try:
         sigma = ud_decode(spec.perm_code, reduced)
     except (NotFound, Ambiguous) as exc:
         raise PermDecodeFailed(str(exc)) from exc
-    return DecodeSteps(recovered, None, reduced, sigma, psi(recovered, sigma))
+    return DecodeSteps(recovered, None, reduced, sigma, psi(recovered, sigma, spec.q))
 
 
 def decode(spec: MultFreeCodeSpec, y: Word) -> Word:

@@ -87,8 +87,8 @@ def _census(q: int, n: int, t: int, p: Modulus) -> tuple[bytearray, int]:
     """The suffix-count table of weight-n words of length q and its field width
     in bits.  The scale guard runs on every call, the table is built once per
     (q, n, t, p)."""
-    if n < 0:
-        raise ValueError(f"weight n must be nonnegative, got {n}")
+    if n < 0 or t < 0:
+        raise ValueError(f"weight n and budget t must be nonnegative, got n={n}, t={t}")
     check_enumerable(q * (n + 1) * p.p**t, CLASS_ENUM_CAP, "syndrome-class DP")
     return _suffix_counts(q, n, t, p)
 

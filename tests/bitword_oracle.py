@@ -11,7 +11,6 @@ from itertools import compress
 from typing import Sequence
 
 from delcode.errors import NoSolution, WeightTooLow
-from delcode.model import SymbolSet
 from delcode.modular import Modulus, locator_roots, power_sums_to_elementary
 from delcode.vtcode import VTParams, _power_rows
 
@@ -75,8 +74,8 @@ def decode_asymmetric(y: Sequence[int], params: VTParams) -> BitWord:
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def subset_to_bitword(subset: SymbolSet) -> BitWord:
-    """Symbol s becomes a one at 1-based position s + 1."""
-    q = subset.alphabet_size
+def subset_to_bitword(mask: int, q: int) -> BitWord:
+    """The length-q bitword of a symbol set's mask: symbol s becomes a one at
+    1-based position s + 1."""
     # the q binary digits of the mask, low bit first
-    return tuple(format(subset.members, f"0{q}b")[:-q - 1:-1].encode().translate(_BIT_VALUES))
+    return tuple(format(mask, f"0{q}b")[:-q - 1:-1].encode().translate(_BIT_VALUES))

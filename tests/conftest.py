@@ -3,7 +3,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from delcode import MultFreeCodeSpec, PermCodeBook, Permutation, SetCode, SymbolSet
+from delcode import MultFreeCodeSpec, PermCodeBook, Permutation, SetCode
 
 _criterion_lines: list[str] = []
 
@@ -13,11 +13,8 @@ def explicit_spec() -> MultFreeCodeSpec:
     """Hand-picked stable spec over an eight-symbol alphabet: two sets, two
     permutations, four codewords, correcting two deletions."""
     book = PermCodeBook(5, 2, (Permutation((1, 2, 3, 4, 5)), Permutation((4, 5, 2, 3, 1))))
-    sets = (
-        SymbolSet.from_symbols({0, 1, 2, 3, 4}, 8),
-        SymbolSet.from_symbols({3, 4, 5, 6, 7}, 8),
-    )
-    return MultFreeCodeSpec(8, 5, 2, "stable", SetCode.explicit(sets, t=2), book)
+    sets = (0b00011111, 0b11111000)  # {0, 1, 2, 3, 4} and {3, 4, 5, 6, 7}
+    return MultFreeCodeSpec(8, 5, 2, "stable", SetCode(8, 5, 2, sets=sets), book)
 
 
 @pytest.fixture

@@ -8,11 +8,9 @@ hold the ball-index check to it.
 
 from itertools import combinations
 
-from delcode.model import SymbolSet
 
-
-def pairwise_intersection_bound(sets: tuple[SymbolSet, ...], n: int, t: int) -> bool:
-    """True iff every two of the sets share at most n - t - 1 elements: sharing
-    an (n - t)-subset would make some deletion of t elements ambiguous."""
-    members = [s.members for s in sets]
-    return all((a & b).bit_count() <= n - t - 1 for a, b in combinations(members, 2))
+def pairwise_intersection_bound(masks: tuple[int, ...], n: int, t: int) -> bool:
+    """True iff every two of the sets (as masks) share at most n - t - 1
+    elements: sharing an (n - t)-subset would make some deletion of t elements
+    ambiguous."""
+    return all((a & b).bit_count() <= n - t - 1 for a, b in combinations(masks, 2))

@@ -11,7 +11,6 @@ from delcode import (
     PermCodeBook,
     Permutation,
     SetCode,
-    SymbolSet,
     VTParams,
     Word,
     apply_unstable_deletions,
@@ -49,16 +48,13 @@ def patterns_up_to(n, t):
 def test_criterion_1_worked_example_fidelity(criterion):
     with criterion(1, "worked-example fidelity", max_seconds=1.0):
         book = PermCodeBook(5, 2, (Permutation((1, 2, 3, 4, 5)), Permutation((4, 5, 2, 3, 1))))
-        sets = (
-            SymbolSet.from_symbols({0, 1, 2, 3, 4}, 8),
-            SymbolSet.from_symbols({3, 4, 5, 6, 7}, 8),
-        )
-        spec = MultFreeCodeSpec(8, 5, 2, "stable", SetCode.explicit(sets, t=2), book)
+        sets = (0b00011111, 0b11111000)  # {0, 1, 2, 3, 4} and {3, 4, 5, 6, 7}
+        spec = MultFreeCodeSpec(8, 5, 2, "stable", SetCode(8, 5, 2, sets=sets), book)
         words = [w.symbols for w in build_code(spec)]
         assert words == [(0, 1, 2, 3, 4), (3, 4, 1, 2, 0), (3, 4, 5, 6, 7), (6, 7, 4, 5, 3)]
 
         steps = decode_steps(spec, Word((6, 4, 3), 8, multiplicity_free=True))
-        assert steps.recovered_set == SymbolSet.from_symbols({3, 4, 5, 6, 7}, 8)
+        assert steps.recovered_set == 0b11111000
         assert steps.tau.symbols == (4, 2, 1)
         assert steps.sigma == Permutation((4, 5, 2, 3, 1))
         assert steps.codeword.symbols == (6, 7, 4, 5, 3)
@@ -73,13 +69,13 @@ def test_criterion_2_bijection_suite(criterion):
         ]
         assert len(words) == 120
         for x in words:
-            assert psi(induced_set(x), induced_permutation(x)) == x
+            assert psi(induced_set(x), induced_permutation(x), q) == x
         pairs = 0
         for members in itertools.combinations(range(q), n):
-            subset = SymbolSet.from_symbols(members, q)
+            subset = sum(1 << s for s in members)
             for images in itertools.permutations(range(1, n + 1)):
                 sigma = Permutation(images)
-                x = psi(subset, sigma)
+                x = psi(subset, sigma, q)
                 assert (induced_set(x), induced_permutation(x)) == (subset, sigma)
                 pairs += 1
         assert pairs == 120
@@ -93,7 +89,7 @@ def test_criterion_3_vt_asymmetric_decoding(criterion):
         a, _ = best_class(q, n, t, p)
         params = VTParams(q, n, t, p, a)
         masks = enumerate_class(q, n, t, p, a)
-        class_words = [subset_to_bitword(SymbolSet(m, q)) for m in masks]
+        class_words = [subset_to_bitword(m, q) for m in masks]
         assert class_words
         for codeword in class_words:
             ones = [i for i, bit in enumerate(codeword, start=1) if bit]
@@ -104,7 +100,7 @@ def test_criterion_3_vt_asymmetric_decoding(criterion):
                         y[i - 1] = 0
                     y = tuple(y)
                     mask = sum(bit << i for i, bit in enumerate(y))
-                    got = subset_to_bitword(SymbolSet(set_decode(mask, params), q))
+                    got = subset_to_bitword(set_decode(mask, params), q)
                     assert got == codeword
                     # the bitword reference decoder agrees
                     assert decode_asymmetric(y, params) == got

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from delcode import NoSolution, cli, multfree, vtcode
+from delcode import NoSolution, analysis, cli, multfree, next_prime_above, vtcode
 from delcode.model import set_bits
 
 SPEC_ARGS = ["--q", "8", "--n", "4", "--t", "1"]
@@ -352,6 +352,8 @@ class TestDecode:
         result = run_cli("decode", "--spec", str(spec_path), "--word", word)
         assert result.returncode == 2, result.stderr
         assert json.loads(result.stdout)["error"] == "ValueError"
+        # the message quotes a bounded prefix of the word, not all of it
+        assert len(result.stdout) < 1024
 
 
 class TestSimulate:
@@ -424,6 +426,20 @@ class TestBounds:
         assert payload["error"] == "ValueError"
         assert "delta must be finite" in payload["message"]
 
+    @pytest.mark.parametrize("q, n, t", [(100000, 5000, 3), (50000, 20000, 4)])
+    def test_log_space_check_holds_at_large_points(self, q, n, t):
+        # n in the thousands: a plain sum of the n log terms drifts past the
+        # 1e-10 agreement bound here (3.3e-10 and 2.4e-9)
+        result = run_cli("bounds", "--q", str(q), "--n", str(n), "--t", str(t))
+        assert result.returncode == 0, result.stderr
+        assert strict_json(result.stdout)["n"] == n
+
+    def test_log_space_drift_is_a_typed_error(self, monkeypatch, capsys):
+        log2 = analysis._log2
+        monkeypatch.setattr(analysis, "_log2", lambda x: log2(x) + 1e-9)
+        assert cli.main(["bounds", "--q", "12", "--n", "5", "--t", "2"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "BoundViolated"
+
     def test_emit_refuses_non_finite_floats(self):
         with pytest.raises(ValueError):
             cli._emit({"alpha": math.inf})
@@ -434,6 +450,14 @@ class TestErrors:
         result = run_cli("enumerate", "--spec", "/nonexistent/spec.json")
         assert result.returncode == 2
         assert "error" in json.loads(result.stdout)
+
+    def test_negative_budget_refused(self, tmp_path, capsys):
+        # p**t is a float at t < 0, so the census must refuse t before sizing a table
+        out = str(tmp_path / "s.json")
+        assert cli.main(["construct", "--q", "12", "--n", "5", "--t", "-1", "--out", out]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
+        with pytest.raises(ValueError, match="t=-1"):
+            vtcode.best_class(12, 5, -1, next_prime_above(12))
 
     def test_huge_alphabet_spec_refused(self, tmp_path):
         # q = 2^89 - 2 below the Mersenne prime 2^89 - 1: an O(q) step would hang
@@ -530,8 +554,10 @@ class TestExplicitSetSpec:
                 "[[0, 1, 2, 3, 4], [0, 1, 2, 3, 4]]",
                 "explicit sets too close to correct t deletions",
             ),
+            ("[[0, 1, 2, 3, 12]]", "symbol 12 outside [0, 11]"),
+            ("[[0, 1, 1, 3, 4]]", "duplicate symbol 1"),
         ],
-        ids=["empty", "repeated"],
+        ids=["empty", "repeated", "out-of-range", "duplicate-symbol"],
     )
     @pytest.mark.parametrize(
         "command",
@@ -595,3 +621,63 @@ class TestSimulateAtBenchmarkScale:
         assert by_weight == {
             str(w): {"trials": a, "successes": b, "failures": c} for w, (a, b, c) in tally.items()
         }
+
+
+def received_words(codewords, t, q):
+    """Per codeword: t deletions (decodable), t + 1 (over budget), and t + 1
+    deletions with an unused symbol put first (substituted)."""
+    for k, x in enumerate(codewords):
+        start = k % (len(x) - t)
+        kept = x[:start] + x[start + t :]
+        yield kept
+        yield kept[1:]
+        yield [min(set(range(q)) - set(x))] + kept[1:]
+
+
+class TestPinnedOutputs:
+    """sha256 of `enumerate` and of `decode --trace` over a fixed list of
+    received words, taken while symbol sets were still a wrapper class around
+    their masks: the mask-only set layer prints the same bytes."""
+
+    @pytest.mark.parametrize(
+        "point, enumerate_digest, decode_digest",
+        [
+            (
+                (12, 5, 2, "stable"),
+                "25d62ce24267680d3a65882efca04efb0f73d62e99dbc1131b200e90ab238827",
+                "a4f9b2fc41ab03bde2afb3080cba15fdf3d7c288510d9d5a42d072ea0292cd0a",
+            ),
+            (
+                (12, 5, 1, "unstable"),
+                "7bad009d8a022a788a22c09bbbb19b7479d43810e5fdc2e00ee03c992fba78d3",
+                "02129171fbdca88a1eff558793569d75306020d44fe00de9517a671e64437896",
+            ),
+            (
+                "explicit",
+                "c3eee5641fdfc720a5637de31f580b66c129738c69932637652056804deaf6cc",
+                "675823828ae3619b4c755cd9f2b141523c3c23f4ebdb98732bdc90e185d5d2c2",
+            ),
+        ],
+        ids=["12-5-2-stable", "12-5-1-unstable", "explicit"],
+    )
+    def test_enumerate_and_trace(
+        self, tmp_path, capsys, explicit_spec, point, enumerate_digest, decode_digest
+    ):
+        path = str(tmp_path / "spec.json")
+        if point == "explicit":
+            multfree.save_spec(explicit_spec, path)
+            q, t = 8, 2
+        else:
+            q, n, t, mode = point
+            args = ("--q", str(q), "--n", str(n), "--t", str(t), "--mode", mode, "--out", path)
+            assert cli.main(["construct", *args]) == 0
+        capsys.readouterr()
+        assert cli.main(["enumerate", "--spec", path]) == 0
+        listing = capsys.readouterr().out
+        codewords = [json.loads(line) for line in listing.splitlines()]
+        traces = []
+        for y in received_words(codewords[:: max(1, len(codewords) // 12)], t, q):
+            code = cli.main(["decode", "--spec", path, "--word", json.dumps(y), "--trace"])
+            traces.append(f"{code} {capsys.readouterr().out}")
+        assert hashlib.sha256(listing.encode()).hexdigest() == enumerate_digest
+        assert hashlib.sha256("".join(traces).encode()).hexdigest() == decode_digest

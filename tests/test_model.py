@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from delcode import (
     DeletionPattern,
     Permutation,
-    SymbolSet,
     Word,
     apply_unstable_deletions,
     delete_positions,
     draw_deletion_pattern,
     induced_permutation,
 )
-from delcode.model import ball_index
+from delcode.model import ball_index, set_bits
 
 from deletion_oracle import apply_stable_deletions
 
@@ -51,33 +50,12 @@ class TestWord:
         assert len(Word((), 4)) == 0
 
 
-class TestSymbolSet:
-    def test_from_symbols_roundtrip(self):
-        s = SymbolSet.from_symbols({0, 2, 5}, 6)
-        assert s.symbols() == (0, 2, 5)
-        assert s.cardinality == 3
-        assert 2 in s and 3 not in s
-
+class TestSetBits:
     @given(st.data())
     def test_symbols_are_the_set_bits_in_order(self, data):
         q = data.draw(st.integers(0, 80))
         mask = data.draw(st.integers(0, (1 << q) - 1))
-        assert SymbolSet(mask, q).symbols() == tuple(i for i in range(q) if mask >> i & 1)
-
-    def test_duplicate_symbol_rejected(self):
-        with pytest.raises(ValueError):
-            SymbolSet.from_symbols([1, 1], 4)
-
-    def test_mask_must_fit_alphabet(self):
-        with pytest.raises(ValueError):
-            SymbolSet(0b1000, 3)
-
-    def test_slotted_and_frozen(self):
-        # a class is materialized as one SymbolSet per member: no per-instance dict
-        s = SymbolSet.from_symbols({1, 3}, 6)
-        assert not hasattr(s, "__dict__")
-        with pytest.raises(AttributeError):
-            s.members = 0
+        assert set_bits(mask) == [i for i in range(q) if mask >> i & 1]
 
 
 class TestPermutation:

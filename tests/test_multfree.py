@@ -20,7 +20,6 @@ from delcode import (
     SetCode,
     SetDecodeFailed,
     SymbolNotInSet,
-    SymbolSet,
     VTParams,
     Word,
     apply_unstable_deletions,
@@ -71,17 +70,18 @@ distinct_words = st.integers(2, 16).flatmap(
 class TestDecomposition:
     def test_induced_set_example(self):
         x = Word((8, 0, 6, 5, 2), 9, multiplicity_free=True)
-        assert induced_set(x) == SymbolSet.from_symbols({0, 2, 5, 6, 8}, 9)
+        assert induced_set(x) == 0b101100101
+        assert set_bits(induced_set(x)) == [0, 2, 5, 6, 8]
 
     def test_induced_set_empty(self):
-        assert induced_set(Word((), 5)).cardinality == 0
+        assert induced_set(Word((), 5)) == 0
 
     def test_induced_set_ignores_order(self):
         x = Word((3, 1, 2), 5)
         assert induced_set(x) == induced_set(Word((1, 2, 3), 5))
 
     def test_induced_set_rejects_duplicates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate symbol 1"):
             induced_set(Word((1, 1), 5))
 
     def test_induced_permutation_example(self):
@@ -97,17 +97,15 @@ class TestDecomposition:
             induced_permutation(Word((1, 1), 5))
 
     def test_psi_example(self):
-        subset = SymbolSet.from_symbols({0, 2, 5, 6, 8}, 9)
-        got = psi(subset, Permutation((5, 1, 4, 3, 2)))
-        assert got.symbols == (8, 0, 6, 5, 2)
+        got = psi(0b101100101, Permutation((5, 1, 4, 3, 2)), 9)  # {0, 2, 5, 6, 8}
+        assert got == Word((8, 0, 6, 5, 2), 9, multiplicity_free=True)
 
     def test_psi_identity_gives_sorted_listing(self):
-        subset = SymbolSet.from_symbols({4, 1, 6}, 8)
-        assert psi(subset, Permutation.identity(3)).symbols == (1, 4, 6)
+        assert psi(0b1010010, Permutation.identity(3), 8).symbols == (1, 4, 6)
 
     def test_psi_size_mismatch(self):
         with pytest.raises(ValueError):
-            psi(SymbolSet.from_symbols({1, 2}, 5), Permutation.identity(3))
+            psi(0b110, Permutation.identity(3), 5)
 
     def test_bijection_exhaustive(self):
         # both directions over every length-3 distinct-symbol word on 6 symbols
@@ -115,13 +113,13 @@ class TestDecomposition:
         words = list(multfree_words(q, n))
         assert len(words) == 120
         for x in words:
-            assert psi(induced_set(x), induced_permutation(x)) == x
+            assert psi(induced_set(x), induced_permutation(x), q) == x
         pairs = 0
         for members in itertools.combinations(range(q), n):
-            subset = SymbolSet.from_symbols(members, q)
+            subset = sum(1 << s for s in members)
             for images in itertools.permutations(range(1, n + 1)):
                 sigma = Permutation(images)
-                x = psi(subset, sigma)
+                x = psi(subset, sigma, q)
                 assert induced_set(x) == subset
                 assert induced_permutation(x) == sigma
                 pairs += 1
@@ -129,7 +127,7 @@ class TestDecomposition:
 
     @given(distinct_words)
     def test_bijection_random(self, x):
-        assert psi(induced_set(x), induced_permutation(x)) == x
+        assert psi(induced_set(x), induced_permutation(x), x.alphabet_size) == x
 
 
 class TestSymbolRanks:
@@ -142,9 +140,8 @@ class TestSymbolRanks:
         assert tau.symbols == (4, 2, 1)
 
     def test_symbol_outside_set(self):
-        subset = SymbolSet.from_symbols({1, 2}, 5)
         with pytest.raises(SymbolNotInSet):
-            symbol_ranks(subset, Word((1, 4), 5))
+            symbol_ranks(0b110, Word((1, 4), 5))  # the set {1, 2}
 
 
 class TestCommutation:
@@ -196,7 +193,7 @@ def first_fit_sets(q, n, t):
         mask = sum(1 << s for s in symbols)
         if all((mask & k).bit_count() < n - t for k in kept):
             kept.append(mask)
-    return tuple(SymbolSet(m, q) for m in kept)
+    return tuple(kept)
 
 
 def set_outcome(decoder, *args):
@@ -211,40 +208,36 @@ EXPLICIT_POINTS = [(8, 5, 2), (9, 4, 1), (10, 5, 2), (10, 4, 1), (12, 6, 3)]
 
 class TestSetCode:
     def explicit_sets(self):
-        return (
-            SymbolSet.from_symbols({0, 1, 2, 3, 4}, 8),
-            SymbolSet.from_symbols({3, 4, 5, 6, 7}, 8),
-        )
+        return (0b00011111, 0b11111000)  # {0, 1, 2, 3, 4} and {3, 4, 5, 6, 7}
 
-    def test_explicit_infers_parameters(self):
-        sc = SetCode.explicit(self.explicit_sets(), t=2)
-        assert (sc.q, sc.n, sc.t) == (8, 5, 2)
-        assert sc.masks == tuple(s.members for s in self.explicit_sets())
+    def explicit_code(self):
+        return SetCode(8, 5, 2, sets=self.explicit_sets())
 
     def test_explicit_rejects_close_sets(self):
         # the sets share three elements, so two deletions can collide
-        close = (
-            SymbolSet.from_symbols({0, 1, 2, 3, 4}, 8),
-            SymbolSet.from_symbols({2, 3, 4, 5, 6}, 8),
-        )
+        close = (0b00011111, 0b01111100)  # {0, 1, 2, 3, 4} and {2, 3, 4, 5, 6}
         with pytest.raises(ValueError):
-            SetCode.explicit(close, t=2)
+            SetCode(8, 5, 2, sets=close)
         assert not pairwise_intersection_bound(close, 5, 2)
         assert pairwise_intersection_bound(close, 5, 1)
         assert pairwise_intersection_bound(self.explicit_sets(), 5, 2)
 
+    def test_explicit_mask_must_fit_alphabet(self):
+        # a bit at or above q, a negative mask and a wrong weight are refused
+        for bad in (0b1000, -1, 0b11):
+            with pytest.raises(ValueError, match="wrong alphabet or cardinality"):
+                SetCode(3, 1, 1, sets=(bad,))
+
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError, match="deletion budget t=-1 is negative"):
-            SetCode.explicit(self.explicit_sets(), -1)
+            SetCode(8, 5, -1, sets=self.explicit_sets())
         with pytest.raises(ValueError, match="deletion budget t=-1 is negative"):
             SetCode.from_json_dict({"q": 8, "n": 5, "t": -1, "sets": [[0, 1, 2, 3, 4]]})
         # a budget above n is still a code: its one member's ball holds the empty set
-        lone = SetCode.explicit(self.explicit_sets()[:1], 6)
+        lone = SetCode(8, 5, 6, sets=self.explicit_sets()[:1])
         assert lone.decode_mask(0) == lone.masks[0]
 
     def test_explicit_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SetCode.explicit((), t=1)
         # the check lives in construction, so every path to a SetCode meets it
         with pytest.raises(ValueError, match="must be nonempty"):
             SetCode(12, 5, 2, sets=())
@@ -261,9 +254,9 @@ class TestSetCode:
         # sampling from a small pool makes repeated sets common
         pool = data.draw(st.lists(subsets, min_size=1, max_size=6))
         family = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
-        sets = tuple(SymbolSet.from_symbols(s, q) for s in family)
+        sets = tuple(sum(1 << s for s in symbols) for symbols in family)
         try:
-            code = SetCode.explicit(sets, t)
+            code = SetCode(q, n, t, sets=sets)
         except ValueError as exc:
             assert str(exc) == "explicit sets too close to correct t deletions"
             accepted = False
@@ -277,29 +270,27 @@ class TestSetCode:
         # explicit family, in the same encode order
         for q, n, t in [(64, 4, 1), (26, 6, 2)]:
             vt = best_class_spec(q, n, t).set_code
-            code = SetCode.explicit([SymbolSet(m, q) for m in reversed(vt.masks)], t)
+            code = SetCode(q, n, t, sets=vt.masks[::-1])
             assert code.masks == vt.masks
 
     def test_explicit_decode_unique_superset(self):
-        sc = SetCode.explicit(self.explicit_sets(), t=2)
-        survivors = SymbolSet.from_symbols({3, 4, 6}, 8)
-        member = SymbolSet.from_symbols({3, 4, 5, 6, 7}, 8)
-        assert sc.decode_mask(survivors.members) == member.members
+        # the survivors {3, 4, 6} of the member {3, 4, 5, 6, 7}
+        assert self.explicit_code().decode_mask(0b01011000) == 0b11111000
 
     def test_explicit_decode_failures(self):
-        sc = SetCode.explicit(self.explicit_sets(), t=2)
+        sc = self.explicit_code()
         with pytest.raises(SetDecodeFailed):
-            sc.decode_mask(SymbolSet.from_symbols({3, 4}, 8).members)  # too few survivors
+            sc.decode_mask(0b00011000)  # {3, 4}: too few survivors
         with pytest.raises(SetDecodeFailed):
-            sc.decode_mask(SymbolSet.from_symbols({2, 5, 6}, 8).members)  # no superset
+            sc.decode_mask(0b01100100)  # {2, 5, 6}: no superset
 
     @pytest.mark.parametrize("q, n, t", EXPLICIT_POINTS)
     def test_explicit_lookup_matches_superset_search(self, q, n, t):
         # every deletion of every member: at most t decode, more are too short
-        code = SetCode.explicit(first_fit_sets(q, n, t), t)
+        code = SetCode(q, n, t, sets=first_fit_sets(q, n, t))
         assert len(code.sets) > 1
         for member in code.masks:
-            symbols = SymbolSet(member, q).symbols()
+            symbols = set_bits(member)
             for e in range(n + 1):
                 for removed in itertools.combinations(symbols, e):
                     survivors = member ^ sum(1 << s for s in removed)
@@ -309,7 +300,7 @@ class TestSetCode:
 
     @pytest.mark.parametrize("q, n, t", EXPLICIT_POINTS)
     def test_explicit_lookup_on_every_mask(self, q, n, t):
-        code = SetCode.explicit(first_fit_sets(q, n, t), t)
+        code = SetCode(q, n, t, sets=first_fit_sets(q, n, t))
         for mask in range(1 << q):
             assert set_outcome(code.decode_mask, mask) == set_outcome(superset_search, code, mask)
 
@@ -324,8 +315,8 @@ class TestSetCode:
         for s in sets:
             elements = set_bits(s)
             for removed in itertools.combinations(elements, 2):
-                survivors = SymbolSet.from_symbols(set(elements) - set(removed), q)
-                assert sc.decode_mask(survivors.members) == s
+                survivors = s & ~sum(1 << e for e in removed)
+                assert sc.decode_mask(survivors) == s
 
     def test_vt_backend_decode_failure_wrapped(self):
         q, n, t = 10, 5, 2
@@ -333,10 +324,10 @@ class TestSetCode:
         a, _ = best_class(q, n, t, p)
         sc = SetCode.from_vt(VTParams(q, n, t, p, a))
         with pytest.raises(SetDecodeFailed):
-            sc.decode_mask(SymbolSet.from_symbols({0, 1}, q).members)  # below n - t survivors
+            sc.decode_mask(0b11)  # {0, 1}: below n - t survivors
 
     def test_json_roundtrip_both_backends(self):
-        explicit = SetCode.explicit(self.explicit_sets(), t=2)
+        explicit = self.explicit_code()
         data = explicit.to_json_dict()
         assert data["sets"] == [[0, 1, 2, 3, 4], [3, 4, 5, 6, 7]]
         assert SetCode.from_json_dict(data) == explicit
@@ -441,7 +432,7 @@ class TestBuildCode:
         assert len(list(build_code(explicit_spec))) == 4
 
     def test_singleton_components(self):
-        sc = SetCode.explicit((SymbolSet.from_symbols({0, 2, 4}, 6),), t=1)
+        sc = SetCode(6, 3, 1, sets=(0b10101,))  # {0, 2, 4}
         book = PermCodeBook(3, 1, (Permutation((2, 3, 1)),))
         spec = MultFreeCodeSpec(6, 3, 1, "stable", sc, book)
         assert [w.symbols for w in build_code(spec)] == [(2, 4, 0)]
@@ -468,7 +459,7 @@ class TestEncodeIndex:
         assert len(lex) > 2
         book = PermCodeBook(4, 1, lex[1:] + lex[:1])
         spec = MultFreeCodeSpec(8, 4, 1, "stable", best_class_spec(8, 4, 1).set_code, book)
-        expected = [psi(SymbolSet(m, 8), sigma) for m in spec.set_code.masks for sigma in lex]
+        expected = [psi(m, sigma, 8) for m in spec.set_code.masks for sigma in lex]
         assert list(build_code(spec)) == expected
         assert [encode_index(spec, i) for i in range(code_size(spec))] == expected
         assert book.to_json_dict()["codewords"] == [list(sigma.images) for sigma in lex]
@@ -483,7 +474,7 @@ class TestDecode:
     def test_worked_example_with_steps(self, explicit_spec):
         y = Word((6, 4, 3), 8, multiplicity_free=True)
         steps = decode_steps(explicit_spec, y)
-        assert steps.recovered_set == SymbolSet.from_symbols({3, 4, 5, 6, 7}, 8)
+        assert steps.recovered_set == 0b11111000  # {3, 4, 5, 6, 7}
         assert steps.tau.symbols == (4, 2, 1)
         assert steps.sigma == Permutation((4, 5, 2, 3, 1))
         assert steps.codeword.symbols == (6, 7, 4, 5, 3)
@@ -554,7 +545,7 @@ class TestDecodeFuzz:
         except DecodeError:
             return
         assert len(got) == spec.n
-        assert spec.set_code.decode_mask(induced_set(got).members) == induced_set(got).members
+        assert spec.set_code.decode_mask(induced_set(got)) == induced_set(got)
 
 
 class TestSpecSerialization:

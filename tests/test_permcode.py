@@ -19,7 +19,6 @@ from delcode import (
     Permutation,
     ScaleGuardExceeded,
     SetCode,
-    SymbolSet,
     Word,
     apply_unstable_deletions,
     cli,
@@ -302,7 +301,7 @@ class TestLookupMatchesScan:
             with pytest.raises(Ambiguous, match="multiple codeword balls"):
                 decode(book, received)
         assert not verify_sd_property(book)
-        sets = SetCode.explicit([SymbolSet.from_symbols(range(5), 6)], 1)
+        sets = SetCode(6, 5, 1, sets=(0b11111,))
         save_spec(MultFreeCodeSpec(6, 5, 1, "stable", sets, book), tmp_path / "corrupt.json")
         assert cli.main(["verify", "--spec", str(tmp_path / "corrupt.json")]) == 1
         assert json.loads(capsys.readouterr().out)["checks"]["perm_balls_disjoint"] is False

@@ -17,7 +17,6 @@ from delcode import (
     Permutation,
     ScaleGuardExceeded,
     SetCode,
-    SymbolSet,
     VTParams,
     WeightTooLow,
     Word,
@@ -31,6 +30,8 @@ from delcode import (
     set_decode,
     vtcode,
 )
+
+from delcode.model import set_bits
 
 from bitword_oracle import decode_asymmetric, subset_to_bitword, vt_syndrome
 from bitword_oracle import is_codeword as is_bitword_codeword
@@ -53,7 +54,7 @@ def to_mask(word):
 def oracle_census(q, n, t, p):
     """Reference syndrome partition: walk every n-subset of the q positions.
     combinations yields them in encode order, so each class lists its masks in
-    the order of SymbolSet.symbols()."""
+    the order of their sorted symbols."""
     classes = {}
     for positions in itertools.combinations(range(1, q + 1), n):
         label = tuple(sum(pow(i, k, p.p) for i in positions) % p.p for k in range(1, t + 1))
@@ -183,11 +184,11 @@ class TestEnumeration:
         assert to_mask((0, 1, 0, 1, 0)) in got
 
     def test_lexicographic_order(self):
-        # encode order: strictly ascending in SymbolSet.symbols(), no sort needed
+        # encode order: strictly ascending in the sorted symbols, no sort needed
         for q, n, t in [(8, 3, 1), (12, 5, 2), (13, 6, 3)]:
             p = next_prime_above(q)
             a, size = best_class(q, n, t, p)
-            symbols = [SymbolSet(m, q).symbols() for m in enumerate_class(q, n, t, p, a)]
+            symbols = [set_bits(m) for m in enumerate_class(q, n, t, p, a)]
             assert len(symbols) == size > 1
             assert all(x < y for x, y in zip(symbols, symbols[1:]))
 
@@ -514,39 +515,39 @@ class TestScaleGuard:
 
 class TestBitwordBridge:
     def test_known_subset(self):
-        subset = SymbolSet.from_symbols({0, 2, 5, 6, 8}, 9)
-        assert subset_to_bitword(subset) == (1, 0, 1, 0, 0, 1, 1, 0, 1)
-        assert to_mask((1, 0, 1, 0, 0, 1, 1, 0, 1)) == subset.members
+        subset = 0b101100101  # {0, 2, 5, 6, 8}
+        assert subset_to_bitword(subset, 9) == (1, 0, 1, 0, 0, 1, 1, 0, 1)
+        assert to_mask((1, 0, 1, 0, 0, 1, 1, 0, 1)) == subset
 
     def test_empty_set(self):
-        assert subset_to_bitword(SymbolSet(0, 4)) == (0, 0, 0, 0)
-        assert subset_to_bitword(SymbolSet(0, 0)) == ()
+        assert subset_to_bitword(0, 4) == (0, 0, 0, 0)
+        assert subset_to_bitword(0, 0) == ()
 
     def test_random_masks_roundtrip(self):
         rng = random.Random(0)
         for _ in range(1000):
             q = rng.randrange(1, 24)
-            subset = SymbolSet(rng.randrange(1 << q), q)
-            word = subset_to_bitword(subset)
-            assert word == tuple(int(s in subset) for s in range(q))
-            assert to_mask(word) == subset.members
+            mask = rng.randrange(1 << q)
+            word = subset_to_bitword(mask, q)
+            assert word == tuple(int(s in set_bits(mask)) for s in range(q))
+            assert to_mask(word) == mask
 
 
 class TestSetDecode:
     def test_identity_on_codeword_set(self):
-        codeword_set = SymbolSet.from_symbols({3, 4, 5, 6, 7}, 8)
+        codeword_set = 0b11111000  # {3, 4, 5, 6, 7}
         p = next_prime_above(8)
-        a = vt_syndrome(subset_to_bitword(codeword_set), 2, p)
+        a = vt_syndrome(subset_to_bitword(codeword_set, 8), 2, p)
         params = VTParams(8, 5, 2, p, a)
-        assert set_decode(codeword_set.members, params) == codeword_set.members
+        assert set_decode(codeword_set, params) == codeword_set
 
     def test_recovers_after_two_deletions(self):
-        codeword_set = SymbolSet.from_symbols({3, 4, 5, 6, 7}, 8)
+        codeword_set = 0b11111000  # {3, 4, 5, 6, 7}
         p = next_prime_above(8)
-        a = vt_syndrome(subset_to_bitword(codeword_set), 2, p)
+        a = vt_syndrome(subset_to_bitword(codeword_set, 8), 2, p)
         params = VTParams(8, 5, 2, p, a)
-        survivors = SymbolSet.from_symbols({3, 4, 6}, 8)
-        assert set_decode(survivors.members, params) == codeword_set.members
+        survivors = 0b01011000  # {3, 4, 6}
+        assert set_decode(survivors, params) == codeword_set
 
     def test_alphabet_mismatch(self):
         # the mask decoder has no alphabet; decode_steps checks the received word's
@@ -562,11 +563,10 @@ class TestSetDecode:
         a, _ = best_class(q, n, t, p)
         params = VTParams(q, n, t, p, a)
         for mask in enumerate_class(q, n, t, p, a):
-            elements = SymbolSet(mask, q).symbols()
             for e in range(t + 1):
-                for removed in itertools.combinations(elements, e):
-                    survivors = SymbolSet.from_symbols(set(elements) - set(removed), q)
-                    assert set_decode(survivors.members, params) == mask
+                for removed in itertools.combinations(set_bits(mask), e):
+                    survivors = mask & ~sum(1 << s for s in removed)
+                    assert set_decode(survivors, params) == mask
 
 
 def outcome(decoder, *args):
@@ -578,13 +578,13 @@ def outcome(decoder, *args):
 
 
 def reference_mask(mask, params):
-    word = subset_to_bitword(SymbolSet(mask, params.q))
+    word = subset_to_bitword(mask, params.q)
     return to_mask(decode_asymmetric(word, params))
 
 
 def agree(mask, params):
     assert outcome(set_decode, mask, params) == outcome(reference_mask, mask, params)
-    word = subset_to_bitword(SymbolSet(mask, params.q))
+    word = subset_to_bitword(mask, params.q)
     assert is_codeword(mask, params) == is_bitword_codeword(word, params)
 
 
@@ -598,13 +598,12 @@ class TestDecodeMask:
         a, _ = best_class(q, n, t, p)
         params = VTParams(q, n, t, p, a)
         for mask in enumerate_class(q, n, t, p, a):
-            member = SymbolSet(mask, q)
-            bits = [1 << s for s in member.symbols()]
+            bits = [1 << s for s in set_bits(mask)]
             for e in range(t + 1):
                 for removed in itertools.combinations(bits, e):
-                    survivors = member.members ^ sum(removed)
+                    survivors = mask ^ sum(removed)
                     got = outcome(set_decode, survivors, params)
-                    assert got == outcome(reference_mask, survivors, params) == member.members
+                    assert got == outcome(reference_mask, survivors, params) == mask
 
     @pytest.mark.parametrize("t", [1, 2])
     def test_every_mask_and_label_exhaustive(self, t):
@@ -636,7 +635,7 @@ class TestDecodeMask:
         # weights from below n - t through overweight, members included
         weight = data.draw(st.integers(0, q))
         symbols = data.draw(st.sets(st.integers(0, q - 1), min_size=weight, max_size=weight))
-        agree(SymbolSet.from_symbols(symbols, q).members, params)
+        agree(sum(1 << s for s in symbols), params)
         members = enumerate_class(q, n, t, p, label)
         if members:
             agree(data.draw(st.sampled_from(members)), params)
