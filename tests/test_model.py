@@ -13,6 +13,7 @@ from delcode import (
     delete_positions,
     draw_deletion_pattern,
     induced_permutation,
+    induced_set,
 )
 from delcode.model import ball_index, set_bits
 
@@ -48,6 +49,20 @@ class TestWord:
 
     def test_empty_word(self):
         assert len(Word((), 4)) == 0
+
+
+class TestSymbolSet:
+    # a symbol set is its characteristic mask; induced_set converts symbols to it
+    def test_from_symbols_roundtrip(self):
+        mask = induced_set(Word((5, 0, 2), 6))
+        assert mask == 0b100101
+        assert set_bits(mask) == [0, 2, 5]
+        assert mask.bit_count() == 3
+        assert mask >> 2 & 1 and not mask >> 3 & 1
+
+    def test_duplicate_symbol_rejected(self):
+        with pytest.raises(ValueError):
+            induced_set(Word((1, 1), 4))
 
 
 class TestSetBits:
