@@ -23,7 +23,13 @@ from .multfree import (
     load_spec,
     save_spec,
 )
-from .permcode import greedy_sd_code, greedy_ud_code, verify_sd_property, verify_ud_property
+from .permcode import (
+    ball_collision,
+    greedy_sd_code,
+    greedy_ud_code,
+    verify_sd_property,
+    verify_ud_property,
+)
 from .vtcode import VTParams, best_class, is_codeword
 
 
@@ -112,6 +118,13 @@ def _cmd_verify(args) -> int:
     code, vt, t = spec.set_code, spec.set_code.vt, spec.t
     balls_disjoint = verify_sd_property if spec.mode == "stable" else verify_ud_property
     checks = {"perm_balls_disjoint": balls_disjoint(spec.perm_code)}
+    witnesses = {}
+    if not checks["perm_balls_disjoint"]:
+        first, second, key = ball_collision(spec.perm_code, spec.mode == "unstable")
+        witnesses["perm_balls_witness"] = {
+            "codewords": [list(first.images), list(second.images)],
+            "key": list(key),
+        }
     if vt is None:
         checks["pairwise_intersection_bound"] = code.balls_disjoint()
     # one pass over the members' masks: class membership, then every deletion
@@ -131,8 +144,10 @@ def _cmd_verify(args) -> int:
     if vt is not None:
         checks["class_membership"] = member
     checks["set_deletion_soundness"] = witness is None
+    if witness:
+        witnesses["set_deletion_witness"] = witness
     ok = all(checks.values())
-    _emit({"checks": checks, "ok": ok, **({"set_deletion_witness": witness} if witness else {})})
+    _emit({"checks": checks, "ok": ok, **witnesses})
     return 0 if ok else 1
 
 

@@ -6,14 +6,14 @@ at position s + 1, so that symbol 0 stays visible to every syndrome row.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Sequence
 
 from .errors import BoundViolated, NoSolution, WeightTooLow
 from .guards import CLASS_ENUM_CAP, check_enumerable
-from .model import set_bits
 from .modular import Modulus, locator_roots, power_sums_to_elementary
 
 
@@ -41,7 +41,8 @@ class VTParams:
         for r in self.a:
             if not 0 <= r < self.p.p:
                 raise ValueError(f"residue {r} outside [0, {self.p.p - 1}]")
-        check_enumerable(self.q * self.t, CLASS_ENUM_CAP, "set-decoder power table")
+        # at most 256 entries per byte of a mask, counted before _byte_tables builds them
+        check_enumerable(-(-self.q // 8) * 256, CLASS_ENUM_CAP, "set-decoder byte tables")
 
     def to_json_dict(self) -> dict:
         return {"q": self.q, "n": self.n, "t": self.t, "p": self.p.p, "a": list(self.a)}
@@ -139,6 +140,13 @@ def class_size(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> int:
     return int.from_bytes(table[field : field + step], "little")
 
 
+def _tail_depth(q: int, n: int, size: int) -> int:
+    """How many last ones the class walk places by one lookup: the largest k
+    of 1, 2, 3 (k <= n) whose C(q, k) combinations, the lookup table, are no
+    more than the n * size steps of the walk they replace."""
+    return max(k for k in (1, 2, 3) if k == 1 or k <= n and math.comb(q, k) <= n * size)
+
+
 def enumerate_class(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> list[int]:
     """Masks of all weight-n words of length q with syndrome a, bit i - 1 for
     position i, in encode order: lexicographic in the sorted positions.
@@ -147,7 +155,10 @@ def enumerate_class(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> lis
     only if the suffix-count table has a nonzero count for what it still has to
     place, so it visits class members only.  Each branch carries its mask;
     pushing later positions first pops earlier ones first, so no sort is
-    needed.  The last one is looked up by its residue vector.
+    needed.  The last k ones (_tail_depth) are looked up by their summed
+    residue vector: per key, the k-combinations' first positions and OR-ed
+    bits in combinations order, so the ones after the branch's last position
+    are one slice of that key's lists, already in encode order.
     """
     size = class_size(q, n, t, p, a)
     check_enumerable(size, CLASS_ENUM_CAP, "class materialization")
@@ -157,9 +168,13 @@ def enumerate_class(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> lis
         return [0]
     m = p.p
     vectors = [None] + [tuple(pow(i, k, m) for k in range(1, t + 1)) for i in range(1, q + 1)]
-    last_one: dict[tuple[int, ...], list[int]] = {}
-    for i in range(1, q + 1):
-        last_one.setdefault(vectors[i], []).append(i)
+    depth = _tail_depth(q, n, size)
+    tails: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+    for combo in combinations(range(1, q + 1), depth):
+        key = tuple(sum(column) % m for column in zip(*map(vectors.__getitem__, combo)))
+        firsts, bits = tails.setdefault(key, ([], []))
+        firsts.append(combo[0])
+        bits.append(sum(1 << (i - 1) for i in combo))
     table, width = _census(q, n, t, p)
     step, stride = width // 8, m**t
     zero = bytes(step)
@@ -167,10 +182,9 @@ def enumerate_class(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> lis
     stack = [(0, 0, n, tuple(a))]  # (mask, last position, ones left, residue left)
     while stack:
         mask, pos, w, need = stack.pop()
-        if w == 1:
-            for j in last_one.get(need, ()):
-                if j > pos:
-                    masks.append(mask | 1 << (j - 1))
+        if w == depth:
+            firsts, bits = tails[need]  # the table counted at least one tail after pos
+            masks.extend(map(mask.__or__, bits[bisect_right(firsts, pos) :]))
             continue
         for j in range(q - w + 1, pos, -1):
             rest = tuple((x - y) % m for x, y in zip(need, vectors[j]))
@@ -198,9 +212,23 @@ def best_class(q: int, n: int, t: int, p: Modulus) -> tuple[tuple[int, ...], int
 
 
 @lru_cache(maxsize=None)
-def _power_rows(q: int, t: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """Row k - 1 holds (s + 1)^k mod p for every symbol s."""
-    return tuple(tuple(pow(i, k, p) for i in range(1, q + 1)) for k in range(1, t + 1))
+def _byte_tables(q: int, t: int, p: int) -> tuple[tuple[list[int], ...], int]:
+    """Syndrome sums by mask byte, and their field width in bits.  Entry v of
+    table b packs, in field k - 1, the sum of i^k mod p over the positions
+    i = 8b + j + 1 of the set bits j of v.  A field sums at most q values below
+    p, so a width holding q (p - 1) never carries.  The last table stops at
+    bit q - 1, the highest a mask may set.  The tables are shared lists that
+    callers only read: `list.__getitem__` maps about twice as fast as a
+    tuple's."""
+    width = (q * (p - 1)).bit_length()
+    tables = []
+    for base in range(0, q, 8):
+        table = [0]
+        for i in range(base + 1, min(base + 8, q) + 1):
+            one = sum(pow(i, k, p) << (k - 1) * width for k in range(1, t + 1))
+            table += [entry + one for entry in table]  # entries with bit i - 1 - base set
+        tables.append(table)
+    return tuple(tables), width
 
 
 def _deficits(mask: int, params: VTParams) -> list[int]:
@@ -210,9 +238,10 @@ def _deficits(mask: int, params: VTParams) -> list[int]:
     q, p = params.q, params.p.p
     if mask < 0 or mask >> q:
         raise ValueError(f"bitmask has bits outside the block length {q}")
-    ones = set_bits(mask)
-    rows = _power_rows(q, params.t, p)
-    return [(a - sum(map(r.__getitem__, ones))) % p for a, r in zip(params.a, rows)]
+    tables, width = _byte_tables(q, params.t, p)
+    sums = sum(map(list.__getitem__, tables, mask.to_bytes(len(tables), "little")))
+    field = (1 << width) - 1
+    return [(a - (sums >> k * width & field)) % p for k, a in enumerate(params.a)]
 
 
 def is_codeword(mask: int, params: VTParams) -> bool:
@@ -249,15 +278,18 @@ def set_decode(mask: int, params: VTParams) -> int:
     elif e == 2:
         s1, s2, half = deficits[0], deficits[1], (p + 1) // 2  # half is 1/2 mod p
         r = _square_roots(p).get((2 * s2 - s1 * s1) % p)
-        found = () if r is None else {(s1 + r) * half % p, (s1 - r) * half % p}
+        found = () if r is None else ((s1 + r) * half % p, (s1 - r) * half % p)
     else:
         zeros = [i for i in range(1, q + 1) if not mask >> (i - 1) & 1]
         found = locator_roots(power_sums_to_elementary(deficits[:e], params.p), zeros, params.p)
-    roots = [i for i in found if 0 < i <= q and not mask >> (i - 1) & 1]
-    if len(roots) != e:
-        raise NoSolution(f"locator polynomial has {len(roots)} roots among zeros, expected {e}")
+    lost = 0
+    for i in found:
+        lost |= 1 << i >> 1  # bit i - 1, and none for i = 0
+    lost &= ~mask & (1 << q) - 1  # distinct roots among the block's clear bits
+    roots = lost.bit_count()
+    if roots != e:
+        raise NoSolution(f"locator polynomial has {roots} roots among zeros, expected {e}")
     # e distinct roots of the locator have the first e deficits as power sums
-    rows = _power_rows(q, t, p)
-    if any(sum(rows[k][i - 1] for i in roots) % p != deficits[k] for k in range(e, t)):
+    if e < t and any(_deficits(mask | lost, params)[e:]):
         raise NoSolution("repaired word fails the full syndrome check")
-    return mask | sum(1 << (i - 1) for i in roots)
+    return mask | lost

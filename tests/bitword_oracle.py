@@ -7,12 +7,11 @@ computed over the whole word.  The tests hold the mask path to it, in result
 and in error.
 """
 
-from itertools import compress
 from typing import Sequence
 
 from delcode.errors import NoSolution, WeightTooLow
 from delcode.modular import Modulus, locator_roots, power_sums_to_elementary
-from delcode.vtcode import VTParams, _power_rows
+from delcode.vtcode import VTParams
 
 BitWord = tuple[int, ...]
 
@@ -21,8 +20,9 @@ def vt_syndrome(x: Sequence[int], t: int, p: Modulus) -> tuple[int, ...]:
     """Residue k is sum_i i^k x_i mod p, with 1-based positions."""
     if len(x) >= p.p:
         raise ValueError(f"modulus {p.p} must exceed the word length {len(x)}")
-    rows = _power_rows(len(x), t, p.p)
-    return tuple(sum(compress(row, x)) % p.p for row in rows)
+    # powers computed here, not read from the decoder's tables
+    ones = [i for i, bit in enumerate(x, start=1) if bit]
+    return tuple(sum(pow(i, k, p.p) for i in ones) % p.p for k in range(1, t + 1))
 
 
 def is_codeword(x: Sequence[int], params: VTParams) -> bool:

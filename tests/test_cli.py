@@ -276,10 +276,10 @@ class TestVerify:
         assert summary["code_size"] == summary["set_code_size"] * summary["perm_code_size"]
 
     def test_construct_builds_no_decoder_table(self, tmp_path):
-        vtcode._power_rows.cache_clear()
+        vtcode._byte_tables.cache_clear()
         vtcode._square_roots.cache_clear()
         assert cli.main(["construct", *SPEC_ARGS, "--out", str(tmp_path / "s.json")]) == 0
-        assert vtcode._power_rows.cache_info().currsize == 0
+        assert vtcode._byte_tables.cache_info().currsize == 0
         assert vtcode._square_roots.cache_info().currsize == 0
 
 
@@ -478,6 +478,31 @@ class TestErrors:
         )
         assert result.returncode == 2, result.stderr
         assert json.loads(result.stdout)["error"] == "ScaleGuardExceeded"
+
+    def test_alphabet_above_the_byte_table_cap_refused(self, tmp_path):
+        # ceil(q / 8) tables of 256 entries: 39,063 * 256 = 10,000,128 > 10^7 at
+        # q = 312,497, refused on load; q = 312,496 is the largest alphabet that passes
+        q, n = 312_497, 5
+        p = next_prime_above(q).p
+        spec = {
+            "q": q,
+            "n": n,
+            "t": 1,
+            "mode": "stable",
+            "set_code": {"q": q, "n": n, "t": 1, "p": p, "a": [0]},
+            "perm_code": {"n": n, "t": 1, "codewords": [[1, 2, 3, 4, 5]], "order": "lex"},
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(spec))
+        result = run_cli(
+            "decode", "--spec", str(path), "--word", "[0,1,2,3,4]",
+            timeout=20, preexec_fn=_cap_address_space,
+        )
+        assert result.returncode == 2, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["error"] == "ScaleGuardExceeded"
+        assert "set-decoder byte tables would visit 10000128 items" in payload["message"]
+        vtcode.VTParams(q - 1, n, 1, next_prime_above(q - 1), (0,))  # no table is built
 
     def test_decode_refuses_perm_length_above_255(self, tmp_path):
         # the stable ball index holds values as bytes, as verify's does

@@ -353,6 +353,10 @@ SET_ORDER_SHA256 = {
     (26, 6, 2): "2754821ef460fa4089ef296c38a4df280ddc0f114a2f81e9882bff17fd769992",
     (24, 7, 2): "e21cc5b99f4f373f9ee02cfd31a705caf5ec6562fcd50f6d339d774d8beac096",
     (20, 7, 1): "850b73612a2d7945b15f2bfa17201fc2ba79d0920185fba73aec32ac6887196c",
+    # taken from the walk that looked up the last one only
+    (12, 5, 2): "9c776e79003455fc8bac6e9b8199b577f5766b026fe0c0b3059e3ee83bbd7ecf",
+    (30, 7, 2): "d543e15105c9617667f716b809c9b11e70e44edcfb61103d7316b877484aecd4",
+    (40, 6, 1): "ae3f29a7ce001e046ee73f2006fd4b477d5c9730a9ca128b57415a91587fe9cd",
 }
 
 

@@ -306,6 +306,30 @@ class TestLookupMatchesScan:
         assert cli.main(["verify", "--spec", str(tmp_path / "corrupt.json")]) == 1
         assert json.loads(capsys.readouterr().out)["checks"]["perm_balls_disjoint"] is False
 
+    @pytest.mark.parametrize("mode", ["stable", "unstable"])
+    def test_verify_names_the_colliding_pair(self, mode, tmp_path, capsys):
+        # the Ulam-distance-1 book above: verify prints both codewords and a key
+        # that lies in both balls, found by the book's own deletion oracle
+        a, b = Permutation((1, 2, 3, 4, 5)), Permutation((2, 1, 3, 4, 5))
+        sets = SetCode(6, 5, 1, sets=(0b11111,))
+        path = tmp_path / f"corrupt-{mode}.json"
+        save_spec(MultFreeCodeSpec(6, 5, 1, mode, sets, PermCodeBook(5, 1, (a, b))), path)
+        assert cli.main(["verify", "--spec", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["checks"]["perm_balls_disjoint"] is False
+        witness = payload["perm_balls_witness"]
+        assert witness["codewords"] == [list(a.images), list(b.images)]
+        key = tuple(witness["key"])
+        assert len(key) >= 5 - 1
+        positions = [pos for e in (0, 1) for pos in itertools.combinations(range(1, 6), e)]
+        patterns = [DeletionPattern(pos, 5) for pos in positions]
+        for sigma in (a, b):
+            if mode == "stable":
+                ball = {apply_stable_deletions(sigma, pat).symbols for pat in patterns}
+            else:
+                ball = {apply_unstable_deletions(sigma, pat).images for pat in patterns}
+            assert key in ball
+
     @pytest.mark.parametrize("t", [0, 1])
     def test_repeated_codeword(self, t):
         sigma = Permutation((2, 4, 1, 3))

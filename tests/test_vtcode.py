@@ -272,18 +272,25 @@ def walk_with_counted_reads(q, n, t, p, label):
     return masks, counting.nonzero
 
 
-def member_prefixes(masks, n):
-    """Distinct first-k-positions prefixes of the members, 1 <= k < n."""
+def lookup_depth(q, n, size):
+    """How many last ones the walk looks up: the largest k of 1, 2, 3 (k <= n)
+    with C(q, k) <= n * size."""
+    return max(k for k in (1, 2, 3) if k == 1 or k <= n and math.comb(q, k) <= n * size)
+
+
+def member_prefixes(masks, longest):
+    """Distinct first-k-positions prefixes of the members, 1 <= k <= longest."""
     prefixes = set()
     for mask in masks:
         positions = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-        prefixes.update(positions[:k] for k in range(1, n))
+        prefixes.update(positions[:k] for k in range(1, longest + 1))
     return prefixes
 
 
 class TestWalkPruning:
-    """The walk enters a branch only for a prefix of some member.  Each entered
-    branch is one nonzero read; one more is class_size's guard."""
+    """The walk enters a branch only for a prefix of some member, down to the
+    last k ones, which it looks up.  Each entered branch is one nonzero read;
+    one more is class_size's guard."""
 
     @pytest.mark.parametrize("q, n, t", [(26, 6, 2), (20, 7, 1)])
     def test_enters_member_prefixes_only(self, q, n, t):
@@ -291,7 +298,8 @@ class TestWalkPruning:
         label, size = best_class(q, n, t, p)
         masks, reads = walk_with_counted_reads(q, n, t, p, label)
         assert len(masks) == size
-        assert reads == 1 + len(member_prefixes(masks, n))
+        assert reads == 1 + len(member_prefixes(masks, n - lookup_depth(q, n, size)))
+        assert reads == {(26, 6, 2): 616, (20, 7, 1): 1261}[q, n, t]
 
     @given(st.data())
     def test_enters_member_prefixes_only_anywhere(self, data):
@@ -303,7 +311,26 @@ class TestWalkPruning:
         label = data.draw(st.sampled_from(sorted(oracle)))
         masks, reads = walk_with_counted_reads(q, n, t, p, label)
         assert masks == oracle[label]
-        assert reads == 1 + len(member_prefixes(oracle[label], n))
+        depth = lookup_depth(q, n, len(masks))
+        assert reads == 1 + len(member_prefixes(oracle[label], n - depth))
+
+    @pytest.mark.parametrize(
+        "q, n, t, depth",
+        [(12, 5, 2, 1), (64, 4, 1, 2), (26, 6, 2, 2), (20, 7, 1, 3),
+         (24, 7, 2, 3), (30, 7, 2, 3), (40, 6, 1, 3)],
+    )
+    def test_lookup_depth_rule(self, q, n, t, depth):
+        # every depth gives the same walk; the encode-order pins of these
+        # points are in test_multfree's SET_ORDER_SHA256
+        p = next_prime_above(q)
+        label, size = best_class(q, n, t, p)
+        assert vtcode._tail_depth(q, n, size) == lookup_depth(q, n, size) == depth
+        masks = enumerate_class(q, n, t, p, label)
+        if q <= 26:  # the oracle walks all C(q, n) subsets
+            assert masks == oracle_census(q, n, t, p)[label]
+        for forced in range(1, min(n, 3) + 1):
+            with mock.patch.object(vtcode, "_tail_depth", lambda *args: forced):
+                assert enumerate_class(q, n, t, p, label) == masks
 
 
 def list_shift(row, i, t, p):
@@ -626,6 +653,25 @@ class TestDecodeMask:
                 for mask in range(1 << q):
                     agree(mask, params)
 
+    @pytest.mark.parametrize("q", [9, 16, 17])
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_masks_across_byte_boundaries(self, q, t):
+        # members with ones on both sides of bits 7 | 8 and with bit q - 1 set,
+        # and every mask under them, at the members' own label and a wrong one
+        p = next_prime_above(q)
+        spread = sorted({0, 6, 7, 8, 9, 15, q - 1} & set(range(q)))
+        for size in range(2, len(spread) + 1):
+            for chosen in itertools.combinations(spread, size):
+                mask = sum(1 << b for b in chosen)
+                if not (mask & 0xFF and mask >> 8 and mask >> (q - 1)):
+                    continue
+                label = vt_syndrome(subset_to_bitword(mask, q), t, p)
+                for shift in (0, 1):
+                    params = VTParams(q, size, t, p, tuple((r + shift) % p.p for r in label))
+                    for kept in range(size + 1):
+                        for bits in itertools.combinations(chosen, kept):
+                            agree(sum(1 << b for b in bits), params)
+
     @given(st.data())
     def test_arbitrary_masks(self, data):
         q, n, t = data.draw(st.sampled_from([(10, 5, 2), (9, 4, 1), (12, 5, 3), (13, 6, 2)]))
@@ -651,5 +697,7 @@ class TestDecodeMask:
     def test_huge_alphabet_refused_before_any_table(self):
         # q = 2^89 - 2 sits below the Mersenne prime 2^89 - 1; nothing of size q is built
         q = 2**89 - 2
+        vtcode._byte_tables.cache_clear()
         with pytest.raises(ScaleGuardExceeded):
             VTParams(q, 5, 1, Modulus(q + 1), (0,))
+        assert vtcode._byte_tables.cache_info().currsize == 0
