@@ -41,8 +41,9 @@ class VTParams:
         for r in self.a:
             if not 0 <= r < self.p.p:
                 raise ValueError(f"residue {r} outside [0, {self.p.p - 1}]")
-        # at most 256 entries per byte of a mask, counted before _byte_tables builds them
-        check_enumerable(-(-self.q // 8) * 256, CLASS_ENUM_CAP, "set-decoder byte tables")
+        # 256 entries of t fields per mask byte, counted before _byte_tables builds them
+        fields = -(-self.q // 8) * 256 * self.t
+        check_enumerable(fields, CLASS_ENUM_CAP, "set-decoder byte-table fields")
 
     def to_json_dict(self) -> dict:
         return {"q": self.q, "n": self.n, "t": self.t, "p": self.p.p, "a": list(self.a)}
@@ -211,7 +212,7 @@ def best_class(q: int, n: int, t: int, p: Modulus) -> tuple[tuple[int, ...], int
     return label, size
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)  # a channel holds two specs; at the cap the tables hold hundreds of MB
 def _byte_tables(q: int, t: int, p: int) -> tuple[tuple[list[int], ...], int]:
     """Syndrome sums by mask byte, and their field width in bits.  Entry v of
     table b packs, in field k - 1, the sum of i^k mod p over the positions

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from delcode import NoSolution, analysis, cli, multfree, next_prime_above, vtcode
+from delcode import NoSolution, ScaleGuardExceeded, analysis, cli, multfree, next_prime_above, vtcode
 from delcode.model import set_bits
 
 SPEC_ARGS = ["--q", "8", "--n", "4", "--t", "1"]
@@ -480,8 +480,8 @@ class TestErrors:
         assert json.loads(result.stdout)["error"] == "ScaleGuardExceeded"
 
     def test_alphabet_above_the_byte_table_cap_refused(self, tmp_path):
-        # ceil(q / 8) tables of 256 entries: 39,063 * 256 = 10,000,128 > 10^7 at
-        # q = 312,497, refused on load; q = 312,496 is the largest alphabet that passes
+        # ceil(q / 8) tables of 256 entries of t fields: 39,063 * 256 = 10,000,128 > 10^7
+        # at q = 312,497 and t = 1, refused on load; q = 312,496 is the largest that passes
         q, n = 312_497, 5
         p = next_prime_above(q).p
         spec = {
@@ -501,8 +501,36 @@ class TestErrors:
         assert result.returncode == 2, result.stderr
         payload = json.loads(result.stdout)
         assert payload["error"] == "ScaleGuardExceeded"
-        assert "set-decoder byte tables would visit 10000128 items" in payload["message"]
+        assert "set-decoder byte-table fields would visit 10000128 items" in payload["message"]
         vtcode.VTParams(q - 1, n, 1, next_prime_above(q - 1), (0,))  # no table is built
+
+    def test_budget_scales_the_byte_table_cap(self, tmp_path):
+        # every entry packs t fields, so a large t is refused on load at a moderate q:
+        # 5,000 * 256 * 300 fields here, about 1.5 GB of tables had they been built
+        q, n, t = 40_000, 300, 300
+        p = next_prime_above(q).p
+        spec = {
+            "q": q,
+            "n": n,
+            "t": t,
+            "mode": "stable",
+            "set_code": {"q": q, "n": n, "t": t, "p": p, "a": [0] * t},
+            "perm_code": {"n": n, "t": t, "codewords": [list(range(1, n + 1))], "order": "lex"},
+        }
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(spec))
+        result = run_cli(
+            "decode", "--spec", str(path), "--word", json.dumps(list(range(n))),
+            timeout=20, preexec_fn=_cap_address_space,
+        )
+        assert result.returncode == 2, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["error"] == "ScaleGuardExceeded"
+        assert "set-decoder byte-table fields would visit 384000000 items" in payload["message"]
+        # at t = 2 the largest alphabet halves: 19,531 * 256 * 2 = 9,999,872 fields
+        vtcode.VTParams(156_248, 5, 2, next_prime_above(156_248), (0, 0))
+        with pytest.raises(ScaleGuardExceeded, match="10000384 items"):
+            vtcode.VTParams(156_249, 5, 2, next_prime_above(156_249), (0, 0))
 
     def test_decode_refuses_perm_length_above_255(self, tmp_path):
         # the stable ball index holds values as bytes, as verify's does

@@ -534,6 +534,17 @@ class TestScaleGuard:
         class_sizes(*points[0])
         assert vtcode._suffix_counts.cache_info().misses == misses + 1
 
+    def test_byte_table_cache_evicts_the_oldest(self):
+        # the decoder's tables are bounded like the census: a third (q, t, p) evicts the first
+        assert vtcode._byte_tables.cache_info().maxsize == 2
+        vtcode._byte_tables.cache_clear()
+        for q in (10, 11, 12):
+            is_codeword(0, VTParams(q, 3, 1, next_prime_above(q), (0,)))
+        assert vtcode._byte_tables.cache_info().currsize == 2
+        misses = vtcode._byte_tables.cache_info().misses
+        is_codeword(0, VTParams(10, 3, 1, next_prime_above(10), (0,)))
+        assert vtcode._byte_tables.cache_info().misses == misses + 1
+
     def test_env_override_raises_cap(self, monkeypatch):
         monkeypatch.setenv("DELCODE_SCALE_GUARD", str(10**9))
         got = enumerate_class(5, 2, 2, Modulus(7), (6, 6))
