@@ -6,11 +6,10 @@ All logarithms are base 2, so every number below is in bits.
 
 import math
 import random
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import BoundViolated, DecodeError
-from .model import delete_positions, draw_deletion_pattern
+from .model import Record, delete_positions, draw_deletion_pattern
 from .multfree import MultFreeCodeSpec, code_size, decode, encode_index
 
 _LOG_AGREEMENT = 1e-10  # direct vs log-space evaluation must match this closely
@@ -62,34 +61,46 @@ def redundancy_bound(q: int, n: int, t: int) -> float:
     return t * math.log2(q) + (3 * t - 1) * math.log2(n) + (4 * t - 1)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Bit-level accounting for one (q, n, t) point, optionally against a
     materialized code size.  delta is a display-only knob for the asymptotic
     annotation and is never folded into the bound."""
 
-    q: int
-    n: int
-    t: int
-    size_lower_bound: float
-    log2_size_lower_bound: float
-    redundancy_bound: float
-    singleton_log_size: float
-    log2_multfree_count: float  # exact finite-n value sum_i log2(q - i)
-    alpha: float  # log(q) / log(n)
-    code_size: float | None = None
-    log2_code_size: float | None = None
-    redundancy_actual: float | None = None
-    eta: float | None = None  # Singleton gap n - t - log2|C|/log2(q)
-    alpha_threshold: float | None = None  # (3t-1)/eta; alpha above it closes the gap
-    alpha_exceeds_threshold: bool | None = None
-    delta: float | None = None
-    delta_adjusted_bound: float | None = None  # 4t-1 term replaced by delta*t
+    __slots__ = (
+        "q", "n", "t", "size_lower_bound", "log2_size_lower_bound", "redundancy_bound",
+        "singleton_log_size", "log2_multfree_count", "alpha", "code_size", "log2_code_size",
+        "redundancy_actual", "eta", "alpha_threshold", "alpha_exceeds_threshold", "delta",
+        "delta_adjusted_bound",
+    )
+
+    def __init__(
+        self,
+        q: int,
+        n: int,
+        t: int,
+        size_lower_bound: float,
+        log2_size_lower_bound: float,
+        redundancy_bound: float,
+        singleton_log_size: float,
+        log2_multfree_count: float,  # exact finite-n value sum_i log2(q - i)
+        alpha: float,  # log(q) / log(n)
+        code_size: float | None = None,
+        log2_code_size: float | None = None,
+        redundancy_actual: float | None = None,
+        eta: float | None = None,  # Singleton gap n - t - log2|C|/log2(q)
+        alpha_threshold: float | None = None,  # (3t-1)/eta; alpha above it closes the gap
+        alpha_exceeds_threshold: bool | None = None,
+        delta: float | None = None,
+        delta_adjusted_bound: float | None = None,  # 4t-1 term replaced by delta*t
+    ):
+        values = locals()
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
 
     def to_json_dict(self) -> dict:
         """The fields, each non-finite float (which JSON cannot hold) as None."""
-        fields = asdict(self).items()
-        return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in fields}
+        values = ((name, getattr(self, name)) for name in self.__slots__)
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in values}
 
 
 def singleton_report(
@@ -144,16 +155,18 @@ def singleton_report(
     return BoundReport(**report)
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(Record):
     """Tally of one Monte-Carlo channel run, broken down by deletion count."""
 
-    trials: int
-    t_max: int
-    seed: int
-    successes: int
-    failures: int
-    by_weight: dict
+    __slots__ = ("trials", "t_max", "seed", "successes", "failures", "by_weight")
+
+    def __init__(self, trials: int, t_max: int, seed: int, successes: int, failures: int, by_weight: dict):
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "t_max", t_max)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "successes", successes)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "by_weight", by_weight)
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,7 +10,6 @@ import json
 import sys
 from itertools import islice
 
-from .analysis import simulate, singleton_report
 from .errors import DecodeError, DelcodeError
 from .model import Word, set_bits
 from .modular import next_prime_above
@@ -98,6 +97,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .analysis import simulate  # here, as in _cmd_bounds, so no other command loads it
+
     spec = load_spec(args.spec)
     report = simulate(spec, args.trials, args.tmax, args.seed)
     _emit(report.to_json_dict())
@@ -108,6 +109,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .analysis import singleton_report
+
     report = singleton_report(args.q, args.n, args.t, code_size=args.size, delta=args.delta)
     _emit(report.to_json_dict())
     return 0

@@ -6,29 +6,66 @@ Positions are 1-based throughout the public API and in every file format.
 """
 
 import random
-from dataclasses import dataclass
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class Word:
+class Record:
+    """Base of the immutable record types.  A record names its fields in
+    `__slots__`, in constructor order, and its `__init__` sets them with
+    `object.__setattr__`; equality, hashing, repr and pickling follow the
+    fields, and assigning or deleting an attribute raises AttributeError.
+    A `"__dict__"` slot only makes room for cached properties."""
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls):
+        fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        key = attrgetter(*fields)  # one field's value, or a tuple of several
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        def __repr__(self):
+            values = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+            return f"{type(self).__qualname__}({values})"
+
+        def __reduce__(self):
+            return type(self), tuple(getattr(self, name) for name in fields)
+
+        cls.__eq__, cls.__hash__, cls.__repr__, cls.__reduce__ = __eq__, __hash__, __repr__, __reduce__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Word(Record):
     """A q-ary sequence; the multiplicity_free flag asserts pairwise-distinct symbols."""
 
-    symbols: tuple[int, ...]
-    alphabet_size: int
-    multiplicity_free: bool = False
+    __slots__ = ("symbols", "alphabet_size", "multiplicity_free")
 
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if self.alphabet_size < 0:
+    def __init__(self, symbols: tuple[int, ...], alphabet_size: int, multiplicity_free: bool = False):
+        symbols = tuple(symbols)
+        if alphabet_size < 0:
             raise ValueError("alphabet size must be nonnegative")
-        for s in self.symbols:
-            if not 0 <= s < self.alphabet_size:
-                raise ValueError(f"symbol {s} outside [0, {self.alphabet_size - 1}]")
-        if self.multiplicity_free:
-            if len(set(self.symbols)) != len(self.symbols):
+        for s in symbols:
+            if not 0 <= s < alphabet_size:
+                raise ValueError(f"symbol {s} outside [0, {alphabet_size - 1}]")
+        if multiplicity_free:
+            if len(set(symbols)) != len(symbols):
                 raise ValueError("duplicate symbol in a multiplicity-free word")
-            if len(self.symbols) > self.alphabet_size:
+            if len(symbols) > alphabet_size:
                 raise ValueError("multiplicity-free word longer than its alphabet")
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "alphabet_size", alphabet_size)
+        object.__setattr__(self, "multiplicity_free", multiplicity_free)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -54,16 +91,16 @@ def ball_index(members, ball_keys) -> dict:
     return index
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A bijection on [n], written as the sequence of its images."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+    def __init__(self, images: tuple[int, ...]):
+        images = tuple(images)
+        if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError("images are not a rearrangement of 1..n")
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -73,20 +110,20 @@ class Permutation:
         return len(self.images)
 
 
-@dataclass(frozen=True)
-class DeletionPattern:
+class DeletionPattern(Record):
     """Sorted 1-based deletion positions inside a length-n word."""
 
-    positions: tuple[int, ...]
-    original_length: int
+    __slots__ = ("positions", "original_length")
 
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(sorted(self.positions)))
-        if len(set(self.positions)) != len(self.positions):
+    def __init__(self, positions: tuple[int, ...], original_length: int):
+        positions = tuple(sorted(positions))
+        if len(set(positions)) != len(positions):
             raise ValueError("duplicate deletion position")
-        for pos in self.positions:
-            if not 1 <= pos <= self.original_length:
-                raise ValueError(f"position {pos} outside [1, {self.original_length}]")
+        for pos in positions:
+            if not 1 <= pos <= original_length:
+                raise ValueError(f"position {pos} outside [1, {original_length}]")
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "original_length", original_length)
 
     @property
     def size(self) -> int:

@@ -1,10 +1,10 @@
 """Prime moduli and the power-sum machinery that turns syndrome deficits into
 error locations."""
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import BoundViolated
+from .model import Record
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -33,15 +33,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(Record):
     """A prime modulus, verified at construction."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
 
 
 def next_prime_above(q: int) -> Modulus:

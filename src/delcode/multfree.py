@@ -9,10 +9,9 @@ two component decoders can be run one after the other and the word reassembled.
 """
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import cached_property
-from itertools import combinations
-from typing import Iterator
+from itertools import chain, combinations
 
 from .errors import (
     Ambiguous,
@@ -25,7 +24,7 @@ from .errors import (
     SymbolNotInSet,
     WeightTooLow,
 )
-from .model import Permutation, Word, ball_index, set_bits
+from .model import Permutation, Record, Word, ball_index, set_bits
 from .permcode import PermCodeBook, sd_decode, ud_decode
 from .vtcode import VTParams, class_size, enumerate_class, set_decode
 
@@ -80,34 +79,35 @@ def deletion_masks(mask: int, t: int) -> Iterator[int]:
         yield from map(sum, combinations(bits, e))
 
 
-@dataclass(frozen=True)
-class SetCode:
+class SetCode(Record):
     """A deletion-correcting family of n-subsets, held as bitmasks: either one
     syndrome class (decoded algebraically) or an explicit list, checked at
     construction and decoded through one index of its members' deletion balls."""
 
-    q: int
-    n: int
-    t: int
-    vt: VTParams | None = None
-    sets: tuple[int, ...] | None = None
+    __slots__ = ("q", "n", "t", "vt", "sets", "__dict__")
 
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"deletion budget t={self.t} is negative")
-        if (self.vt is None) == (self.sets is None):
+    def __init__(
+        self, q: int, n: int, t: int, vt: VTParams | None = None, sets: tuple[int, ...] | None = None
+    ):
+        if t < 0:
+            raise ValueError(f"deletion budget t={t} is negative")
+        if (vt is None) == (sets is None):
             raise ValueError("exactly one of vt params or an explicit set list is required")
-        if self.vt is not None:
-            if (self.vt.q, self.vt.n, self.vt.t) != (self.q, self.n, self.t):
-                raise ValueError("vt params disagree with the set code's (q, n, t)")
-            return
-        object.__setattr__(self, "sets", tuple(self.sets))
-        if not self.sets:
-            raise ValueError("explicit set code must be nonempty")
-        for m in self.sets:
-            if m < 0 or m >> self.q or m.bit_count() != self.n:
-                raise ValueError("explicit set with the wrong alphabet or cardinality")
-        if not self.balls_disjoint():
+        if vt is not None and (vt.q, vt.n, vt.t) != (q, n, t):
+            raise ValueError("vt params disagree with the set code's (q, n, t)")
+        if sets is not None:
+            sets = tuple(sets)
+            if not sets:
+                raise ValueError("explicit set code must be nonempty")
+            for m in sets:
+                if m < 0 or m >> q or m.bit_count() != n:
+                    raise ValueError("explicit set with the wrong alphabet or cardinality")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "vt", vt)
+        object.__setattr__(self, "sets", sets)
+        if sets is not None and not self.balls_disjoint():
             raise ValueError("explicit sets too close to correct t deletions")
 
     @classmethod
@@ -168,28 +168,36 @@ class SetCode:
         return cls.from_vt(VTParams.from_json_dict(data))
 
 
-@dataclass(frozen=True)
-class MultFreeCodeSpec:
+class MultFreeCodeSpec(Record):
     """A composed multiplicity-free code: set code times permutation code."""
 
-    q: int
-    n: int
-    t: int
-    mode: str  # "stable" or "unstable"
-    set_code: SetCode
-    perm_code: PermCodeBook
+    __slots__ = ("q", "n", "t", "mode", "set_code", "perm_code")
 
-    def __post_init__(self):
-        if self.mode not in ("stable", "unstable"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.q < self.n:
-            raise ValueError(f"alphabet size q={self.q} below code length n={self.n}")
-        if (self.set_code.q, self.set_code.n, self.set_code.t) != (self.q, self.n, self.t):
+    def __init__(
+        self,
+        q: int,
+        n: int,
+        t: int,
+        mode: str,  # "stable" or "unstable"
+        set_code: SetCode,
+        perm_code: PermCodeBook,
+    ):
+        if mode not in ("stable", "unstable"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if q < n:
+            raise ValueError(f"alphabet size q={q} below code length n={n}")
+        if (set_code.q, set_code.n, set_code.t) != (q, n, t):
             raise ValueError("set code disagrees with the spec's (q, n, t)")
-        if (self.perm_code.n, self.perm_code.t) != (self.n, self.t):
+        if (perm_code.n, perm_code.t) != (n, t):
             raise ValueError("permutation code disagrees with the spec's (n, t)")
-        if self.mode == "unstable" and self.t != 1:
+        if mode == "unstable" and t != 1:
             raise ValueError("unstable mode only corrects a single deletion (t = 1)")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "set_code", set_code)
+        object.__setattr__(self, "perm_code", perm_code)
 
     def to_json_dict(self) -> dict:
         return {
@@ -219,17 +227,19 @@ def save_spec(spec: MultFreeCodeSpec, path) -> None:
 
 
 def _holds_bool(data) -> bool:
-    """True iff parsed JSON holds true or false; a stack, so no nesting overflows it."""
-    stack = [data]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, list):
-            stack.extend(value)
-        elif isinstance(value, dict):
-            stack.extend(value.values())
-        elif isinstance(value, bool):
+    """True iff parsed JSON holds true or false.  A loop over depths, not
+    recursion, so no nesting overflows it: each depth's element types are read
+    in one pass, and only its lists and dicts are opened for the next."""
+    level = [data]
+    while True:
+        kinds = set(map(type, level))
+        if bool in kinds:
             return True
-    return False
+        if kinds.isdisjoint((list, dict)):
+            return False
+        if kinds != {list}:  # a depth of lists only, like the codewords, needs no filter
+            level = [v.values() if type(v) is dict else v for v in level if type(v) is list or type(v) is dict]
+        level = list(chain.from_iterable(level))
 
 
 def load_spec(path) -> MultFreeCodeSpec:
@@ -274,15 +284,24 @@ def encode_index(spec: MultFreeCodeSpec, index: int) -> Word:
     return psi(spec.set_code.masks[i_set], perms[i_perm], spec.q)
 
 
-@dataclass(frozen=True)
-class DecodeSteps:
+class DecodeSteps(Record):
     """Intermediate decoder state, kept for inspection and tests."""
 
-    recovered_set: int  # mask
-    tau: Word | None
-    reduced_perm: Permutation | None
-    sigma: Permutation
-    codeword: Word
+    __slots__ = ("recovered_set", "tau", "reduced_perm", "sigma", "codeword")
+
+    def __init__(
+        self,
+        recovered_set: int,  # mask
+        tau: Word | None,
+        reduced_perm: Permutation | None,
+        sigma: Permutation,
+        codeword: Word,
+    ):
+        object.__setattr__(self, "recovered_set", recovered_set)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "reduced_perm", reduced_perm)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "codeword", codeword)
 
 
 def decode_steps(spec: MultFreeCodeSpec, y: Word) -> DecodeSteps:

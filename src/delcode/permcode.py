@@ -5,34 +5,32 @@ deletions also rank-compress the survivors (codebooks only for t <= 1).  One key
 function serves the greedy scan, disjointness checks and balls of both."""
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 from itertools import combinations, permutations
-from typing import Callable, ClassVar, Iterable, Iterator
 
 from .errors import Ambiguous, NotFound
 from .guards import PERM_ENUM_CAP, check_enumerable
-from .model import DeletionPattern, Permutation, Word, apply_unstable_deletions, ball_index
+from .model import DeletionPattern, Permutation, Record, Word, apply_unstable_deletions, ball_index
 
 
-@dataclass(frozen=True)
-class PermCodeBook:
+class PermCodeBook(Record):
     """A permutation code with its deletion budget.  The codewords are held
     sorted by their images, the one order there is: spec files name it "lex"."""
 
-    n: int
-    t: int
-    codewords: tuple[Permutation, ...]
-    order: ClassVar[str] = "lex"
+    __slots__ = ("n", "t", "codewords", "__dict__")
+    order = "lex"
 
-    def __post_init__(self):
-        object.__setattr__(self, "codewords", tuple(sorted(self.codewords, key=lambda s: s.images)))
-        if not 0 <= self.t <= self.n:
-            raise ValueError(f"deletion budget t={self.t} outside [0, {self.n}]")
-        for sigma in self.codewords:
-            if len(sigma) != self.n:
-                raise ValueError(f"codeword of length {len(sigma)} in a length-{self.n} book")
+    def __init__(self, n: int, t: int, codewords: tuple[Permutation, ...]):
+        codewords = tuple(sorted(codewords, key=lambda s: s.images))
+        if not 0 <= t <= n:
+            raise ValueError(f"deletion budget t={t} outside [0, {n}]")
+        for sigma in codewords:
+            if len(sigma) != n:
+                raise ValueError(f"codeword of length {len(sigma)} in a length-{n} book")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "codewords", codewords)
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,9 +166,11 @@ def ud_decode(book: PermCodeBook, received: Permutation) -> Permutation:
     return hits[0]
 
 
-def reference_size_bound(n: int, t: int) -> Fraction:
+def reference_size_bound(n: int, t: int) -> "Fraction":
     """Literature size target n!/(2n)^(3t-1) for stable-deletion permutation codes,
     reported for comparison only; the greedy scan makes no promise against it."""
+    from fractions import Fraction  # imported here: the CLI never needs it
+
     if t < 1:
         raise ValueError("the reference bound applies to t >= 1")
     return Fraction(math.factorial(n), (2 * n) ** (3 * t - 1))

@@ -7,43 +7,43 @@ at position s + 1, so that symbol 0 stays visible to every syndrome row.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Sequence
 
 from .errors import BoundViolated, NoSolution, WeightTooLow
 from .guards import CLASS_ENUM_CAP, check_enumerable
+from .model import Record
 from .modular import Modulus, locator_roots, power_sums_to_elementary
 
 
-@dataclass(frozen=True)
-class VTParams:
+class VTParams(Record):
     """Parameters of one syndrome class: block length q, weight n, error budget t,
     prime modulus p and the class label a, t residues mod p."""
 
-    q: int
-    n: int
-    t: int
-    p: Modulus
-    a: tuple[int, ...]
+    __slots__ = ("q", "n", "t", "p", "a")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        if not 0 <= self.n <= self.q:
-            raise ValueError(f"need 0 <= n <= q, got n={self.n}, q={self.q}")
-        if not self.q < self.p.p <= 2 * self.q:
-            raise ValueError(f"need q < p <= 2q, got q={self.q}, p={self.p.p}")
-        if self.t < 1:
+    def __init__(self, q: int, n: int, t: int, p: Modulus, a: tuple[int, ...]):
+        a = tuple(a)
+        if not 0 <= n <= q:
+            raise ValueError(f"need 0 <= n <= q, got n={n}, q={q}")
+        if not q < p.p <= 2 * q:
+            raise ValueError(f"need q < p <= 2q, got q={q}, p={p.p}")
+        if t < 1:
             raise ValueError("error budget t must be at least 1")
-        if len(self.a) != self.t:
-            raise ValueError(f"syndrome vector has {len(self.a)} entries, expected t={self.t}")
-        for r in self.a:
-            if not 0 <= r < self.p.p:
-                raise ValueError(f"residue {r} outside [0, {self.p.p - 1}]")
+        if len(a) != t:
+            raise ValueError(f"syndrome vector has {len(a)} entries, expected t={t}")
+        for r in a:
+            if not 0 <= r < p.p:
+                raise ValueError(f"residue {r} outside [0, {p.p - 1}]")
         # 256 entries of t fields per mask byte, counted before _byte_tables builds them
-        fields = -(-self.q // 8) * 256 * self.t
+        fields = -(-q // 8) * 256 * t
         check_enumerable(fields, CLASS_ENUM_CAP, "set-decoder byte-table fields")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "a", a)
 
     def to_json_dict(self) -> dict:
         return {"q": self.q, "n": self.n, "t": self.t, "p": self.p.p, "a": list(self.a)}

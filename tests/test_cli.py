@@ -577,6 +577,9 @@ class TestErrors:
             pytest.param(Q12_SPEC.replace('"q": 12,', '"q": NaN,', 1), id="nan-q"),
             pytest.param(Q12_SPEC.replace('"a": [1, 3]', '"a": [0.5, 1]'), id="float-residue"),
             pytest.param(Q12_SPEC.replace("[[1, 2, 3, 4, 5]", "[[true, 2, 3, 4, 5]"), id="bool-image"),
+            pytest.param(Q12_SPEC.replace('}, "t": 2}', '}, "t": true}'), id="bool-t"),
+            # no field reads this key, so only the walk over the whole file sees the false
+            pytest.param(Q12_SPEC[:-1] + ', "notes": [[1, {"seen": [false]}]]}', id="bool-under-unknown-key"),
             # deeper than the parser's recursion limit
             pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
         ],
@@ -734,3 +737,69 @@ class TestPinnedOutputs:
             traces.append(f"{code} {capsys.readouterr().out}")
         assert hashlib.sha256(listing.encode()).hexdigest() == enumerate_digest
         assert hashlib.sha256("".join(traces).encode()).hexdigest() == decode_digest
+
+
+# every name `delcode/__init__.py` re-exported while it imported its submodules eagerly
+PACKAGE_NAMES = (
+    "Ambiguous BoundReport BoundViolated DecodeError DecodeSteps DelcodeError DeletionPattern "
+    "InputTooShort MalformedSpec Modulus MultFreeCodeSpec NoSolution NotFound PermCodeBook "
+    "PermDecodeFailed Permutation ScaleGuardExceeded SetCode SetDecodeFailed SimulationReport "
+    "SymbolNotInSet VTParams WeightTooLow Word apply_unstable_deletions best_class build_code "
+    "class_size class_sizes code_size decode decode_steps delete_positions draw_deletion_pattern "
+    "encode_index enumerate_class greedy_sd_code greedy_ud_code induced_permutation induced_set "
+    "is_codeword load_spec locator_roots next_prime_above power_sums_to_elementary psi "
+    "redundancy redundancy_bound reference_size_bound save_spec sd_decode set_decode simulate "
+    "singleton_report size_lower_bound symbol_ranks ud_decode verify_sd_property verify_ud_property"
+).split()
+# the submodules that were attributes of the package after a bare `import delcode`
+PACKAGE_SUBMODULES = ("analysis", "errors", "guards", "model", "modular", "multfree", "permcode", "vtcode")
+
+
+class TestImportFootprint:
+    """What a fresh interpreter loads: the CLI leaves the modules no command
+    needs unloaded, and the package still gives every name it re-exports."""
+
+    @staticmethod
+    def child(code, *args):
+        # -S: no site-packages hooks, so only the program's own imports show
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code, *args], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    def test_cli_skips_dataclasses_fractions_and_analysis(self):
+        loaded = self.child(
+            "import json, sys\n"
+            "import delcode.cli\n"
+            "unused = ('dataclasses', 'fractions', 'delcode.analysis')\n"
+            "print(json.dumps([m for m in unused if m in sys.modules]))"
+        )
+        assert loaded == []
+
+    def test_package_gives_every_name(self):
+        got = self.child(
+            "import inspect, json, sys\n"
+            "import delcode\n"
+            "names, submodules = json.loads(sys.argv[1]), json.loads(sys.argv[2])\n"
+            "star = {}\n"
+            "exec('from delcode import *', star)\n"
+            "print(json.dumps({\n"
+            "    'no_attribute': [n for n in names if not hasattr(delcode, n)],\n"
+            "    'not_starred': [n for n in names if star.get(n) is not getattr(delcode, n)],\n"
+            "    'not_listed': [n for n in names + submodules if n not in dir(delcode)],\n"
+            "    'not_modules': [m for m in submodules if not inspect.ismodule(getattr(delcode, m))],\n"
+            "    'unknown_refused': not hasattr(delcode, 'no_such_name'),\n"
+            "}))",
+            json.dumps(PACKAGE_NAMES),
+            json.dumps(PACKAGE_SUBMODULES),
+        )
+        assert got == {
+            "no_attribute": [],
+            "not_starred": [],
+            "not_listed": [],
+            "not_modules": [],
+            "unknown_refused": True,
+        }

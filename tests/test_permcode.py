@@ -1,5 +1,5 @@
-import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -214,8 +214,8 @@ class TestGreedyConstruction:
             greedy_sd_code(9, 1)
 
     def test_order_tag(self):
-        # the one order there is: a class constant, not a field
-        assert "order" not in {field.name for field in dataclasses.fields(PermCodeBook)}
+        # the one order there is: a class constant, not a constructor field
+        assert "order" not in inspect.signature(PermCodeBook).parameters
         assert greedy_sd_code(3, 1).order == "lex"
 
 

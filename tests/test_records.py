@@ -1,0 +1,172 @@
+"""The record types' contract: constructor fields, repr, equality by fields
+within one type only, hashing, immutability and pickling."""
+
+import copy
+import inspect
+import pickle
+
+import pytest
+
+from delcode import (
+    BoundReport,
+    DecodeSteps,
+    DeletionPattern,
+    Modulus,
+    MultFreeCodeSpec,
+    PermCodeBook,
+    Permutation,
+    SetCode,
+    SimulationReport,
+    VTParams,
+    Word,
+)
+
+
+def _vt(a=(1, 3)):
+    return VTParams(12, 5, 2, Modulus(13), a)
+
+
+def _book(*images):
+    return PermCodeBook(3, 1, tuple(Permutation(i) for i in images))
+
+
+def _spec():
+    sets = (0b00011111, 0b11111000)
+    book = PermCodeBook(5, 2, (Permutation((1, 2, 3, 4, 5)),))
+    return MultFreeCodeSpec(8, 5, 2, "stable", SetCode(8, 5, 2, sets=sets), book)
+
+
+def _steps(recovered=0b111):
+    return DecodeSteps(recovered, Word((1, 2), 4, True), None, Permutation((2, 1, 3)), Word((1, 0, 2), 3, True))
+
+
+def _bounds(q=12):
+    return BoundReport(q, 5, 2, 0.5, -1.0, 20.0, 10.75, 16.5, 1.5, eta=0.25)
+
+
+def _tally(seed=7):
+    return SimulationReport(4, 1, seed, 3, 1, {0: {"trials": 2}, 1: {"trials": 2}})
+
+
+# type -> (make an instance, make an equal one, make one differing in a field, its repr)
+RECORDS = {
+    "Word": (
+        lambda: Word((0, 2), 3),
+        lambda: Word([0, 2], 3, False),
+        lambda: Word((0, 2), 3, True),
+        "Word(symbols=(0, 2), alphabet_size=3, multiplicity_free=False)",
+    ),
+    "Permutation": (
+        lambda: Permutation((2, 1)),
+        lambda: Permutation([2, 1]),
+        lambda: Permutation((1, 2)),
+        "Permutation(images=(2, 1))",
+    ),
+    "DeletionPattern": (
+        lambda: DeletionPattern((3, 1), 4),
+        lambda: DeletionPattern([1, 3], 4),
+        lambda: DeletionPattern((1, 3), 5),
+        "DeletionPattern(positions=(1, 3), original_length=4)",
+    ),
+    "Modulus": (lambda: Modulus(13), lambda: Modulus(13), lambda: Modulus(17), "Modulus(p=13)"),
+    "VTParams": (
+        _vt,
+        lambda: _vt([1, 3]),
+        lambda: _vt((1, 4)),
+        "VTParams(q=12, n=5, t=2, p=Modulus(p=13), a=(1, 3))",
+    ),
+    "SetCode": (
+        lambda: SetCode.from_vt(_vt()),
+        lambda: SetCode(12, 5, 2, vt=_vt()),
+        lambda: SetCode.from_vt(_vt((0, 0))),
+        "SetCode(q=12, n=5, t=2, vt=VTParams(q=12, n=5, t=2, p=Modulus(p=13), a=(1, 3)), sets=None)",
+    ),
+    "PermCodeBook": (
+        lambda: _book((2, 1, 3), (1, 2, 3)),
+        lambda: _book((1, 2, 3), (2, 1, 3)),
+        lambda: _book((1, 2, 3)),
+        "PermCodeBook(n=3, t=1, codewords=(Permutation(images=(1, 2, 3)), Permutation(images=(2, 1, 3))))",
+    ),
+    "MultFreeCodeSpec": (
+        _spec,
+        _spec,
+        lambda: MultFreeCodeSpec(8, 5, 2, "stable", SetCode(8, 5, 2, sets=(0b00011111,)), _spec().perm_code),
+        "MultFreeCodeSpec(q=8, n=5, t=2, mode='stable', set_code=SetCode(q=8, n=5, t=2, vt=None, "
+        "sets=(31, 248)), perm_code=PermCodeBook(n=5, t=2, codewords=(Permutation(images=(1, 2, 3, 4, 5)),)))",
+    ),
+    "DecodeSteps": (
+        _steps,
+        _steps,
+        lambda: _steps(0b1011),
+        "DecodeSteps(recovered_set=7, tau=Word(symbols=(1, 2), alphabet_size=4, multiplicity_free=True), "
+        "reduced_perm=None, sigma=Permutation(images=(2, 1, 3)), "
+        "codeword=Word(symbols=(1, 0, 2), alphabet_size=3, multiplicity_free=True))",
+    ),
+    "BoundReport": (
+        _bounds,
+        _bounds,
+        lambda: _bounds(13),
+        "BoundReport(q=12, n=5, t=2, size_lower_bound=0.5, log2_size_lower_bound=-1.0, "
+        "redundancy_bound=20.0, singleton_log_size=10.75, log2_multfree_count=16.5, alpha=1.5, "
+        "code_size=None, log2_code_size=None, redundancy_actual=None, eta=0.25, alpha_threshold=None, "
+        "alpha_exceeds_threshold=None, delta=None, delta_adjusted_bound=None)",
+    ),
+    "SimulationReport": (
+        _tally,
+        _tally,
+        lambda: _tally(8),
+        "SimulationReport(trials=4, t_max=1, seed=7, successes=3, failures=1, "
+        "by_weight={0: {'trials': 2}, 1: {'trials': 2}})",
+    ),
+}
+
+# the tally holds a dict, so it is the one record without a hash
+UNHASHABLE = {"SimulationReport"}
+
+
+def _field_names(value):
+    return list(inspect.signature(type(value)).parameters)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+class TestRecordContract:
+    def test_repr(self, name):
+        make, _, _, expected = RECORDS[name]
+        assert repr(make()) == expected
+
+    def test_equality_by_fields(self, name):
+        make, make_equal, make_other, _ = RECORDS[name]
+        value = make()
+        assert value == make_equal() and not value != make_equal()
+        assert value != make_other() and not value == make_other()
+
+    def test_never_equal_across_types(self, name):
+        value = RECORDS[name][0]()
+        fields = tuple(getattr(value, field) for field in _field_names(value))
+        assert value != fields and value != fields[0]
+        for other in sorted(set(RECORDS) - {name}):
+            assert value != RECORDS[other][0]()
+
+    def test_hash(self, name):
+        make, make_equal, _, _ = RECORDS[name]
+        if name in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(make())
+        else:
+            assert hash(make()) == hash(make_equal())
+            assert len({make(), make_equal()}) == 1
+
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        value = RECORDS[name][0]()
+        for field in _field_names(value):
+            before = getattr(value, field)
+            with pytest.raises(AttributeError):
+                setattr(value, field, before)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            assert getattr(value, field) is before
+
+    def test_pickle_and_copy_keep_the_fields(self, name):
+        value = RECORDS[name][0]()
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(clone) is type(value) and clone == value and repr(clone) == repr(value)
