@@ -130,12 +130,12 @@ def _cmd_verify(args) -> int:
         }
     if vt is None:
         checks["pairwise_intersection_bound"] = code.balls_disjoint()
-    # one pass over the members' masks: class membership, then every deletion
-    # of at most t elements until one does not decode back to its member
+    # one pass over the members' masks: class membership, then every deletion of at most t elements
+    # (a nonempty one, once is_codeword accepted the member) until one does not decode back to it
     member, witness = True, None
     for mask in code.masks:
         member = member and (vt is None or is_codeword(mask, vt))
-        for removed in () if witness else deletion_masks(mask, t):
+        for removed in () if witness else islice(deletion_masks(mask, t), vt is not None and member, None):
             try:
                 got = code.decode_mask(mask ^ removed)
                 outcome = None if got == mask else {"decoded": set_bits(got)}

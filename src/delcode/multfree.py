@@ -122,8 +122,9 @@ class SetCode(Record):
         vt = self.vt  # its class comes as masks in encode order, so no sort
         return tuple(enumerate_class(vt.q, vt.n, vt.t, vt.p, vt.a))
 
+    @cached_property
     def size(self) -> int:
-        """Number of codewords, counted without materializing a syndrome class."""
+        """Number of codewords, counted once per code without materializing a syndrome class."""
         if self.sets is not None:
             return len(self.sets)
         return class_size(self.q, self.n, self.t, self.vt.p, self.vt.a)
@@ -262,7 +263,7 @@ def load_spec(path) -> MultFreeCodeSpec:
 
 
 def code_size(spec: MultFreeCodeSpec) -> int:
-    return spec.set_code.size() * len(spec.perm_code.codewords)
+    return spec.set_code.size * len(spec.perm_code.codewords)
 
 
 def build_code(spec: MultFreeCodeSpec) -> Iterator[Word]:

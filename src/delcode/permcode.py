@@ -48,8 +48,12 @@ class PermCodeBook(Record):
 
     @cached_property
     def _stable_index(self) -> dict[bytes, int | None]:
-        """Stable ball index, built on first use; `_ball_keys` refuses n > 255 first."""
+        """Stable ball index, built on first use and kept; `_ball_keys` refuses n > 255 first."""
         return ball_index((bytes(s.images) for s in self.codewords), _ball_keys(self.n, self.t, False))
+
+    @cached_property
+    def _unstable_index(self) -> dict[bytes, int | None]:
+        return ball_index((bytes(s.images) for s in self.codewords), _ball_keys(self.n, self.t, True))
 
 
 def _ball_keys(n: int, t: int, unstable: bool) -> Callable:
@@ -105,28 +109,22 @@ def greedy_ud_code(n: int, t: int = 1) -> PermCodeBook:
     return _greedy_book(n, t, True)
 
 
-def _index(book: PermCodeBook, unstable: bool) -> dict[bytes, int | None]:
-    """The book's ball index: the cached stable one, or an unstable one built anew."""
-    if not unstable:
-        return book._stable_index
-    return ball_index((bytes(s.images) for s in book.codewords), _ball_keys(book.n, book.t, True))
-
-
 def verify_sd_property(book: PermCodeBook) -> bool:
     """True iff the radius-t stable-deletion balls are pairwise disjoint."""
-    return None not in _index(book, False).values()
+    return None not in book._stable_index.values()
 
 
 def verify_ud_property(book: PermCodeBook) -> bool:
     """True iff the radius-t unstable-deletion balls are pairwise disjoint."""
-    return None not in _index(book, True).values()
+    return None not in book._unstable_index.values()
 
 
 def ball_collision(book: PermCodeBook, unstable: bool) -> tuple[Permutation, Permutation, bytes]:
     """Two codewords whose radius-t balls meet, and a key in both, for a book
     that fails its disjointness check: the first key the ball index marks as
     shared.  A stable key is a common subsequence of length >= n - t."""
-    key = next(k for k, owner in _index(book, unstable).items() if owner is None)
+    index = book._unstable_index if unstable else book._stable_index
+    key = next(k for k, owner in index.items() if owner is None)
     keys = _ball_keys(book.n, book.t, unstable)
     first, second = [s for s in book.codewords if key in keys(bytes(s.images))][:2]
     return first, second, key

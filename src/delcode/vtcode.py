@@ -8,7 +8,7 @@ at position s + 1, so that symbol 0 stays visible to every syndrome row.
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 from .errors import BoundViolated, NoSolution, WeightTooLow
@@ -21,7 +21,7 @@ class VTParams(Record):
     """Parameters of one syndrome class: block length q, weight n, error budget t,
     prime modulus p and the class label a, t residues mod p."""
 
-    __slots__ = ("q", "n", "t", "p", "a")
+    __slots__ = ("q", "n", "t", "p", "a", "__dict__")
 
     def __init__(self, q: int, n: int, t: int, p: Modulus, a: tuple[int, ...]):
         a = tuple(a)
@@ -36,9 +36,8 @@ class VTParams(Record):
         for r in a:
             if not 0 <= r < p.p:
                 raise ValueError(f"residue {r} outside [0, {p.p - 1}]")
-        # 256 entries of t fields per mask byte, counted before _byte_tables builds them
-        fields = -(-q // 8) * 256 * t
-        check_enumerable(fields, CLASS_ENUM_CAP, "set-decoder byte-table fields")
+        # 256 entries of t fields per mask byte, counted before _decoder_tables builds them
+        check_enumerable(-(-q // 8) * 256 * t, CLASS_ENUM_CAP, "set-decoder byte-table fields")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", t)
@@ -51,6 +50,15 @@ class VTParams(Record):
     @classmethod
     def from_json_dict(cls, data: dict) -> "VTParams":
         return cls(data["q"], data["n"], data["t"], Modulus(data["p"]), data["a"])
+
+    @cached_property
+    def _decoder_tables(self) -> tuple[tuple[list[int], ...], int]:
+        return _byte_tables(self.q, self.t, self.p.p)
+
+    @cached_property
+    def _square_roots(self) -> dict[int, int]:
+        """A square root mod p of every square mod p, built on the first two-loss decode."""
+        return {r * r % self.p.p: r for r in range(self.p.p // 2 + 1)}
 
 
 def _flat(residues: Sequence[int], p: int) -> int:
@@ -212,15 +220,14 @@ def best_class(q: int, n: int, t: int, p: Modulus) -> tuple[tuple[int, ...], int
     return label, size
 
 
-@lru_cache(maxsize=2)  # a channel holds two specs; at the cap the tables hold hundreds of MB
 def _byte_tables(q: int, t: int, p: int) -> tuple[tuple[list[int], ...], int]:
     """Syndrome sums by mask byte, and their field width in bits.  Entry v of
     table b packs, in field k - 1, the sum of i^k mod p over the positions
     i = 8b + j + 1 of the set bits j of v.  A field sums at most q values below
     p, so a width holding q (p - 1) never carries.  The last table stops at
-    bit q - 1, the highest a mask may set.  The tables are shared lists that
-    callers only read: `list.__getitem__` maps about twice as fast as a
-    tuple's."""
+    bit q - 1, the highest a mask may set.  Each VTParams builds them once and
+    holds them as lists that callers only read: `list.__getitem__` maps about
+    twice as fast as a tuple's."""
     width = (q * (p - 1)).bit_length()
     tables = []
     for base in range(0, q, 8):
@@ -239,7 +246,7 @@ def _deficits(mask: int, params: VTParams) -> list[int]:
     q, p = params.q, params.p.p
     if mask < 0 or mask >> q:
         raise ValueError(f"bitmask has bits outside the block length {q}")
-    tables, width = _byte_tables(q, params.t, p)
+    tables, width = params._decoder_tables
     sums = sum(map(list.__getitem__, tables, mask.to_bytes(len(tables), "little")))
     field = (1 << width) - 1
     return [(a - (sums >> k * width & field)) % p for k, a in enumerate(params.a)]
@@ -248,12 +255,6 @@ def _deficits(mask: int, params: VTParams) -> list[int]:
 def is_codeword(mask: int, params: VTParams) -> bool:
     """Class membership of a bitmask: weight n and syndrome a."""
     return not any(_deficits(mask, params)) and mask.bit_count() == params.n
-
-
-@lru_cache(maxsize=None)
-def _square_roots(p: int) -> dict[int, int]:
-    """A square root mod p of every square mod p."""
-    return {r * r % p: r for r in range(p // 2 + 1)}
 
 
 def set_decode(mask: int, params: VTParams) -> int:
@@ -278,7 +279,7 @@ def set_decode(mask: int, params: VTParams) -> int:
         found = deficits[:1]
     elif e == 2:
         s1, s2, half = deficits[0], deficits[1], (p + 1) // 2  # half is 1/2 mod p
-        r = _square_roots(p).get((2 * s2 - s1 * s1) % p)
+        r = params._square_roots.get((2 * s2 - s1 * s1) % p)
         found = () if r is None else ((s1 + r) * half % p, (s1 - r) * half % p)
     else:
         zeros = [i for i in range(1, q + 1) if not mask >> (i - 1) & 1]

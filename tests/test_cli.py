@@ -165,15 +165,16 @@ class TestVerify:
         assert payload["ok"] is False
 
     def test_wrong_set_decode_reports_witness(self, spec_path, monkeypatch, capsys):
-        # (8,4,1): five decodes per member, the undeleted one first, so call 7
-        # is the second member with its first symbol removed
+        # (8,4,1): four decodes per member, one per symbol removed (is_codeword
+        # stands in for the undeleted one), so call 5 is the second member with
+        # its first symbol removed
         real = multfree.set_decode
         calls = []
 
         def corrupt(mask, params):
             calls.append(mask)
             got = real(mask, params)
-            return got if len(calls) != 7 else got ^ 1
+            return got if len(calls) != 5 else got ^ 1
 
         monkeypatch.setattr(multfree, "set_decode", corrupt)
         assert cli.main(["verify", "--spec", str(spec_path)]) == 1
@@ -185,20 +186,20 @@ class TestVerify:
             "removed": [symbols[0]],
             "decoded": set_bits(member ^ 1),
         }
-        assert len(calls) == 7  # decoding stops at the first witness
+        assert len(calls) == 5  # decoding stops at the first witness
 
     def test_failing_set_decode_reports_error_class(self, spec_path, monkeypatch, capsys):
-        # call 3 is the first member with its second symbol removed
+        # call 2 is the first member with its second symbol removed
         real = multfree.set_decode
         calls = []
 
-        def refuse_third(mask, params):
+        def refuse_second(mask, params):
             calls.append(mask)
-            if len(calls) == 3:
+            if len(calls) == 2:
                 raise NoSolution("corrupted decoder")
             return real(mask, params)
 
-        monkeypatch.setattr(multfree, "set_decode", refuse_third)
+        monkeypatch.setattr(multfree, "set_decode", refuse_second)
         assert cli.main(["verify", "--spec", str(spec_path)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["checks"]["set_deletion_soundness"] is False
@@ -219,7 +220,8 @@ class TestVerify:
         monkeypatch.setattr(multfree, "set_decode", lambda *args: calls.append(1) or real(*args))
         assert cli.main(["verify", "--spec", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
-        assert len(calls) == size * sum(math.comb(n, e) for e in range(t + 1))
+        # every deletion of 1..t elements; is_codeword stands in for the undeleted member
+        assert len(calls) == size * sum(math.comb(n, e) for e in range(1, t + 1))
 
     def test_non_member_fails_membership(self, spec_path, monkeypatch, capsys):
         # the one-pass loop checks every member until one fails, then stops checking
@@ -275,12 +277,13 @@ class TestVerify:
         assert len(calls) == 1
         assert summary["code_size"] == summary["set_code_size"] * summary["perm_code_size"]
 
-    def test_construct_builds_no_decoder_table(self, tmp_path):
-        vtcode._byte_tables.cache_clear()
-        vtcode._square_roots.cache_clear()
+    def test_construct_builds_no_decoder_table(self, tmp_path, monkeypatch):
+        real, builds, made = vtcode._byte_tables, [], []
+        monkeypatch.setattr(vtcode, "_byte_tables", lambda *args: builds.append(args) or real(*args))
+        monkeypatch.setattr(cli, "VTParams", lambda *args: made.append(vtcode.VTParams(*args)) or made[-1])
         assert cli.main(["construct", *SPEC_ARGS, "--out", str(tmp_path / "s.json")]) == 0
-        assert vtcode._byte_tables.cache_info().currsize == 0
-        assert vtcode._square_roots.cache_info().currsize == 0
+        assert builds == [] and len(made) == 1
+        assert "_decoder_tables" not in vars(made[0]) and "_square_roots" not in vars(made[0])
 
 
 class TestEnumerate:

@@ -31,7 +31,8 @@ from delcode import (
     verify_sd_property,
     verify_ud_property,
 )
-from delcode.permcode import _ball_keys
+from delcode import permcode
+from delcode.permcode import _ball_keys, ball_collision
 
 from deletion_oracle import apply_stable_deletions
 from deletion_oracle import sd_decode as scan_sd_decode
@@ -357,6 +358,15 @@ class TestLookupMatchesScan:
 
 
 class TestUnstable:
+    def test_index_built_once_for_check_and_witness(self, monkeypatch):
+        # verify_ud_property and ball_collision read the book's one unstable index
+        book = PermCodeBook(3, 1, (Permutation((1, 2, 3)), Permutation((2, 1, 3))))
+        real, builds = permcode.ball_index, []
+        monkeypatch.setattr(permcode, "ball_index", lambda *args: builds.append(args) or real(*args))
+        assert not verify_ud_property(book)
+        assert ball_collision(book, True) == (book.codewords[0], book.codewords[1], bytes((1, 2)))
+        assert len(builds) == 1 and "_stable_index" not in vars(book)
+
     def test_greedy_rejects_multi_deletion_budget(self):
         with pytest.raises(ValueError):
             greedy_ud_code(5, 2)

@@ -1,5 +1,6 @@
 """The record types' contract: constructor fields, repr, equality by fields
-within one type only, hashing, immutability and pickling."""
+within one type only, hashing, immutability and pickling, also for the codes
+that hold cached tables."""
 
 import copy
 import inspect
@@ -19,6 +20,14 @@ from delcode import (
     SimulationReport,
     VTParams,
     Word,
+    best_class,
+    code_size,
+    decode,
+    encode_index,
+    greedy_sd_code,
+    is_codeword,
+    verify_sd_property,
+    verify_ud_property,
 )
 
 
@@ -170,3 +179,51 @@ class TestRecordContract:
         value = RECORDS[name][0]()
         for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
             assert type(clone) is type(value) and clone == value and repr(clone) == repr(value)
+
+
+def _components(spec):
+    return {"VTParams": spec.set_code.vt, "SetCode": spec.set_code, "PermCodeBook": spec.perm_code}
+
+
+def _fresh_spec():
+    p = Modulus(13)
+    vt = VTParams(12, 5, 2, p, best_class(12, 5, 2, p)[0])
+    return MultFreeCodeSpec(12, 5, 2, "stable", SetCode.from_vt(vt), greedy_sd_code(5, 2))
+
+
+def _filled_spec():
+    """A spec after an encode, a two-deletion decode and the checks `verify`
+    makes, so each of its codes holds every value it caches."""
+    spec = _fresh_spec()
+    x = encode_index(spec, code_size(spec) - 1)
+    assert decode(spec, Word(x.symbols[2:], 12, True)) == x
+    assert all(is_codeword(mask, spec.set_code.vt) for mask in spec.set_code.masks)
+    assert verify_sd_property(spec.perm_code)
+    verify_ud_property(spec.perm_code)  # false at t = 2; it is called to build the unstable index
+    return spec
+
+
+CACHED = {
+    "VTParams": {"_decoder_tables", "_square_roots"},
+    "SetCode": {"masks", "size"},
+    "PermCodeBook": {"_stable_index", "_unstable_index"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED))
+class TestFilledCaches:
+    def test_caches_are_filled(self, name):
+        assert set(vars(_components(_filled_spec())[name])) == CACHED[name]
+        assert vars(_components(_fresh_spec())[name]) == {}
+
+    def test_contract_ignores_the_caches(self, name):
+        filled, fresh = _components(_filled_spec())[name], _components(_fresh_spec())[name]
+        assert filled == fresh and not filled != fresh
+        assert hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
+        assert pickle.dumps(filled) == pickle.dumps(fresh)
+
+    def test_pickle_and_copy_leave_the_caches_behind(self, name):
+        filled = _components(_filled_spec())[name]
+        for clone in (pickle.loads(pickle.dumps(filled)), copy.deepcopy(filled), copy.copy(filled)):
+            assert type(clone) is type(filled) and clone == filled and repr(clone) == repr(filled)
+            assert vars(clone) == {}

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 from unittest import mock
 
 import pytest
@@ -534,16 +536,25 @@ class TestScaleGuard:
         class_sizes(*points[0])
         assert vtcode._suffix_counts.cache_info().misses == misses + 1
 
-    def test_byte_table_cache_evicts_the_oldest(self):
-        # the decoder's tables are bounded like the census: a third (q, t, p) evicts the first
-        assert vtcode._byte_tables.cache_info().maxsize == 2
-        vtcode._byte_tables.cache_clear()
-        for q in (10, 11, 12):
-            is_codeword(0, VTParams(q, 3, 1, next_prime_above(q), (0,)))
-        assert vtcode._byte_tables.cache_info().currsize == 2
-        misses = vtcode._byte_tables.cache_info().misses
-        is_codeword(0, VTParams(10, 3, 1, next_prime_above(10), (0,)))
-        assert vtcode._byte_tables.cache_info().misses == misses + 1
+    def test_byte_tables_live_on_the_params(self, monkeypatch):
+        # the decoder's tables are built once per VTParams over many decodes, and released with it
+        real, builds = vtcode._byte_tables, []
+        monkeypatch.setattr(vtcode, "_byte_tables", lambda *args: builds.append(args) or real(*args))
+        q, n, t = 26, 6, 2
+        p = next_prime_above(q)
+        params = VTParams(q, n, t, p, best_class(q, n, t, p)[0])
+        for mask in enumerate_class(q, n, t, p, params.a)[:100]:
+            assert is_codeword(mask, params)
+            first, second = (1 << s for s in set_bits(mask)[:2])
+            for lost in (first, second, first | second):  # the last one reads the square roots
+                assert set_decode(mask ^ lost, params) == mask
+        assert builds == [(q, t, p.p)]
+        assert params._decoder_tables is params._decoder_tables
+        assert params._square_roots is params._square_roots
+        alive = weakref.ref(params)
+        del params
+        gc.collect()
+        assert alive() is None
 
     def test_env_override_raises_cap(self, monkeypatch):
         monkeypatch.setenv("DELCODE_SCALE_GUARD", str(10**9))
@@ -705,10 +716,11 @@ class TestDecodeMask:
             with pytest.raises(ValueError):
                 is_codeword(mask, params)
 
-    def test_huge_alphabet_refused_before_any_table(self):
+    def test_huge_alphabet_refused_before_any_table(self, monkeypatch):
         # q = 2^89 - 2 sits below the Mersenne prime 2^89 - 1; nothing of size q is built
         q = 2**89 - 2
-        vtcode._byte_tables.cache_clear()
+        builds = []
+        monkeypatch.setattr(vtcode, "_byte_tables", lambda *args: builds.append(args))
         with pytest.raises(ScaleGuardExceeded):
             VTParams(q, 5, 1, Modulus(q + 1), (0,))
-        assert vtcode._byte_tables.cache_info().currsize == 0
+        assert builds == []
