@@ -41,7 +41,7 @@ _EXPORTS = {
         "delete_positions",
         "draw_deletion_pattern",
     ),
-    "modular": ("Modulus", "locator_roots", "next_prime_above", "power_sums_to_elementary"),
+    "modular": ("Modulus", "next_prime_above"),
     "multfree": (
         "DecodeSteps",
         "MultFreeCodeSpec",

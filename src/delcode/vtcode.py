@@ -9,12 +9,12 @@ import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from .errors import BoundViolated, NoSolution, WeightTooLow
 from .guards import CLASS_ENUM_CAP, check_enumerable
 from .model import Record
-from .modular import Modulus, locator_roots, power_sums_to_elementary
+from .modular import Modulus
 
 
 class VTParams(Record):
@@ -38,6 +38,9 @@ class VTParams(Record):
                 raise ValueError(f"residue {r} outside [0, {p.p - 1}]")
         # 256 entries of t fields per mask byte, counted before _decoder_tables builds them
         check_enumerable(-(-q // 8) * 256 * t, CLASS_ENUM_CAP, "set-decoder byte-table fields")
+        # one key per subset of at most t positions, counted before _lost_sets builds them
+        lost_sets = sum(math.comb(q, e) for e in range(1, t + 1))
+        check_enumerable(lost_sets, CLASS_ENUM_CAP, "set-decoder lost-set keys")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", t)
@@ -56,9 +59,14 @@ class VTParams(Record):
         return _byte_tables(self.q, self.t, self.p.p)
 
     @cached_property
-    def _square_roots(self) -> dict[int, int]:
-        """A square root mod p of every square mod p, built on the first two-loss decode."""
-        return {r * r % self.p.p: r for r in range(self.p.p // 2 + 1)}
+    def _lost_sets(self) -> dict[tuple[int, ...], int]:
+        """The mask of every set of e = 1..t positions, keyed by its power sums
+        s_1..s_e mod p.  As e < p, Newton's identities turn them into the
+        coefficients of the polynomial whose roots are the positions, so no two
+        sets share a key.  Built on the first decode that lost a one."""
+        p = self.p.p
+        levels = _subset_sums(_residue_rows(self.q, self.t, p), self.t, p)
+        return {sums[:e]: bits for e, level in enumerate(levels, 1) for _, bits, sums in level}
 
 
 def _flat(residues: Sequence[int], p: int) -> int:
@@ -149,6 +157,30 @@ def class_size(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> int:
     return int.from_bytes(table[field : field + step], "little")
 
 
+def _residue_rows(q: int, t: int, m: int) -> list:
+    """Each position's residue vector (i, i^2, ..., i^t) mod m, at index i."""
+    return [None] + [tuple(pow(i, k, m) for k in range(1, t + 1)) for i in range(1, q + 1)]
+
+
+def _subset_sums(rows: list, k: int, m: int) -> list[list[tuple[int, int, tuple[int, ...]]]]:
+    """Levels 1..k of the sets of positions 1..q (rows from _residue_rows):
+    level e lists every e-set in combinations order as (last position, mask,
+    sum of its positions' rows mod m).  Each level extends the one before: an
+    e-set is its (e - 1)-prefix plus a later position, and its sum is the
+    prefix's plus that position's row."""
+    q = len(rows) - 1
+    level = [(0, 0, (0,) * len(rows[-1]))]
+    levels = []
+    for _ in range(k):
+        level = [
+            (j, bits | 1 << (j - 1), tuple((x + y) % m for x, y in zip(sums, rows[j])))
+            for last, bits, sums in level
+            for j in range(last + 1, q + 1)
+        ]
+        levels.append(level)
+    return levels
+
+
 def _tail_depth(q: int, n: int, size: int) -> int:
     """How many last ones the class walk places by one lookup: the largest k
     of 1, 2, 3 (k <= n) whose C(q, k) combinations, the lookup table, are no
@@ -176,14 +208,13 @@ def enumerate_class(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> lis
     if n == 0:
         return [0]
     m = p.p
-    vectors = [None] + [tuple(pow(i, k, m) for k in range(1, t + 1)) for i in range(1, q + 1)]
+    vectors = _residue_rows(q, t, m)
     depth = _tail_depth(q, n, size)
     tails: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    for combo in combinations(range(1, q + 1), depth):
-        key = tuple(sum(column) % m for column in zip(*map(vectors.__getitem__, combo)))
+    for _, tail, key in _subset_sums(vectors, depth, m)[-1]:
         firsts, bits = tails.setdefault(key, ([], []))
-        firsts.append(combo[0])
-        bits.append(sum(1 << (i - 1) for i in combo))
+        firsts.append((tail & -tail).bit_length())  # the lowest set bit's position
+        bits.append(tail)
     table, width = _census(q, n, t, p)
     step, stride = width // 8, m**t
     zero = bytes(step)
@@ -259,11 +290,9 @@ def is_codeword(mask: int, params: VTParams) -> bool:
 
 def set_decode(mask: int, params: VTParams) -> int:
     """Restore up to t ones of a member's mask that were flipped to zero (deleted
-    elements).  The first e = n - wt(mask) deficits are the power sums s_k of
-    the lost positions: one sits at s_1, two at (s_1 +- r) / 2 with
-    r^2 = 2 s_2 - s_1^2, and more are located by Newton and the locator
-    polynomial over the clear bits."""
-    q, n, t, p = params.q, params.n, params.t, params.p.p
+    elements).  The first e = n - wt(mask) deficits are the power sums s_1..s_e
+    of the lost positions, which fix them: one lookup in the lost-set table."""
+    n, t = params.n, params.t
     deficits = _deficits(mask, params)
     weight = mask.bit_count()
     e = n - weight
@@ -275,23 +304,9 @@ def set_decode(mask: int, params: VTParams) -> int:
         if any(deficits):
             raise NoSolution("full-weight word is not in the code")
         return mask
-    if e == 1:
-        found = deficits[:1]
-    elif e == 2:
-        s1, s2, half = deficits[0], deficits[1], (p + 1) // 2  # half is 1/2 mod p
-        r = params._square_roots.get((2 * s2 - s1 * s1) % p)
-        found = () if r is None else ((s1 + r) * half % p, (s1 - r) * half % p)
-    else:
-        zeros = [i for i in range(1, q + 1) if not mask >> (i - 1) & 1]
-        found = locator_roots(power_sums_to_elementary(deficits[:e], params.p), zeros, params.p)
-    lost = 0
-    for i in found:
-        lost |= 1 << i >> 1  # bit i - 1, and none for i = 0
-    lost &= ~mask & (1 << q) - 1  # distinct roots among the block's clear bits
-    roots = lost.bit_count()
-    if roots != e:
-        raise NoSolution(f"locator polynomial has {roots} roots among zeros, expected {e}")
-    # e distinct roots of the locator have the first e deficits as power sums
+    lost = params._lost_sets.get(tuple(deficits[:e]))
+    if lost is None or lost & mask:
+        raise NoSolution(f"no {e} clear positions have the deficits as power sums")
     if e < t and any(_deficits(mask | lost, params)[e:]):
         raise NoSolution("repaired word fails the full syndrome check")
     return mask | lost

@@ -1,19 +1,52 @@
 """Reference set-layer decoder on length-q bitwords, for the tests only.
 
-The shipped decoder works on bitmasks (`delcode.vtcode.set_decode`).  This
-module keeps the slow, definitional form of the same algorithm: a word is a
-tuple of q bits, position i holding bit i - 1 of the mask, and the syndrome is
-computed over the whole word.  The tests hold the mask path to it, in result
-and in error.
+The shipped decoder works on bitmasks (`delcode.vtcode.set_decode`) and finds
+the lost positions by one lookup of their power sums.  This module keeps the
+slow, definitional form: a word is a tuple of q bits, position i holding bit
+i - 1 of the mask, the syndrome is computed over the whole word, and the lost
+positions are found by Newton's identities and a locator-root search.  The
+tests hold the mask path to it, in result and in error.
 """
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from delcode.errors import NoSolution, WeightTooLow
-from delcode.modular import Modulus, locator_roots, power_sums_to_elementary
+from delcode.modular import Modulus
 from delcode.vtcode import VTParams
 
 BitWord = tuple[int, ...]
+
+
+def power_sums_to_elementary(power_sums: Sequence[int], m: Modulus) -> tuple[int, ...]:
+    """Invert Newton's identities over F_p: k*e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i."""
+    p = m.p
+    e = len(power_sums)
+    if e >= p:
+        raise ValueError(f"need fewer than p = {p} power sums to divide by 1..{e}")
+    sums = [v % p for v in power_sums]
+    elem = [1]
+    for k in range(1, e + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            term = elem[k - i] * sums[i - 1] % p
+            acc = (acc - term if i % 2 == 0 else acc + term) % p
+        elem.append(acc * pow(k, -1, p) % p)
+    return tuple(elem[1:])
+
+
+def locator_roots(elementary: Sequence[int], candidates: Iterable[int], m: Modulus) -> set[int]:
+    """Candidates where the locator X^e - e_1 X^(e-1) + e_2 X^(e-2) - ... vanishes,
+    by Horner evaluation per candidate; its roots are the error locations."""
+    p = m.p
+    coeffs = [-c if k % 2 else c for k, c in enumerate(elementary, start=1)]
+    roots = set()
+    for x in candidates:
+        acc = 1
+        for c in coeffs:
+            acc = (acc * x + c) % p
+        if acc == 0:
+            roots.add(x)
+    return roots
 
 
 def vt_syndrome(x: Sequence[int], t: int, p: Modulus) -> tuple[int, ...]:
@@ -61,7 +94,7 @@ def decode_asymmetric(y: Sequence[int], params: VTParams) -> BitWord:
     candidates = [i for i, bit in enumerate(y, start=1) if not bit]
     roots = locator_roots(elementary, candidates, params.p)
     if len(roots) != e:
-        raise NoSolution(f"locator polynomial has {len(roots)} roots among zeros, expected {e}")
+        raise NoSolution(f"no {e} clear positions have the deficits as power sums")
     repaired = list(y)
     for i in roots:
         repaired[i - 1] = 1

@@ -283,7 +283,7 @@ class TestVerify:
         monkeypatch.setattr(cli, "VTParams", lambda *args: made.append(vtcode.VTParams(*args)) or made[-1])
         assert cli.main(["construct", *SPEC_ARGS, "--out", str(tmp_path / "s.json")]) == 0
         assert builds == [] and len(made) == 1
-        assert "_decoder_tables" not in vars(made[0]) and "_square_roots" not in vars(made[0])
+        assert "_decoder_tables" not in vars(made[0]) and "_lost_sets" not in vars(made[0])
 
 
 class TestEnumerate:
@@ -507,7 +507,7 @@ class TestErrors:
         assert "set-decoder byte-table fields would visit 10000128 items" in payload["message"]
         vtcode.VTParams(q - 1, n, 1, next_prime_above(q - 1), (0,))  # no table is built
 
-    def test_budget_scales_the_byte_table_cap(self, tmp_path):
+    def test_budget_scales_the_byte_table_cap(self, tmp_path, monkeypatch):
         # every entry packs t fields, so a large t is refused on load at a moderate q:
         # 5,000 * 256 * 300 fields here, about 1.5 GB of tables had they been built
         q, n, t = 40_000, 300, 300
@@ -530,10 +530,39 @@ class TestErrors:
         payload = json.loads(result.stdout)
         assert payload["error"] == "ScaleGuardExceeded"
         assert "set-decoder byte-table fields would visit 384000000 items" in payload["message"]
-        # at t = 2 the largest alphabet halves: 19,531 * 256 * 2 = 9,999,872 fields
-        vtcode.VTParams(156_248, 5, 2, next_prime_above(156_248), (0, 0))
-        with pytest.raises(ScaleGuardExceeded, match="10000384 items"):
-            vtcode.VTParams(156_249, 5, 2, next_prime_above(156_249), (0, 0))
+        # at t = 2 each byte's 256 entries hold 512 fields: 8 * 512 = 4,096 at q = 64 and
+        # 9 * 512 = 4,608 at q = 65, where the lost-set keys (2,145) are still below the cap
+        monkeypatch.setenv("DELCODE_SCALE_GUARD", "4096")
+        vtcode.VTParams(64, 5, 2, next_prime_above(64), (0, 0))
+        with pytest.raises(ScaleGuardExceeded, match="byte-table fields would visit 4608 items"):
+            vtcode.VTParams(65, 5, 2, next_prime_above(65), (0, 0))
+
+    def test_alphabet_above_the_lost_set_cap_refused(self, tmp_path):
+        # C(q, 1) + C(q, 2) lost-set keys: 10,001,628 > 10^7 at q = 4,472 and t = 2,
+        # refused on load; q = 4,471 is the largest that passes
+        q, n = 4_472, 5
+        p = next_prime_above(q).p
+        spec = {
+            "q": q,
+            "n": n,
+            "t": 2,
+            "mode": "stable",
+            "set_code": {"q": q, "n": n, "t": 2, "p": p, "a": [0, 0]},
+            "perm_code": {"n": n, "t": 2, "codewords": [[1, 2, 3, 4, 5]], "order": "lex"},
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(spec))
+        result = run_cli(
+            "decode", "--spec", str(path), "--word", "[0,1,2]",
+            timeout=20, preexec_fn=_cap_address_space,
+        )
+        assert result.returncode == 2, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["error"] == "ScaleGuardExceeded"
+        assert "set-decoder lost-set keys would visit 10001628 items" in payload["message"]
+        vtcode.VTParams(q - 1, n, 2, next_prime_above(q - 1), (0, 0))  # no table is built
+        with pytest.raises(ScaleGuardExceeded, match="lost-set keys would visit 10001628 items"):
+            vtcode.VTParams(q, n, 2, next_prime_above(q), (0, 0))
 
     def test_decode_refuses_perm_length_above_255(self, tmp_path):
         # the stable ball index holds values as bytes, as verify's does
@@ -696,7 +725,11 @@ def received_words(codewords, t, q):
 class TestPinnedOutputs:
     """sha256 of `enumerate` and of `decode --trace` over a fixed list of
     received words, taken while symbol sets were still a wrapper class around
-    their masks: the mask-only set layer prints the same bytes."""
+    their masks: the mask-only set layer prints the same bytes.  The two
+    generated points' decode digests were re-taken when the set decoder's
+    failure text "locator polynomial has r roots among zeros, expected e"
+    became "no e clear positions have the deficits as power sums"; with the
+    old text put back in its place, every trace is the same bytes."""
 
     @pytest.mark.parametrize(
         "point, enumerate_digest, decode_digest",
@@ -704,12 +737,12 @@ class TestPinnedOutputs:
             (
                 (12, 5, 2, "stable"),
                 "25d62ce24267680d3a65882efca04efb0f73d62e99dbc1131b200e90ab238827",
-                "a4f9b2fc41ab03bde2afb3080cba15fdf3d7c288510d9d5a42d072ea0292cd0a",
+                "1e24c0876fa9d4bbcfdcfd68d115567227f393ac97dbb21d5bb44816bbbd5681",
             ),
             (
                 (12, 5, 1, "unstable"),
                 "7bad009d8a022a788a22c09bbbb19b7479d43810e5fdc2e00ee03c992fba78d3",
-                "02129171fbdca88a1eff558793569d75306020d44fe00de9517a671e64437896",
+                "76e423ff4b0d64319e860daaa62e37dfba2daeed77504238000f5aa0417b6db3",
             ),
             (
                 "explicit",
@@ -742,7 +775,8 @@ class TestPinnedOutputs:
         assert hashlib.sha256("".join(traces).encode()).hexdigest() == decode_digest
 
 
-# every name `delcode/__init__.py` re-exported while it imported its submodules eagerly
+# every name `delcode/__init__.py` re-exported while it imported its submodules eagerly,
+# less `locator_roots` and `power_sums_to_elementary`, which the tests' bitword oracle holds
 PACKAGE_NAMES = (
     "Ambiguous BoundReport BoundViolated DecodeError DecodeSteps DelcodeError DeletionPattern "
     "InputTooShort MalformedSpec Modulus MultFreeCodeSpec NoSolution NotFound PermCodeBook "
@@ -750,7 +784,7 @@ PACKAGE_NAMES = (
     "SymbolNotInSet VTParams WeightTooLow Word apply_unstable_deletions best_class build_code "
     "class_size class_sizes code_size decode decode_steps delete_positions draw_deletion_pattern "
     "encode_index enumerate_class greedy_sd_code greedy_ud_code induced_permutation induced_set "
-    "is_codeword load_spec locator_roots next_prime_above power_sums_to_elementary psi "
+    "is_codeword load_spec next_prime_above psi "
     "redundancy redundancy_bound reference_size_bound save_spec sd_decode set_decode simulate "
     "singleton_report size_lower_bound symbol_ranks ud_decode verify_sd_property verify_ud_property"
 ).split()

@@ -1,3 +1,6 @@
+"""The primes of `delcode.modular`, and the Newton and locator-root reference
+that `tests/bitword_oracle.py` decodes with."""
+
 import itertools
 import random
 
@@ -5,14 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delcode import (
-    BoundViolated,
-    Modulus,
-    locator_roots,
-    next_prime_above,
-    power_sums_to_elementary,
-)
+from delcode import BoundViolated, Modulus, next_prime_above
 from delcode.modular import is_prime
+
+from bitword_oracle import locator_roots, power_sums_to_elementary
 
 
 def trial_division(n: int) -> bool:

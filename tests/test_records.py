@@ -204,7 +204,7 @@ def _filled_spec():
 
 
 CACHED = {
-    "VTParams": {"_decoder_tables", "_square_roots"},
+    "VTParams": {"_decoder_tables", "_lost_sets"},
     "SetCode": {"masks", "size"},
     "PermCodeBook": {"_stable_index", "_unstable_index"},
 }

@@ -546,15 +546,21 @@ class TestScaleGuard:
         for mask in enumerate_class(q, n, t, p, params.a)[:100]:
             assert is_codeword(mask, params)
             first, second = (1 << s for s in set_bits(mask)[:2])
-            for lost in (first, second, first | second):  # the last one reads the square roots
+            for lost in (first, second, first | second):  # each reads the lost-set table
                 assert set_decode(mask ^ lost, params) == mask
         assert builds == [(q, t, p.p)]
         assert params._decoder_tables is params._decoder_tables
-        assert params._square_roots is params._square_roots
+        assert params._lost_sets is params._lost_sets
         alive = weakref.ref(params)
         del params
         gc.collect()
         assert alive() is None
+
+    def test_lost_set_keys_guarded_on_load(self):
+        # sum of C(q, e) for e <= 3: 9,963,071 at q = 391, 10,039,708 at q = 392
+        VTParams(391, 5, 3, next_prime_above(391), (0, 0, 0))
+        with pytest.raises(ScaleGuardExceeded, match="lost-set keys would visit 10039708 items"):
+            VTParams(392, 5, 3, next_prime_above(392), (0, 0, 0))
 
     def test_env_override_raises_cap(self, monkeypatch):
         monkeypatch.setenv("DELCODE_SCALE_GUARD", str(10**9))
@@ -641,7 +647,9 @@ class TestDecodeMask:
     """The bitmask decoder and membership test against the bitword reference
     decode_asymmetric and its is_codeword."""
 
-    @pytest.mark.parametrize("q, n, t", [(64, 4, 1), (26, 6, 2), (24, 7, 2), (20, 7, 1)])
+    @pytest.mark.parametrize(
+        "q, n, t", [(64, 4, 1), (26, 6, 2), (24, 7, 2), (20, 7, 1), (30, 8, 3), (20, 8, 3)]
+    )
     def test_every_deletion_of_every_member(self, q, n, t):
         p = next_prime_above(q)
         a, _ = best_class(q, n, t, p)
@@ -654,7 +662,7 @@ class TestDecodeMask:
                     got = outcome(set_decode, survivors, params)
                     assert got == outcome(reference_mask, survivors, params) == mask
 
-    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("t", [1, 2, 3])
     def test_every_mask_and_label_exhaustive(self, t):
         # q = 6: every weight, class label and n, so every error path is hit
         q, p = 6, Modulus(7)
@@ -666,8 +674,8 @@ class TestDecodeMask:
 
     def test_every_mask_and_label_at_p_13(self):
         # p = 13 is 1 mod 4, so -1 is a square: v and -v are squares together,
-        # where at p = 7 exactly one of them is.  Every two-loss discriminant
-        # 2 s2 - s1^2 is met: zero, a square and a non-square
+        # where at p = 7 exactly one of them is.  Every two-loss locator's
+        # discriminant 2 s2 - s1^2 is met: zero, a square and a non-square
         q, t, p = 7, 2, Modulus(13)
         for n in range(q + 1):
             for label in itertools.product(range(13), repeat=t):
@@ -707,6 +715,16 @@ class TestDecodeMask:
         members = enumerate_class(q, n, t, p, label)
         if members:
             agree(data.draw(st.sampled_from(members)), params)
+
+    @pytest.mark.parametrize("q, n, t", [(30, 8, 3), (20, 8, 3), (26, 6, 2), (64, 4, 1)])
+    def test_lost_set_keys_do_not_collide(self, q, n, t):
+        # one key per set of at most t positions: a shared key would drop a set unseen
+        p = next_prime_above(q)
+        lost_sets = VTParams(q, n, t, p, (0,) * t)._lost_sets
+        assert len(lost_sets) == sum(math.comb(q, e) for e in range(1, t + 1))
+        for key, lost in lost_sets.items():
+            assert len(key) == lost.bit_count()
+            assert key == vt_syndrome(subset_to_bitword(lost, q), len(key), p)
 
     def test_bits_outside_the_block_rejected(self):
         params = VTParams(5, 2, 2, Modulus(7), (6, 6))
