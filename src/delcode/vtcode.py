@@ -7,7 +7,7 @@ at position s + 1, so that symbol 0 stays visible to every syndrome row.
 
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from itertools import product
 
@@ -60,13 +60,14 @@ class VTParams(Record):
 
     @cached_property
     def _lost_sets(self) -> dict[tuple[int, ...], int]:
-        """The mask of every set of e = 1..t positions, keyed by its power sums
-        s_1..s_e mod p.  As e < p, Newton's identities turn them into the
-        coefficients of the polynomial whose roots are the positions, so no two
-        sets share a key.  Built on the first decode that lost a one."""
+        """The mask of every set of 1..t positions, keyed by its power sums
+        s_1..s_t mod p.  No two sets share a key: zeros added to the smaller of
+        two sets leave its sums as they are, Newton's identities (at most q < p
+        elements) then give both one polynomial, so one set of roots, and no
+        position is 0 mod p.  Built on the first decode with a nonzero deficit."""
         p = self.p.p
         levels = _subset_sums(_residue_rows(self.q, self.t, p), self.t, p)
-        return {sums[:e]: bits for e, level in enumerate(levels, 1) for _, bits, sums in level}
+        return {sums: bits for level in levels for _, bits, sums in level}
 
 
 def _flat(residues: Sequence[int], p: int) -> int:
@@ -162,23 +163,23 @@ def _residue_rows(q: int, t: int, m: int) -> list:
     return [None] + [tuple(pow(i, k, m) for k in range(1, t + 1)) for i in range(1, q + 1)]
 
 
-def _subset_sums(rows: list, k: int, m: int) -> list[list[tuple[int, int, tuple[int, ...]]]]:
-    """Levels 1..k of the sets of positions 1..q (rows from _residue_rows):
-    level e lists every e-set in combinations order as (last position, mask,
-    sum of its positions' rows mod m).  Each level extends the one before: an
-    e-set is its (e - 1)-prefix plus a later position, and its sum is the
-    prefix's plus that position's row."""
+def _subset_sums(rows: list, k: int, m: int) -> Iterator[Iterable[tuple[int, int, tuple]]]:
+    """Yield levels 1..k of the sets of positions 1..q (rows from
+    _residue_rows): level e holds every e-set in combinations order as (last
+    position, mask, sum of its positions' rows mod m), each an (e - 1)-set plus
+    a later position and its row.  The last and largest level is a generator,
+    so it streams to the caller instead of sitting in a list."""
     q = len(rows) - 1
     level = [(0, 0, (0,) * len(rows[-1]))]
-    levels = []
-    for _ in range(k):
-        level = [
+    for e in range(1, k + 1):
+        level = (
             (j, bits | 1 << (j - 1), tuple((x + y) % m for x, y in zip(sums, rows[j])))
             for last, bits, sums in level
             for j in range(last + 1, q + 1)
-        ]
-        levels.append(level)
-    return levels
+        )
+        if e < k:
+            level = list(level)
+        yield level
 
 
 def _tail_depth(q: int, n: int, size: int) -> int:
@@ -211,7 +212,8 @@ def enumerate_class(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> lis
     vectors = _residue_rows(q, t, m)
     depth = _tail_depth(q, n, size)
     tails: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    for _, tail, key in _subset_sums(vectors, depth, m)[-1]:
+    *_, last_level = _subset_sums(vectors, depth, m)
+    for _, tail, key in last_level:
         firsts, bits = tails.setdefault(key, ([], []))
         firsts.append((tail & -tail).bit_length())  # the lowest set bit's position
         bits.append(tail)
@@ -290,8 +292,10 @@ def is_codeword(mask: int, params: VTParams) -> bool:
 
 def set_decode(mask: int, params: VTParams) -> int:
     """Restore up to t ones of a member's mask that were flipped to zero (deleted
-    elements).  The first e = n - wt(mask) deficits are the power sums s_1..s_e
-    of the lost positions, which fix them: one lookup in the lost-set table."""
+    elements).  The t deficits are the power sums s_1..s_t of the lost
+    positions, which fix them: none when every deficit is zero, else one lookup
+    in the lost-set table.  The decode holds iff that set misses the mask and
+    has e = n - wt(mask) elements."""
     n, t = params.n, params.t
     deficits = _deficits(mask, params)
     weight = mask.bit_count()
@@ -300,13 +304,7 @@ def set_decode(mask: int, params: VTParams) -> int:
         raise NoSolution(f"weight {weight} exceeds the code weight {n}")
     if e > t:
         raise WeightTooLow(f"weight {weight} is below n - t = {n - t}")
-    if e == 0:
-        if any(deficits):
-            raise NoSolution("full-weight word is not in the code")
-        return mask
-    lost = params._lost_sets.get(tuple(deficits[:e]))
-    if lost is None or lost & mask:
+    lost = params._lost_sets.get(tuple(deficits)) if any(deficits) else 0
+    if lost is None or lost & mask or lost.bit_count() != e:
         raise NoSolution(f"no {e} clear positions have the deficits as power sums")
-    if e < t and any(_deficits(mask | lost, params)[e:]):
-        raise NoSolution("repaired word fails the full syndrome check")
     return mask | lost

@@ -82,9 +82,10 @@ def decode_asymmetric(y: Sequence[int], params: VTParams) -> BitWord:
         raise NoSolution(f"weight {weight} exceeds the code weight {params.n}")
     if e > params.t:
         raise WeightTooLow(f"weight {weight} is below n - t = {params.n - params.t}")
+    failure = f"no {e} clear positions have the deficits as power sums"
     if e == 0:
         if not is_codeword(y, params):
-            raise NoSolution("full-weight word is not in the code")
+            raise NoSolution(failure)
         return tuple(y)
 
     p = params.p.p
@@ -94,13 +95,13 @@ def decode_asymmetric(y: Sequence[int], params: VTParams) -> BitWord:
     candidates = [i for i, bit in enumerate(y, start=1) if not bit]
     roots = locator_roots(elementary, candidates, params.p)
     if len(roots) != e:
-        raise NoSolution(f"no {e} clear positions have the deficits as power sums")
+        raise NoSolution(failure)
     repaired = list(y)
     for i in roots:
         repaired[i - 1] = 1
     repaired_word = tuple(repaired)
     if not is_codeword(repaired_word, params):
-        raise NoSolution("repaired word fails the full syndrome check")
+        raise NoSolution(failure)
     return repaired_word
 
 

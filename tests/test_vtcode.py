@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -723,8 +724,40 @@ class TestDecodeMask:
         lost_sets = VTParams(q, n, t, p, (0,) * t)._lost_sets
         assert len(lost_sets) == sum(math.comb(q, e) for e in range(1, t + 1))
         for key, lost in lost_sets.items():
-            assert len(key) == lost.bit_count()
-            assert key == vt_syndrome(subset_to_bitword(lost, q), len(key), p)
+            assert key == vt_syndrome(subset_to_bitword(lost, q), t, p)
+
+    def test_lost_set_build_streams_its_largest_level(self):
+        # the two-sets stream into the table, so the build peaks near what the table holds
+        q, t = 300, 2
+        p = next_prime_above(q)
+        params = VTParams(q, 5, t, p, (0,) * t)
+        tracemalloc.start()
+        try:
+            lost_sets = params._lost_sets
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * held
+        expected = {}
+        for e in range(1, t + 1):
+            for chosen in itertools.combinations(range(1, q + 1), e):
+                key = tuple(sum(pow(i, k, p.p) for i in chosen) % p.p for k in range(1, t + 1))
+                expected[key] = sum(1 << i - 1 for i in chosen)
+        assert lost_sets == expected
+
+    def test_zero_deficits_build_no_lost_set_table(self):
+        # members decoded whole, and a short word with the class's own syndrome,
+        # have no nonzero deficit to look up
+        q, n, t = 26, 6, 2
+        p = next_prime_above(q)
+        a, _ = best_class(q, n, t, p)
+        params = VTParams(q, n, t, p, a)
+        for mask in enumerate_class(q, n, t, p, a):
+            assert set_decode(mask, params) == mask
+        short = enumerate_class(q, n - 1, t, p, a)[0]
+        with pytest.raises(NoSolution, match="no 1 clear positions"):
+            set_decode(short, params)
+        assert "_lost_sets" not in vars(params)
 
     def test_bits_outside_the_block_rejected(self):
         params = VTParams(5, 2, 2, Modulus(7), (6, 6))
