@@ -17,6 +17,7 @@ from .multfree import (
     MultFreeCodeSpec,
     SetCode,
     build_code,
+    code_size,
     decode_steps,
     deletion_masks,
     load_spec,
@@ -118,6 +119,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = load_spec(args.spec)
+    if code_size(spec) == 0:
+        raise ValueError("the spec describes an empty code")
     code, vt, t = spec.set_code, spec.set_code.vt, spec.t
     balls_disjoint = verify_sd_property if spec.mode == "stable" else verify_ud_property
     checks = {"perm_balls_disjoint": balls_disjoint(spec.perm_code)}

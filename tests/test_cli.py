@@ -83,32 +83,6 @@ class TestConstruct:
         assert result.returncode == 0
         assert json.loads(path.read_text())["mode"] == "unstable"
 
-    # sha256 of the spec files written before the census became a counting DP
-    @pytest.mark.parametrize(
-        "q, n, t, digest",
-        [
-            (40, 6, 1, "c349d0d79f2b8dbbba03c7860dd913cc6b69478efd6462487051f7968dc4ccbc"),
-            (30, 7, 2, "c09a3df19cc2de1c981414245f18def234a5a7523b9ea640c09933dc19dea0b6"),
-        ],
-    )
-    def test_pinned_spec(self, tmp_path, q, n, t, digest):
-        path = tmp_path / "spec.json"
-        args = ("--q", str(q), "--n", str(n), "--t", str(t))
-        result = run_cli("construct", *args, "--out", str(path))
-        assert result.returncode == 0, result.stdout
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-    def test_beyond_the_subset_count_cap(self, tmp_path):
-        # C(64, 8) > 4e9 subsets, but the DP has 64 * 9 * 67^2 states and the
-        # class is counted, never materialized
-        result = run_cli(
-            "construct", "--q", "64", "--n", "8", "--t", "2", "--out", str(tmp_path / "s.json")
-        )
-        assert result.returncode == 0, result.stdout
-        summary = json.loads(result.stdout)
-        assert summary["set_code_size"] >= math.ceil(math.comb(64, 8) / 67**2)
-        assert summary["set_code_size"] == 986340
-
     def test_scale_guard_env(self, tmp_path):
         result = run_cli(
             "construct", *SPEC_ARGS, "--out", str(tmp_path / "x.json"),
@@ -245,6 +219,25 @@ class TestVerify:
         assert cli.main(["verify", "--spec", str(spec_path)]) == 0
         capsys.readouterr()
         assert len(calls) == 3 + len(multfree.load_spec(spec_path).set_code.masks)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # (0, 0) is the one empty class at p = 13
+            ('"a": [1, 3]', '"a": [0, 0]'),
+            ('"codewords": [[1, 2, 3, 4, 5], [1, 5, 4, 3, 2], [3, 2, 5, 1, 4], [4, 5, 2, 1, 3]]',
+             '"codewords": []'),
+        ],
+        ids=["empty-class", "empty-perm-code"],
+    )
+    def test_empty_code_refused(self, tmp_path, capsys, old, new):
+        # as simulate refuses it: every check would hold vacuously
+        path = tmp_path / "spec.json"
+        assert old in Q12_SPEC
+        path.write_text(Q12_SPEC.replace(old, new))
+        assert cli.main(["verify", "--spec", str(path)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"error": "ValueError", "message": "the spec describes an empty code"}
 
     def test_explicit_set_spec_passes(self, explicit_spec, tmp_path, capsys):
         # an explicit family is no syndrome class, so there is no membership check
@@ -773,6 +766,132 @@ class TestPinnedOutputs:
             traces.append(f"{code} {capsys.readouterr().out}")
         assert hashlib.sha256(listing.encode()).hexdigest() == enumerate_digest
         assert hashlib.sha256("".join(traces).encode()).hexdigest() == decode_digest
+
+
+def benchmark_point(
+    q, n, t, mode, sizes, spec=None, trials=None, simulate=None, listing=None, traces=()
+):
+    return pytest.param(
+        q, n, t, mode, sizes, spec, trials, simulate, listing, traces, id=f"{q}-{n}-{t}-{mode}"
+    )
+
+
+# Each point's `construct` sizes, then the sha256 of its spec file, of its seeded
+# `simulate --trials <trials> --tmax t --seed 1` report, of `enumerate --limit 2000`,
+# and of `decode --trace` on the first codeword with its last t symbols deleted and,
+# at t >= 2, with only its last symbol deleted, so fewer than t are lost.  The spec
+# digests were taken before the census became a counting DP.
+BENCHMARK_POINTS = [
+    # the set layer at benchmark scale
+    benchmark_point(
+        64, 4, 1, "stable", {"set_code_size": 9486}, trials=200,
+        simulate="a74ab279f84840dd994a2350caddb459e10c8c5ca2469b6fe405c19093c666ab",
+        listing="4a85277e5c6eb63b3812f92a8bb88faf36754acefd1563437f2b470bd50b00f4",
+        traces=("72b1326d3d1b8370a94bb6bc92b5b072b02a50d7c85a080f5a8ed005cc82c92b",),
+    ),
+    benchmark_point(
+        26, 6, 2, "stable", {"set_code_size": 285}, trials=200,
+        simulate="9f9943d445a014a8f77a75b6729d92580a02a48c48c80fcee8c3bf25697a963d",
+        listing="ff879b970edcca5b60e6440c3556ac03ae8bc24649fb02de270372ff02b73f70",
+        traces=(
+            "61a0dcb9dbc4b325d2cc78552999b8a58b2f40533693bb58840f67704cf1375c",
+            "46873e6e21788a26dfd32c3578d9488b5b55d1fe852243a881c2aa502bffa8b7",
+        ),
+    ),
+    benchmark_point(
+        20, 7, 1, "unstable", {"set_code_size": 3372}, trials=200,
+        simulate="52ec441f5e0213145719a9355f684074dc7fa6581dd21ef29defaf88651c8acc",
+        listing="63ea5c89b137b7a1fa3f1ccbd3b087c5052652786684e79eb53b51c07d66efd7",
+        traces=("7721f5aa90e1bd7592555d275ee9832022a8e0c2c7f39beb7b121f46ff62985f",),
+    ),
+    benchmark_point(
+        30, 7, 2, "stable", {"set_code_size": 2129}, trials=200,
+        spec="c09a3df19cc2de1c981414245f18def234a5a7523b9ea640c09933dc19dea0b6",
+        simulate="9f9943d445a014a8f77a75b6729d92580a02a48c48c80fcee8c3bf25697a963d",
+        listing="bff17594e62505881235097cb14fe3fffa255e96c4a11550ffbb2fcc04c9fa5f",
+        traces=(
+            "3f5c2b3f1ab1ef64243de4a1a2135a298939fe3abb7f0b9eeb488140fed94370",
+            "5b9009f49ad8f1a294a58d07c96179030bbbe7dc5cd3c4396e3ebe1c021654a9",
+        ),
+    ),
+    benchmark_point(
+        40, 6, 1, "stable", {"set_code_size": 93620}, trials=200,
+        spec="c349d0d79f2b8dbbba03c7860dd913cc6b69478efd6462487051f7968dc4ccbc",
+        simulate="f481d603e10263fed8195913151dea395e56f32be4abbcf3be8a34ec43de5649",
+        listing="a6662fc4854568997acc78d9398e0835ba0932230f82fd63b8e33b3ce0d39ded",
+        traces=("f95b1d78dfacc188b6f152503edfabb38662bc1b3efedb74bb1a0a2f282b3e94",),
+    ),
+    # its decode that loses three symbols takes the three-loss lookup
+    benchmark_point(
+        30, 8, 3, "stable", {"set_code_size": 223}, trials=200,
+        simulate="d58bd24395ba0cbd12d90d1042da3448a394f39c3e0189ce462569446ae72586",
+        listing="4568d7233410838c53e935cd2df64f154c68531c0292054fe2c29f82687fd512",
+        traces=(
+            "e361db23bd4b1966993ac9d7c87ac080dd4d3083fd21ff0102c3f759dc5c3794",
+            "c50a98eb6b8a8f4d1e999053fd6e7275a899ead771c917216be968d993390b85",
+        ),
+    ),
+    # the build-perm grid at q = 12; ud_decode is brute force, so fewer unstable trials
+    benchmark_point(
+        12, 8, 1, "stable", {"perm_code_size": 3362}, trials=200,
+        simulate="52ec441f5e0213145719a9355f684074dc7fa6581dd21ef29defaf88651c8acc",
+    ),
+    benchmark_point(
+        12, 8, 2, "stable", {"perm_code_size": 269}, trials=200,
+        simulate="60d67cde83efe579efa18ebb77b153db849aed6a251b66b7315d622ef78e06ae",
+    ),
+    benchmark_point(
+        12, 8, 1, "unstable", {"perm_code_size": 644}, trials=50,
+        simulate="69c5879c27d6169d60b53c7faebbfe8ca94f64e6828d2d83ba9e964e2421b902",
+    ),
+    # the set-layer table at its largest committed point: C(64, 8) > 4e9 subsets, but
+    # the census counts the class and never materializes it; construct only, since
+    # verify would walk all 986,340 class members
+    benchmark_point(64, 8, 2, "stable", {"set_code_size": 986340}),
+]
+
+
+def sha256_text(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestBenchmarkScalePins:
+    """The benchmark-scale points: every spec verifies, and every pinned
+    output is the same bytes."""
+
+    @pytest.mark.parametrize(
+        "q, n, t, mode, sizes, spec_digest, trials, simulate_digest, listing_digest, trace_digests",
+        BENCHMARK_POINTS,
+    )
+    def test_pinned_outputs(
+        self, tmp_path, capsys, q, n, t, mode, sizes, spec_digest, trials, simulate_digest,
+        listing_digest, trace_digests,
+    ):
+        path = tmp_path / "spec.json"
+        args = ("--q", str(q), "--n", str(n), "--t", str(t), "--mode", mode, "--out", str(path))
+        assert cli.main(["construct", *args]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert {key: summary[key] for key in sizes} == sizes
+        if spec_digest is not None:
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == spec_digest
+        if trials is None:
+            return
+        spec = ("--spec", str(path))
+        assert cli.main(["verify", *spec]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        simulate = ("--trials", str(trials), "--tmax", str(t), "--seed", "1")
+        assert cli.main(["simulate", *spec, *simulate]) == 0
+        assert sha256_text(capsys.readouterr().out) == simulate_digest
+        if listing_digest is None:
+            return
+        assert cli.main(["enumerate", *spec, "--limit", "2000"]) == 0
+        listing = capsys.readouterr().out
+        assert sha256_text(listing) == listing_digest
+        first = json.loads(listing.splitlines()[0])
+        for lost, digest in zip((t, 1)[: 1 + (t >= 2)], trace_digests, strict=True):
+            word = json.dumps(first[: len(first) - lost])
+            assert cli.main(["decode", *spec, "--word", word, "--trace"]) == 0
+            assert sha256_text(capsys.readouterr().out) == digest
 
 
 # every name `delcode/__init__.py` re-exported while it imported its submodules eagerly,

@@ -358,6 +358,7 @@ SET_ORDER_SHA256 = {
     (12, 5, 2): "9c776e79003455fc8bac6e9b8199b577f5766b026fe0c0b3059e3ee83bbd7ecf",
     (30, 7, 2): "d543e15105c9617667f716b809c9b11e70e44edcfb61103d7316b877484aecd4",
     (40, 6, 1): "ae3f29a7ce001e046ee73f2006fd4b477d5c9730a9ca128b57415a91587fe9cd",
+    (30, 8, 3): "dc9d93510e3540daeee7d4aa1cdf0892f834678ed4dd0cbbb41d7cfdc30b656d",
 }
 
 
