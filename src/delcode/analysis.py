@@ -11,6 +11,7 @@ from fractions import Fraction
 from .errors import BoundViolated, DecodeError
 from .model import Record, delete_positions, draw_deletion_pattern
 from .multfree import MultFreeCodeSpec, code_size, decode, encode_index
+from .permcode import reference_size_bound
 
 _LOG_AGREEMENT = 1e-10  # direct vs log-space evaluation must match this closely
 
@@ -33,9 +34,7 @@ def size_lower_bound(q: int, n: int, t: int) -> tuple[Fraction, float]:
         raise ValueError(f"need 1 <= n <= q, got n={n}, q={q}")
     if t < 1:
         raise ValueError("t must be at least 1")
-    exact = Fraction(math.factorial(n), (2 * n) ** (3 * t - 1)) * Fraction(
-        math.comb(q, n), (2 * q) ** t
-    )
+    exact = reference_size_bound(n, t) * Fraction(math.comb(q, n), (2 * q) ** t)
     direct = _log2(exact)
     # fsum, as a plain sum of n terms drifts past the bound at n in the thousands
     log_space = math.fsum(

@@ -9,7 +9,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .errors import BoundViolated, NoSolution, WeightTooLow
 from .guards import CLASS_ENUM_CAP, check_enumerable
@@ -64,7 +64,7 @@ class VTParams(Record):
         s_1..s_t mod p.  No two sets share a key: zeros added to the smaller of
         two sets leave its sums as they are, Newton's identities (at most q < p
         elements) then give both one polynomial, so one set of roots, and no
-        position is 0 mod p.  Built on the first decode with a nonzero deficit."""
+        position is 0 mod p.  Built on first use: a nonzero deficit, or `verify`."""
         p = self.p.p
         levels = _subset_sums(_residue_rows(self.q, self.t, p), self.t, p)
         return {sums: bits for level in levels for _, bits, sums in level}
@@ -270,6 +270,39 @@ def _byte_tables(q: int, t: int, p: int) -> tuple[tuple[list[int], ...], int]:
             table += [entry + one for entry in table]  # entries with bit i - 1 - base set
         tables.append(table)
     return tuple(tables), width
+
+
+def byte_table_fault(params: VTParams) -> dict | None:
+    """Where the byte tables differ from what `pow` re-derives: a field width
+    that can carry, or the first entry v of table b that is not entry
+    v & (v - 1) plus the packed row of v's lowest position (entry 0: zero)."""
+    q, t, p = params.q, params.t, params.p.p
+    tables, width = params._decoder_tables
+    if width < (q * (p - 1)).bit_length():
+        return {"field_width": width}
+    for b, table in enumerate(tables):
+        for v, entry in enumerate(table):
+            low = v & -v
+            row = sum(pow(8 * b + low.bit_length(), k, p) << (k - 1) * width for k in range(1, t + 1))
+            if entry != (table[v ^ low] + row if v else 0):
+                return {"byte_table": b, "entry": v}
+    return None
+
+
+def misread_lost_sets(params: VTParams) -> list[int]:
+    """The sets of 1..t positions, as masks, fewest first and then in
+    `combinations` order, that the lost-set table does not return under their
+    own power sums, re-derived by `pow`: once `byte_table_fault` finds nothing,
+    the only sets a member can lose and not decode back from."""
+    q, t, p = params.q, params.t, params.p.p
+    misread = []
+    for e in range(1, t + 1):
+        for positions in combinations(range(1, q + 1), e):
+            sums = tuple(sum(pow(i, k, p) for i in positions) % p for k in range(1, t + 1))
+            mask = sum(1 << i - 1 for i in positions)
+            if params._lost_sets.get(sums) != mask:
+                misread.append(mask)
+    return misread
 
 
 def _deficits(mask: int, params: VTParams) -> list[int]:

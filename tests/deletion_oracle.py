@@ -1,15 +1,22 @@
 """Reference deletion semantics for the tests: stable deletion of a permutation,
-and the stable decoder as a subsequence scan of every codeword.
+the stable decoder as a subsequence scan of every codeword, and `verify`'s
+set-layer checks as one decode of every deletion of every member.
 
 The decoder never forms this word: it rewrites the received symbols as ranks
 inside the recovered set (`delcode.multfree.symbol_ranks`).  The tests hold that
 rewrite, the greedy stable books and the stable decoder to this definition, and
 the shipped ball-index lookup (`delcode.permcode.sd_decode`) to the scan.
+`verify` certifies set decoding from the decoder's tables instead of decoding;
+the tests hold its verdict and witness to `set_deletion_checks`.
 """
 
-from delcode.errors import Ambiguous, NotFound
-from delcode.model import DeletionPattern, Permutation, Word, _check_positions
+from itertools import islice
+
+from delcode.errors import Ambiguous, DecodeError, NotFound
+from delcode.model import DeletionPattern, Permutation, Word, _check_positions, set_bits
+from delcode.multfree import SetCode, deletion_masks
 from delcode.permcode import PermCodeBook
+from delcode.vtcode import is_codeword
 
 
 def apply_stable_deletions(sigma: Permutation, pattern: DeletionPattern) -> Word:
@@ -36,3 +43,28 @@ def sd_decode(book: PermCodeBook, received: Word) -> Permutation:
     if len(hits) > 1:
         raise Ambiguous("multiple codeword balls contain the received word")
     return hits[0]
+
+
+def set_deletion_checks(code: SetCode) -> tuple[dict, dict | None]:
+    """`verify`'s set-layer checks as its loop made them before the certificate:
+    its `class_membership` (syndrome classes only) and `set_deletion_soundness`
+    entries, and its `set_deletion_witness` or None."""
+    vt, t = code.vt, code.t
+    # one pass over the members' masks: class membership, then every deletion of at most t elements
+    # (a nonempty one, once is_codeword accepted the member) until one does not decode back to it
+    member, witness = True, None
+    for mask in code.masks:
+        member = member and (vt is None or is_codeword(mask, vt))
+        for removed in () if witness else islice(deletion_masks(mask, t), vt is not None and member, None):
+            try:
+                got = code.decode_mask(mask ^ removed)
+                outcome = None if got == mask else {"decoded": set_bits(got)}
+            except DecodeError as exc:
+                outcome = {"error": type(exc).__name__}
+            if outcome:
+                witness = {"member": set_bits(mask), "removed": set_bits(removed), **outcome}
+                break
+    checks = {"set_deletion_soundness": witness is None}
+    if vt is not None:
+        checks["class_membership"] = member
+    return checks, witness

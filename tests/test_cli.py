@@ -8,10 +8,28 @@ import sys
 
 import pytest
 
-from delcode import NoSolution, ScaleGuardExceeded, analysis, cli, multfree, next_prime_above, vtcode
+from deletion_oracle import set_deletion_checks
+
+from delcode import (
+    PermCodeBook,
+    Permutation,
+    ScaleGuardExceeded,
+    analysis,
+    cli,
+    multfree,
+    next_prime_above,
+    vtcode,
+)
 from delcode.model import set_bits
 
 SPEC_ARGS = ["--q", "8", "--n", "4", "--t", "1"]
+
+# what `verify` prints for a syndrome-class spec that passes, taken before the
+# per-deletion loop gave way to the decoder-table certificate
+VERIFY_OK = (
+    '{"checks": {"class_membership": true, "perm_balls_disjoint": true, '
+    '"set_deletion_soundness": true}, "ok": true}\n'
+)
 
 # the spec file that `construct --q 12 --n 5 --t 2` writes
 Q12_SPEC = (
@@ -53,6 +71,13 @@ def spec_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "spec.json"
     result = run_cli("construct", *SPEC_ARGS, "--out", str(path))
     assert result.returncode == 0, result.stderr
+    return path
+
+
+@pytest.fixture
+def q12_spec_path(tmp_path):
+    path = tmp_path / "q12.json"
+    path.write_text(Q12_SPEC)
     return path
 
 
@@ -121,81 +146,85 @@ class TestVerify:
         assert result.returncode == 1
         assert json.loads(result.stdout)["checks"]["perm_balls_disjoint"] is False
 
-    def test_wrong_set_decode_fails_soundness(self, spec_path, monkeypatch, capsys):
-        # one survivor mask decodes to a wrong mask: the merged deletion loop must see it
-        real = multfree.set_decode
-        calls = []
+    @staticmethod
+    def verify_in_memory(spec, monkeypatch, capsys):
+        """verify's exit code and JSON for a loaded spec whose decoder tables a
+        test may have altered in place."""
+        monkeypatch.setattr(cli, "load_spec", lambda path: spec)
+        code = cli.main(["verify", "--spec", "unused.json"])
+        return code, json.loads(capsys.readouterr().out)
 
-        def corrupt(mask, params):
-            calls.append(mask)
-            got = real(mask, params)
-            return got if len(calls) != 7 else got ^ 1
+    @staticmethod
+    def lost_set_keys(vt):
+        return {mask: key for key, mask in vt._lost_sets.items()}
 
-        monkeypatch.setattr(multfree, "set_decode", corrupt)
-        assert cli.main(["verify", "--spec", str(spec_path)]) == 1
-        payload = json.loads(capsys.readouterr().out)
+    @pytest.mark.parametrize("path", ["spec_path", "q12_spec_path"], ids=["8-4-1", "12-5-2"])
+    def test_swapped_lost_sets_fail_as_the_oracle_does(self, request, monkeypatch, capsys, path):
+        # the two lowest symbols of the second member, each looked up as the other
+        spec = multfree.load_spec(request.getfixturevalue(path))
+        vt, member = spec.set_code.vt, spec.set_code.masks[1]
+        first, second = (1 << s for s in set_bits(member)[:2])
+        keys = self.lost_set_keys(vt)
+        vt._lost_sets[keys[first]], vt._lost_sets[keys[second]] = second, first
+        code, payload = self.verify_in_memory(spec, monkeypatch, capsys)
+        checks, witness = set_deletion_checks(spec.set_code)
+        assert code == 1 and witness is not None
         assert payload["checks"]["set_deletion_soundness"] is False
-        assert payload["checks"]["class_membership"] is True
-        assert payload["ok"] is False
+        assert payload["set_deletion_witness"] == witness
+        assert {key: payload["checks"][key] for key in checks} == checks
 
-    def test_wrong_set_decode_reports_witness(self, spec_path, monkeypatch, capsys):
-        # (8,4,1): four decodes per member, one per symbol removed (is_codeword
-        # stands in for the undeleted one), so call 5 is the second member with
-        # its first symbol removed
-        real = multfree.set_decode
-        calls = []
+    def test_misread_set_no_member_holds_passes(self, q12_spec_path, monkeypatch, capsys):
+        # at (12,5,2) some pairs of positions lie in no member, so no deletion loses them
+        spec = multfree.load_spec(q12_spec_path)
+        vt, masks = spec.set_code.vt, spec.set_code.masks
+        unheld = next(m for m in vt._lost_sets.values() if not any(m & x == m for x in masks))
+        vt._lost_sets[self.lost_set_keys(vt)[unheld]] = masks[0] & -masks[0]
+        assert vtcode.misread_lost_sets(vt) == [unheld]
+        assert self.verify_in_memory(spec, monkeypatch, capsys) == (0, json.loads(VERIFY_OK))
+        assert set_deletion_checks(spec.set_code) == (
+            {"class_membership": True, "set_deletion_soundness": True},
+            None,
+        )
 
-        def corrupt(mask, params):
-            calls.append(mask)
-            got = real(mask, params)
-            return got if len(calls) != 5 else got ^ 1
+    def test_all_zero_key_passes(self, spec_path, monkeypatch, capsys):
+        # set_decode never looks up zero deficits, so an extra all-zero key is never read
+        spec = multfree.load_spec(spec_path)
+        vt, masks = spec.set_code.vt, spec.set_code.masks
+        vt._lost_sets[(0,) * vt.t] = masks[0] & -masks[0]
+        assert self.verify_in_memory(spec, monkeypatch, capsys) == (0, json.loads(VERIFY_OK))
+        assert set_deletion_checks(spec.set_code)[1] is None
 
-        monkeypatch.setattr(multfree, "set_decode", corrupt)
-        assert cli.main(["verify", "--spec", str(spec_path)]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        member = multfree.load_spec(spec_path).set_code.masks[1]
-        symbols = set_bits(member)
-        assert payload["set_deletion_witness"] == {
-            "member": symbols,
-            "removed": [symbols[0]],
-            "decoded": set_bits(member ^ 1),
-        }
-        assert len(calls) == 5  # decoding stops at the first witness
-
-    def test_failing_set_decode_reports_error_class(self, spec_path, monkeypatch, capsys):
-        # call 2 is the first member with its second symbol removed
-        real = multfree.set_decode
-        calls = []
-
-        def refuse_second(mask, params):
-            calls.append(mask)
-            if len(calls) == 2:
-                raise NoSolution("corrupted decoder")
-            return real(mask, params)
-
-        monkeypatch.setattr(multfree, "set_decode", refuse_second)
-        assert cli.main(["verify", "--spec", str(spec_path)]) == 1
-        payload = json.loads(capsys.readouterr().out)
+    @pytest.mark.parametrize("fault", ["entry", "width"])
+    def test_byte_table_fault_fails_naming_it(self, spec_path, monkeypatch, capsys, fault):
+        # the entry for the first member's low byte, or fields too narrow for its sums
+        spec = multfree.load_spec(spec_path)
+        vt, member = spec.set_code.vt, spec.set_code.masks[0]
+        tables, width = vt._decoder_tables
+        if fault == "entry":
+            tables[0][member & 0xFF] += 1
+            named = {"byte_table": 0, "entry": member & 0xFF}
+        else:
+            vars(vt)["_decoder_tables"] = (tables, 1)
+            named = {"field_width": 1}
+        code, payload = self.verify_in_memory(spec, monkeypatch, capsys)
+        checks, witness = set_deletion_checks(spec.set_code)
+        assert code == 1 and checks["set_deletion_soundness"] is False
         assert payload["checks"]["set_deletion_soundness"] is False
-        symbols = set_bits(multfree.load_spec(spec_path).set_code.masks[0])
-        assert payload["set_deletion_witness"] == {
-            "member": symbols,
-            "removed": [symbols[1]],
-            "error": "SetDecodeFailed",
-        }
+        assert payload["set_deletion_witness"] == named
+        # membership reads the same tables, so it fails with the oracle's
+        assert payload["checks"]["class_membership"] is checks["class_membership"] is False
 
     @pytest.mark.parametrize("q, n, t", [(64, 4, 1), (26, 6, 2)])
-    def test_decodes_every_deletion_once(self, q, n, t, tmp_path, monkeypatch, capsys):
+    def test_passing_verify_decodes_nothing(self, q, n, t, tmp_path, monkeypatch, capsys):
         path = tmp_path / "spec.json"
         args = ["--q", str(q), "--n", str(n), "--t", str(t), "--out", str(path)]
         assert cli.main(["construct", *args]) == 0
-        size = json.loads(capsys.readouterr().out)["set_code_size"]
+        capsys.readouterr()
         real, calls = multfree.set_decode, []
         monkeypatch.setattr(multfree, "set_decode", lambda *args: calls.append(1) or real(*args))
         assert cli.main(["verify", "--spec", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["ok"] is True
-        # every deletion of 1..t elements; is_codeword stands in for the undeleted member
-        assert len(calls) == size * sum(math.comb(n, e) for e in range(1, t + 1))
+        assert capsys.readouterr().out == VERIFY_OK
+        assert calls == []
 
     def test_non_member_fails_membership(self, spec_path, monkeypatch, capsys):
         # the one-pass loop checks every member until one fails, then stops checking
@@ -219,6 +248,20 @@ class TestVerify:
         assert cli.main(["verify", "--spec", str(spec_path)]) == 0
         capsys.readouterr()
         assert len(calls) == 3 + len(multfree.load_spec(spec_path).set_code.masks)
+
+    def test_listed_non_member_fails_as_the_oracle_does(self, spec_path, monkeypatch, capsys):
+        # a weight-n mask outside the class, listed second: the certificate covers
+        # members only, so its empty deletion is decoded, and does not decode back
+        spec = multfree.load_spec(spec_path)
+        masks = spec.set_code.masks
+        stranger = next(m for m in range(1 << 8) if m.bit_count() == 4 and m not in masks)
+        vars(spec.set_code)["masks"] = (masks[0], stranger, *masks[1:])
+        code, payload = self.verify_in_memory(spec, monkeypatch, capsys)
+        checks, witness = set_deletion_checks(spec.set_code)
+        assert code == 1
+        assert witness == {"member": set_bits(stranger), "removed": [], "error": "SetDecodeFailed"}
+        assert payload["set_deletion_witness"] == witness
+        assert payload["checks"] == {**checks, "perm_balls_disjoint": True}
 
     @pytest.mark.parametrize(
         "old, new",
@@ -252,6 +295,24 @@ class TestVerify:
             },
             "ok": True,
         }
+
+    @pytest.mark.parametrize("family", ["fixture", "class-26-6-2"])
+    def test_explicit_set_spec_agrees_with_the_oracle(
+        self, explicit_spec, monkeypatch, capsys, family
+    ):
+        # an explicit family's soundness is its balls_disjoint check; a syndrome
+        # class's members, listed, are one such family
+        spec = explicit_spec
+        if family != "fixture":
+            p = next_prime_above(26)
+            sets = vtcode.enumerate_class(26, 6, 2, p, vtcode.best_class(26, 6, 2, p)[0])
+            book = PermCodeBook(6, 2, (Permutation.identity(6),))
+            set_code = multfree.SetCode(26, 6, 2, sets=sets)
+            spec = multfree.MultFreeCodeSpec(26, 6, 2, "stable", set_code, book)
+        code, payload = self.verify_in_memory(spec, monkeypatch, capsys)
+        assert code == 0
+        assert set_deletion_checks(spec.set_code) == ({"set_deletion_soundness": True}, None)
+        assert payload["checks"]["set_deletion_soundness"] is True
 
     def test_explicit_check_is_read_not_assumed(self, explicit_spec, monkeypatch, capsys):
         # the pairwise_intersection_bound key reports SetCode.balls_disjoint
@@ -878,7 +939,12 @@ class TestBenchmarkScalePins:
             return
         spec = ("--spec", str(path))
         assert cli.main(["verify", *spec]) == 0
-        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert capsys.readouterr().out == VERIFY_OK
+        # the certificate's verdict is the one a decode of every deletion gives
+        assert set_deletion_checks(multfree.load_spec(path).set_code) == (
+            {"class_membership": True, "set_deletion_soundness": True},
+            None,
+        )
         simulate = ("--trials", str(trials), "--tmax", str(t), "--seed", "1")
         assert cli.main(["simulate", *spec, *simulate]) == 0
         assert sha256_text(capsys.readouterr().out) == simulate_digest
@@ -909,6 +975,8 @@ PACKAGE_NAMES = (
 ).split()
 # the submodules that were attributes of the package after a bare `import delcode`
 PACKAGE_SUBMODULES = ("analysis", "errors", "guards", "model", "modular", "multfree", "permcode", "vtcode")
+# the submodules that `import delcode.cli` loads
+CLI_SUBMODULES = ("cli", "errors", "guards", "model", "modular", "multfree", "permcode", "vtcode")
 
 
 class TestImportFootprint:
@@ -934,6 +1002,15 @@ class TestImportFootprint:
             "print(json.dumps([m for m in unused if m in sys.modules]))"
         )
         assert loaded == []
+
+    def test_cli_loads_exactly_its_modules(self):
+        # both CLI workloads of the benchmark time this import as their set-up
+        loaded = self.child(
+            "import json, sys\n"
+            "import delcode.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('delcode.'))))"
+        )
+        assert loaded == [f"delcode.{m}" for m in CLI_SUBMODULES]
 
     def test_package_gives_every_name(self):
         got = self.child(

@@ -625,6 +625,38 @@ class TestSetDecode:
                     assert set_decode(survivors, params) == mask
 
 
+class TestDecoderTableCertificate:
+    """`verify`'s certificate passes the tables the decoder builds, at every
+    alphabet width from a partial first byte to several bytes, and finds a
+    fault a single field holds."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("q", [2, 7, 8, 9, 16, 17, 30])
+    def test_built_tables_pass(self, q, t):
+        params = VTParams(q, 0, t, next_prime_above(q), (0,) * t)
+        assert vtcode.byte_table_fault(params) is None
+        assert vtcode.misread_lost_sets(params) == []
+
+    def test_each_corrupted_field_is_found(self):
+        params = VTParams(17, 3, 2, next_prime_above(17), (0, 0))
+        tables, width = params._decoder_tables
+        for b, table in enumerate(tables):
+            for v in (0, 1, len(table) - 1):
+                for k in (0, 1):
+                    table[v] ^= 1 << k * width
+                    assert vtcode.byte_table_fault(params) == {"byte_table": b, "entry": v}
+                    table[v] ^= 1 << k * width
+
+    def test_misread_sets_come_in_deletion_order(self):
+        params = VTParams(9, 3, 2, next_prime_above(9), (0, 0))
+        lost_sets = params._lost_sets
+        wanted = [0b110000000, 0b1, 0b1010]  # given out of order
+        keys = {mask: key for key, mask in lost_sets.items()}
+        for mask in wanted:
+            del lost_sets[keys[mask]]
+        assert vtcode.misread_lost_sets(params) == [0b1, 0b1010, 0b110000000]
+
+
 def outcome(decoder, *args):
     """What a decoder returns, or the class and message of the DecodeError it raises."""
     try:
