@@ -41,7 +41,7 @@ _EXPORTS = {
         "delete_positions",
         "draw_deletion_pattern",
     ),
-    "modular": ("Modulus", "next_prime_above"),
+    "modular": ("next_prime_above",),
     "multfree": (
         "DecodeSteps",
         "MultFreeCodeSpec",

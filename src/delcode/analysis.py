@@ -32,8 +32,8 @@ def size_lower_bound(q: int, n: int, t: int) -> tuple[Fraction, float]:
     """
     if not 1 <= n <= q:
         raise ValueError(f"need 1 <= n <= q, got n={n}, q={q}")
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    if not 1 <= t <= n:
+        raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
     exact = reference_size_bound(n, t) * Fraction(math.comb(q, n), (2 * q) ** t)
     direct = _log2(exact)
     # fsum, as a plain sum of n terms drifts past the bound at n in the thousands
@@ -62,14 +62,12 @@ def redundancy_bound(q: int, n: int, t: int) -> float:
 
 class BoundReport(Record):
     """Bit-level accounting for one (q, n, t) point, optionally against a
-    materialized code size.  delta is a display-only knob for the asymptotic
-    annotation and is never folded into the bound."""
+    materialized code size."""
 
     __slots__ = (
         "q", "n", "t", "size_lower_bound", "log2_size_lower_bound", "redundancy_bound",
         "singleton_log_size", "log2_multfree_count", "alpha", "code_size", "log2_code_size",
-        "redundancy_actual", "eta", "alpha_threshold", "alpha_exceeds_threshold", "delta",
-        "delta_adjusted_bound",
+        "redundancy_actual", "eta", "alpha_threshold", "alpha_exceeds_threshold",
     )
 
     def __init__(
@@ -89,8 +87,6 @@ class BoundReport(Record):
         eta: float | None = None,  # Singleton gap n - t - log2|C|/log2(q)
         alpha_threshold: float | None = None,  # (3t-1)/eta; alpha above it closes the gap
         alpha_exceeds_threshold: bool | None = None,
-        delta: float | None = None,
-        delta_adjusted_bound: float | None = None,  # 4t-1 term replaced by delta*t
     ):
         values = locals()
         for name in self.__slots__:
@@ -102,13 +98,9 @@ class BoundReport(Record):
         return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in values}
 
 
-def singleton_report(
-    q: int, n: int, t: int, code_size=None, delta: float | None = None
-) -> BoundReport:
+def singleton_report(q: int, n: int, t: int, code_size=None) -> BoundReport:
     """Full bound report: guaranteed size, redundancy bound, Singleton-gap eta
     for a supplied code size, and the alpha threshold that closes the gap."""
-    if delta is not None and not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
     exact, log2_bound = size_lower_bound(q, n, t)
     try:
         bound_float = float(exact)
@@ -125,10 +117,7 @@ def singleton_report(
         "singleton_log_size": (n - t) * log_q,
         "log2_multfree_count": sum(math.log2(q - i) for i in range(n)),
         "alpha": log_q / math.log2(n) if n > 1 else math.inf,
-        "delta": delta,
     }
-    if delta is not None:
-        report["delta_adjusted_bound"] = t * log_q + (3 * t - 1) * math.log2(n) + delta * t
     if code_size is not None:
         words = math.perm(q, n)
         if not 0 < code_size <= words:

@@ -2,7 +2,8 @@
 
 Every subcommand prints JSON to stdout.  Exit code 0 means every asserted
 guarantee held; decode failures, guard violations and failed verifications
-exit nonzero.
+exit nonzero.  A usage error (an unknown or missing option) is argparse's: usage
+text on stderr, nothing on stdout, exit 2.
 """
 
 import argparse
@@ -47,7 +48,7 @@ def _cmd_construct(args) -> int:
     _emit(
         {
             "out": args.out,
-            "p": p.p,
+            "p": p,
             "a": list(a),
             "set_code_size": class_size,
             "perm_code_size": len(book.codewords),
@@ -111,7 +112,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_bounds(args) -> int:
     from .analysis import singleton_report
 
-    report = singleton_report(args.q, args.n, args.t, code_size=args.size, delta=args.delta)
+    report = singleton_report(args.q, args.n, args.t, code_size=args.size)
     _emit(report.to_json_dict())
     return 0
 
@@ -199,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--t", type=int, required=True)
     b.add_argument("--size", type=int, default=None)
-    b.add_argument("--delta", type=float, default=None)
     b.set_defaults(func=_cmd_bounds)
 
     v = sub.add_parser("verify", help="check every member; certify set decoding by the decoder's tables")

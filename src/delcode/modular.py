@@ -1,8 +1,6 @@
-"""Prime moduli: a primality test, a checked prime type and the smallest prime
-above q."""
+"""Prime moduli: a primality test and the smallest prime above q."""
 
 from .errors import BoundViolated
-from .model import Record
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -31,18 +29,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Modulus(Record):
-    """A prime modulus, verified at construction."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "p", p)
-
-
-def next_prime_above(q: int) -> Modulus:
+def next_prime_above(q: int) -> int:
     """Smallest prime p > q; Bertrand's postulate guarantees p <= 2q."""
     if q < 2:
         raise ValueError("q must be at least 2")
@@ -51,4 +38,4 @@ def next_prime_above(q: int) -> Modulus:
         p += 1
     if p > 2 * q:
         raise BoundViolated(f"first prime found above {q} is {p}, beyond Bertrand's bound 2q")
-    return Modulus(p)
+    return p

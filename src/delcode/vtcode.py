@@ -14,7 +14,7 @@ from itertools import combinations, product
 from .errors import BoundViolated, NoSolution, WeightTooLow
 from .guards import CLASS_ENUM_CAP, check_enumerable
 from .model import Record
-from .modular import Modulus
+from .modular import is_prime
 
 
 class VTParams(Record):
@@ -23,19 +23,21 @@ class VTParams(Record):
 
     __slots__ = ("q", "n", "t", "p", "a", "__dict__")
 
-    def __init__(self, q: int, n: int, t: int, p: Modulus, a: tuple[int, ...]):
+    def __init__(self, q: int, n: int, t: int, p: int, a: tuple[int, ...]):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         a = tuple(a)
         if not 0 <= n <= q:
             raise ValueError(f"need 0 <= n <= q, got n={n}, q={q}")
-        if not q < p.p <= 2 * q:
-            raise ValueError(f"need q < p <= 2q, got q={q}, p={p.p}")
+        if not q < p <= 2 * q:
+            raise ValueError(f"need q < p <= 2q, got q={q}, p={p}")
         if t < 1:
             raise ValueError("error budget t must be at least 1")
         if len(a) != t:
             raise ValueError(f"syndrome vector has {len(a)} entries, expected t={t}")
         for r in a:
-            if not 0 <= r < p.p:
-                raise ValueError(f"residue {r} outside [0, {p.p - 1}]")
+            if not 0 <= r < p:
+                raise ValueError(f"residue {r} outside [0, {p - 1}]")
         # 256 entries of t fields per mask byte, counted before _decoder_tables builds them
         check_enumerable(-(-q // 8) * 256 * t, CLASS_ENUM_CAP, "set-decoder byte-table fields")
         # one key per subset of at most t positions, counted before _lost_sets builds them
@@ -48,15 +50,15 @@ class VTParams(Record):
         object.__setattr__(self, "a", a)
 
     def to_json_dict(self) -> dict:
-        return {"q": self.q, "n": self.n, "t": self.t, "p": self.p.p, "a": list(self.a)}
+        return {"q": self.q, "n": self.n, "t": self.t, "p": self.p, "a": list(self.a)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "VTParams":
-        return cls(data["q"], data["n"], data["t"], Modulus(data["p"]), data["a"])
+        return cls(data["q"], data["n"], data["t"], data["p"], data["a"])
 
     @cached_property
     def _decoder_tables(self) -> tuple[tuple[list[int], ...], int]:
-        return _byte_tables(self.q, self.t, self.p.p)
+        return _byte_tables(self.q, self.t, self.p)
 
     @cached_property
     def _lost_sets(self) -> dict[tuple[int, ...], int]:
@@ -65,8 +67,7 @@ class VTParams(Record):
         two sets leave its sums as they are, Newton's identities (at most q < p
         elements) then give both one polynomial, so one set of roots, and no
         position is 0 mod p.  Built on first use: a nonzero deficit, or `verify`."""
-        p = self.p.p
-        levels = _subset_sums(_residue_rows(self.q, self.t, p), self.t, p)
+        levels = _subset_sums(_residue_rows(self.q, self.t, self.p), self.t, self.p)
         return {sums: bits for level in levels for _, bits, sums in level}
 
 
@@ -102,18 +103,18 @@ def _shift(row: int, i: int, t: int, p: int, width: int) -> int:
     return row
 
 
-def _census(q: int, n: int, t: int, p: Modulus) -> tuple[bytearray, int]:
+def _census(q: int, n: int, t: int, p: int) -> tuple[bytearray, int]:
     """The suffix-count table of weight-n words of length q and its field width
     in bits.  The scale guard runs on every call, the table is built once per
     (q, n, t, p)."""
     if n < 0 or t < 0:
         raise ValueError(f"weight n and budget t must be nonnegative, got n={n}, t={t}")
-    check_enumerable(q * (n + 1) * p.p**t, CLASS_ENUM_CAP, "syndrome-class DP")
+    check_enumerable(q * (n + 1) * p**t, CLASS_ENUM_CAP, "syndrome-class DP")
     return _suffix_counts(q, n, t, p)
 
 
 @lru_cache(maxsize=2)  # a channel holds two specs; a table can reach tens of MB
-def _suffix_counts(q: int, n: int, t: int, p: Modulus) -> tuple[bytearray, int]:
+def _suffix_counts(q: int, n: int, t: int, p: int) -> tuple[bytearray, int]:
     """The table behind _census: row (i, w), for 1 <= i <= q + 1 and
     0 <= w <= n, is p^t whole-byte fields in flat label order, starting at
     field ((i - 1) * (n + 1) + w) * p^t.  Field r counts the ways positions
@@ -125,36 +126,36 @@ def _suffix_counts(q: int, n: int, t: int, p: Modulus) -> tuple[bytearray, int]:
     size never carry.
     """
     width = -(-math.comb(q, min(n, q // 2)).bit_length() // 8) * 8
-    row_bytes = p.p**t * width // 8
+    row_bytes = p**t * width // 8
     table = bytearray((q + 1) * (n + 1) * row_bytes)
     rows = [1] + [0] * n
     for i in range(q + 1, 0, -1):
         top = min(n, q - i + 1)
         for w in range(top, 0, -1):
-            rows[w] += _shift(rows[w - 1], i, t, p.p, width)
+            rows[w] += _shift(rows[w - 1], i, t, p, width)
         for w in range(top + 1):
             start = ((i - 1) * (n + 1) + w) * row_bytes
             table[start : start + row_bytes] = rows[w].to_bytes(row_bytes, "little")
     return table, width
 
 
-def class_sizes(q: int, n: int, t: int, p: Modulus) -> dict[tuple[int, ...], int]:
+def class_sizes(q: int, n: int, t: int, p: int) -> dict[tuple[int, ...], int]:
     """Census of the syndrome partition: class label -> number of weight-n
     words, nonempty classes only, in label order."""
     table, width = _census(q, n, t, p)
-    step, row_bytes = width // 8, p.p**t * width // 8
+    step, row_bytes = width // 8, p**t * width // 8
     root = table[n * row_bytes : (n + 1) * row_bytes]
     counts = (int.from_bytes(root[j : j + step], "little") for j in range(0, row_bytes, step))
-    return {label: c for label, c in zip(product(range(p.p), repeat=t), counts) if c}
+    return {label: c for label, c in zip(product(range(p), repeat=t), counts) if c}
 
 
-def class_size(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> int:
+def class_size(q: int, n: int, t: int, p: int, a: Sequence[int]) -> int:
     """Number of weight-n words of length q with syndrome a."""
-    if len(a) != t or not all(0 <= r < p.p for r in a):
+    if len(a) != t or not all(0 <= r < p for r in a):
         return 0
     table, width = _census(q, n, t, p)
     step = width // 8
-    field = (n * p.p**t + _flat(a, p.p)) * step
+    field = (n * p**t + _flat(a, p)) * step
     return int.from_bytes(table[field : field + step], "little")
 
 
@@ -189,7 +190,7 @@ def _tail_depth(q: int, n: int, size: int) -> int:
     return max(k for k in (1, 2, 3) if k == 1 or k <= n and math.comb(q, k) <= n * size)
 
 
-def enumerate_class(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> list[int]:
+def enumerate_class(q: int, n: int, t: int, p: int, a: Sequence[int]) -> list[int]:
     """Masks of all weight-n words of length q with syndrome a, bit i - 1 for
     position i, in encode order: lexicographic in the sorted positions.
 
@@ -208,17 +209,16 @@ def enumerate_class(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> lis
         return []
     if n == 0:
         return [0]
-    m = p.p
-    vectors = _residue_rows(q, t, m)
+    vectors = _residue_rows(q, t, p)
     depth = _tail_depth(q, n, size)
     tails: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    *_, last_level = _subset_sums(vectors, depth, m)
+    *_, last_level = _subset_sums(vectors, depth, p)
     for _, tail, key in last_level:
         firsts, bits = tails.setdefault(key, ([], []))
         firsts.append((tail & -tail).bit_length())  # the lowest set bit's position
         bits.append(tail)
     table, width = _census(q, n, t, p)
-    step, stride = width // 8, m**t
+    step, stride = width // 8, p**t
     zero = bytes(step)
     masks = []
     stack = [(0, 0, n, tuple(a))]  # (mask, last position, ones left, residue left)
@@ -229,15 +229,15 @@ def enumerate_class(q: int, n: int, t: int, p: Modulus, a: Sequence[int]) -> lis
             masks.extend(map(mask.__or__, bits[bisect_right(firsts, pos) :]))
             continue
         for j in range(q - w + 1, pos, -1):
-            rest = tuple((x - y) % m for x, y in zip(need, vectors[j]))
+            rest = tuple((x - y) % p for x, y in zip(need, vectors[j]))
             # row (j + 1, w - 1): the ones left after a one at j
-            field = ((j * (n + 1) + w - 1) * stride + _flat(rest, m)) * step
+            field = ((j * (n + 1) + w - 1) * stride + _flat(rest, p)) * step
             if table[field : field + step] != zero:
                 stack.append((mask | 1 << (j - 1), j, w - 1, rest))
     return masks
 
 
-def best_class(q: int, n: int, t: int, p: Modulus) -> tuple[tuple[int, ...], int]:
+def best_class(q: int, n: int, t: int, p: int) -> tuple[tuple[int, ...], int]:
     """Largest syndrome class; ties go to the lexicographically smallest label.
 
     Raises BoundViolated if the largest class is below the pigeonhole bound
@@ -245,9 +245,9 @@ def best_class(q: int, n: int, t: int, p: Modulus) -> tuple[tuple[int, ...], int
     """
     counts = class_sizes(q, n, t, p)
     label, size = min(counts.items(), key=lambda kv: (-kv[1], kv[0]), default=((0,) * t, 0))
-    if size * p.p**t < math.comb(q, n):
+    if size * p**t < math.comb(q, n):
         raise BoundViolated(
-            f"largest of the {p.p}^{t} classes has {size} of C({q}, {n}) words, "
+            f"largest of the {p}^{t} classes has {size} of C({q}, {n}) words, "
             "below the pigeonhole bound"
         )
     return label, size
@@ -276,7 +276,7 @@ def byte_table_fault(params: VTParams) -> dict | None:
     """Where the byte tables differ from what `pow` re-derives: a field width
     that can carry, or the first entry v of table b that is not entry
     v & (v - 1) plus the packed row of v's lowest position (entry 0: zero)."""
-    q, t, p = params.q, params.t, params.p.p
+    q, t, p = params.q, params.t, params.p
     tables, width = params._decoder_tables
     if width < (q * (p - 1)).bit_length():
         return {"field_width": width}
@@ -294,7 +294,7 @@ def misread_lost_sets(params: VTParams) -> list[int]:
     `combinations` order, that the lost-set table does not return under their
     own power sums, re-derived by `pow`: once `byte_table_fault` finds nothing,
     the only sets a member can lose and not decode back from."""
-    q, t, p = params.q, params.t, params.p.p
+    q, t, p = params.q, params.t, params.p
     misread = []
     for e in range(1, t + 1):
         for positions in combinations(range(1, q + 1), e):
@@ -309,7 +309,7 @@ def _deficits(mask: int, params: VTParams) -> list[int]:
     """Syndrome deficits a_k - sum over the set bits of i^k, mod p, for bit
     i - 1 standing for position i: all zero on a class member, and the power
     sums of the lost positions once ones are flipped to zero."""
-    q, p = params.q, params.p.p
+    q, p = params.q, params.p
     if mask < 0 or mask >> q:
         raise ValueError(f"bitmask has bits outside the block length {q}")
     tables, width = params._decoder_tables

@@ -11,15 +11,13 @@ tests hold the mask path to it, in result and in error.
 from typing import Iterable, Sequence
 
 from delcode.errors import NoSolution, WeightTooLow
-from delcode.modular import Modulus
 from delcode.vtcode import VTParams
 
 BitWord = tuple[int, ...]
 
 
-def power_sums_to_elementary(power_sums: Sequence[int], m: Modulus) -> tuple[int, ...]:
+def power_sums_to_elementary(power_sums: Sequence[int], p: int) -> tuple[int, ...]:
     """Invert Newton's identities over F_p: k*e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i."""
-    p = m.p
     e = len(power_sums)
     if e >= p:
         raise ValueError(f"need fewer than p = {p} power sums to divide by 1..{e}")
@@ -34,10 +32,9 @@ def power_sums_to_elementary(power_sums: Sequence[int], m: Modulus) -> tuple[int
     return tuple(elem[1:])
 
 
-def locator_roots(elementary: Sequence[int], candidates: Iterable[int], m: Modulus) -> set[int]:
+def locator_roots(elementary: Sequence[int], candidates: Iterable[int], p: int) -> set[int]:
     """Candidates where the locator X^e - e_1 X^(e-1) + e_2 X^(e-2) - ... vanishes,
     by Horner evaluation per candidate; its roots are the error locations."""
-    p = m.p
     coeffs = [-c if k % 2 else c for k, c in enumerate(elementary, start=1)]
     roots = set()
     for x in candidates:
@@ -49,13 +46,13 @@ def locator_roots(elementary: Sequence[int], candidates: Iterable[int], m: Modul
     return roots
 
 
-def vt_syndrome(x: Sequence[int], t: int, p: Modulus) -> tuple[int, ...]:
+def vt_syndrome(x: Sequence[int], t: int, p: int) -> tuple[int, ...]:
     """Residue k is sum_i i^k x_i mod p, with 1-based positions."""
-    if len(x) >= p.p:
-        raise ValueError(f"modulus {p.p} must exceed the word length {len(x)}")
+    if len(x) >= p:
+        raise ValueError(f"modulus {p} must exceed the word length {len(x)}")
     # powers computed here, not read from the decoder's tables
     ones = [i for i, bit in enumerate(x, start=1) if bit]
-    return tuple(sum(pow(i, k, p.p) for i in ones) % p.p for k in range(1, t + 1))
+    return tuple(sum(pow(i, k, p) for i in ones) % p for k in range(1, t + 1))
 
 
 def is_codeword(x: Sequence[int], params: VTParams) -> bool:
@@ -88,12 +85,12 @@ def decode_asymmetric(y: Sequence[int], params: VTParams) -> BitWord:
             raise NoSolution(failure)
         return tuple(y)
 
-    p = params.p.p
-    observed = vt_syndrome(y, params.t, params.p)
+    p = params.p
+    observed = vt_syndrome(y, params.t, p)
     deficits = [(a_k - s_k) % p for a_k, s_k in zip(params.a, observed)]
-    elementary = power_sums_to_elementary(deficits[:e], params.p)
+    elementary = power_sums_to_elementary(deficits[:e], p)
     candidates = [i for i, bit in enumerate(y, start=1) if not bit]
-    roots = locator_roots(elementary, candidates, params.p)
+    roots = locator_roots(elementary, candidates, p)
     if len(roots) != e:
         raise NoSolution(failure)
     repaired = list(y)

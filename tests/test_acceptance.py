@@ -85,7 +85,7 @@ def test_criterion_3_vt_asymmetric_decoding(criterion):
     with criterion(3, "constant-weight asymmetric decoding", max_seconds=30.0):
         q, n, t = 10, 5, 2
         p = next_prime_above(q)
-        assert p.p == 11
+        assert p == 11
         a, _ = best_class(q, n, t, p)
         params = VTParams(q, n, t, p, a)
         masks = enumerate_class(q, n, t, p, a)

@@ -49,6 +49,13 @@ class TestSizeLowerBound:
         with pytest.raises(ValueError):
             size_lower_bound(8, 5, 0)
 
+    def test_radius_above_n_refused(self):
+        assert size_lower_bound(8, 4, 4)[0] > 0
+        with pytest.raises(ValueError, match="got t=5, n=4"):
+            size_lower_bound(8, 4, 5)
+        with pytest.raises(ValueError, match="got t=10, n=4"):
+            singleton_report(8, 4, 10)
+
 
 class TestRedundancy:
     def test_full_space_has_zero_redundancy(self):
@@ -115,12 +122,6 @@ class TestSingletonReport:
         assert report.code_size is None
         assert report.eta is None
         assert report.redundancy_actual is None
-
-    def test_delta_annotation_not_folded_in(self):
-        plain = singleton_report(256, 8, 2)
-        annotated = singleton_report(256, 8, 2, delta=1.0)
-        assert annotated.redundancy_bound == plain.redundancy_bound == 38.0
-        assert annotated.delta_adjusted_bound == pytest.approx(16 + 15 + 2.0)
 
     def test_multfree_count_is_exact_falling_factorial(self):
         report = singleton_report(9, 4, 1)

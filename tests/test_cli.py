@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -475,13 +476,22 @@ class TestBounds:
         assert result.returncode == 0, result.stderr
         assert strict_json(result.stdout)[key] is None
 
-    @pytest.mark.parametrize("delta", ["nan", "inf"])
-    def test_delta_must_be_finite(self, delta):
-        result = run_cli("bounds", "--q", "8", "--n", "4", "--t", "1", "--delta", delta)
+    def test_report_keys(self):
+        payload = strict_json(run_cli("bounds", "--q", "8", "--n", "5", "--t", "2").stdout)
+        assert sorted(payload) == [
+            "alpha", "alpha_exceeds_threshold", "alpha_threshold", "code_size", "eta",
+            "log2_code_size", "log2_multfree_count", "log2_size_lower_bound", "n", "q",
+            "redundancy_actual", "redundancy_bound", "singleton_log_size", "size_lower_bound", "t",
+        ]
+
+    def test_radius_above_n_refused(self):
+        # as construct refuses it; the report would read a negative Singleton size
+        result = run_cli("bounds", "--q", "8", "--n", "4", "--t", "10")
         assert result.returncode == 2
-        payload = strict_json(result.stdout)
-        assert payload["error"] == "ValueError"
-        assert "delta must be finite" in payload["message"]
+        assert strict_json(result.stdout) == {
+            "error": "ValueError",
+            "message": "need 1 <= t <= n, got t=10, n=4",
+        }
 
     @pytest.mark.parametrize("q, n, t", [(100000, 5000, 3), (50000, 20000, 4)])
     def test_log_space_check_holds_at_large_points(self, q, n, t):
@@ -507,6 +517,36 @@ class TestErrors:
         result = run_cli("enumerate", "--spec", "/nonexistent/spec.json")
         assert result.returncode == 2
         assert "error" in json.loads(result.stdout)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("bounds", "--q", "8", "--n", "4", "--t", "1", "--delta", "1"),
+            ("construct", "--q", "12", "--n", "5", "--t", "2"),
+        ],
+        ids=["unknown-option", "missing-option"],
+    )
+    def test_usage_error_prints_no_json(self, args):
+        # argparse's own errors are the one exit that prints usage text, not JSON
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: delcode")
+
+    def test_no_check_is_an_assert(self):
+        # `python -O` strips assert statements; every guard must be a raise to stay on
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "delcode")
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name)) as handle:
+                    tree = ast.parse(handle.read(), name)
+                assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), name
+
+    def test_composite_modulus_refused(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(Q12_SPEC.replace('"p": 13', '"p": 15'))
+        assert cli.main(["verify", "--spec", str(path)]) == 2
+        assert capsys.readouterr().out == '{"error": "ValueError", "message": "15 is not prime"}\n'
 
     def test_negative_budget_refused(self, tmp_path, capsys):
         # p**t is a float at t < 0, so the census must refuse t before sizing a table
@@ -540,7 +580,7 @@ class TestErrors:
         # ceil(q / 8) tables of 256 entries of t fields: 39,063 * 256 = 10,000,128 > 10^7
         # at q = 312,497 and t = 1, refused on load; q = 312,496 is the largest that passes
         q, n = 312_497, 5
-        p = next_prime_above(q).p
+        p = next_prime_above(q)
         spec = {
             "q": q,
             "n": n,
@@ -565,7 +605,7 @@ class TestErrors:
         # every entry packs t fields, so a large t is refused on load at a moderate q:
         # 5,000 * 256 * 300 fields here, about 1.5 GB of tables had they been built
         q, n, t = 40_000, 300, 300
-        p = next_prime_above(q).p
+        p = next_prime_above(q)
         spec = {
             "q": q,
             "n": n,
@@ -595,7 +635,7 @@ class TestErrors:
         # C(q, 1) + C(q, 2) lost-set keys: 10,001,628 > 10^7 at q = 4,472 and t = 2,
         # refused on load; q = 4,471 is the largest that passes
         q, n = 4_472, 5
-        p = next_prime_above(q).p
+        p = next_prime_above(q)
         spec = {
             "q": q,
             "n": n,
@@ -961,10 +1001,11 @@ class TestBenchmarkScalePins:
 
 
 # every name `delcode/__init__.py` re-exported while it imported its submodules eagerly,
-# less `locator_roots` and `power_sums_to_elementary`, which the tests' bitword oracle holds
+# less `locator_roots` and `power_sums_to_elementary`, which the tests' bitword oracle holds,
+# and `Modulus`, now a plain int
 PACKAGE_NAMES = (
     "Ambiguous BoundReport BoundViolated DecodeError DecodeSteps DelcodeError DeletionPattern "
-    "InputTooShort MalformedSpec Modulus MultFreeCodeSpec NoSolution NotFound PermCodeBook "
+    "InputTooShort MalformedSpec MultFreeCodeSpec NoSolution NotFound PermCodeBook "
     "PermDecodeFailed Permutation ScaleGuardExceeded SetCode SetDecodeFailed SimulationReport "
     "SymbolNotInSet VTParams WeightTooLow Word apply_unstable_deletions best_class build_code "
     "class_size class_sizes code_size decode decode_steps delete_positions draw_deletion_pattern "

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delcode import BoundViolated, Modulus, next_prime_above
+from delcode import BoundViolated, VTParams, next_prime_above
 from delcode.modular import is_prime
 
 from bitword_oracle import locator_roots, power_sums_to_elementary
@@ -38,18 +38,18 @@ class TestPrimes:
 
     def test_modulus_rejects_composites(self):
         for bad in (0, 1, 4, 9, 561):
-            with pytest.raises(ValueError):
-                Modulus(bad)
+            with pytest.raises(ValueError, match="is not prime"):
+                VTParams(3, 2, 1, bad, (0,))
 
     def test_next_prime_above_examples(self):
-        assert next_prime_above(2).p == 3
-        assert next_prime_above(10).p == 11
-        assert next_prime_above(8).p == 11
-        assert next_prime_above(8).p <= 16
+        assert next_prime_above(2) == 3
+        assert next_prime_above(10) == 11
+        assert next_prime_above(8) == 11
+        assert next_prime_above(8) <= 16
 
     def test_next_prime_above_minimal_exhaustive(self):
         for q in range(2, 200):
-            p = next_prime_above(q).p
+            p = next_prime_above(q)
             assert p > q
             assert trial_division(p)
             assert not any(trial_division(m) for m in range(q + 1, p))
@@ -58,7 +58,7 @@ class TestPrimes:
         rng = random.Random(1)
         qs = list(range(2, 1000)) + [rng.randrange(10**3, 10**6) for _ in range(50)]
         for q in qs:
-            p = next_prime_above(q).p
+            p = next_prime_above(q)
             assert q < p <= 2 * q
 
     def test_bertrand_failure_raises(self, monkeypatch):
@@ -74,44 +74,43 @@ class TestPrimes:
 
 class TestNewtonIdentities:
     def test_single_power_sum_is_identity(self):
-        m = Modulus(11)
         for r in range(11):
-            assert power_sums_to_elementary((r,), m) == (r,)
+            assert power_sums_to_elementary((r,), 11) == (r,)
 
     def test_two_roots_mod_seven(self):
         # roots {2, 3}: e1 = 5, e2 = 6
-        assert power_sums_to_elementary((5, 6), Modulus(7)) == (5, 6)
+        assert power_sums_to_elementary((5, 6), 7) == (5, 6)
 
     def test_three_roots_mod_eleven(self):
         # roots {1, 2, 4}: power sums (7, 21, 73) = (7, 10, 7) mod 11
-        assert power_sums_to_elementary((7, 10, 7), Modulus(11)) == (7, 3, 8)
+        assert power_sums_to_elementary((7, 10, 7), 11) == (7, 3, 8)
 
     def test_too_many_terms_rejected(self):
         with pytest.raises(ValueError):
-            power_sums_to_elementary((1, 2, 3), Modulus(3))
+            power_sums_to_elementary((1, 2, 3), 3)
 
 
 class TestLocatorRoots:
     def test_quadratic_example(self):
-        assert locator_roots((5, 6), range(1, 7), Modulus(7)) == {2, 3}
+        assert locator_roots((5, 6), range(1, 7), 7) == {2, 3}
 
     def test_linear_locator(self):
-        assert locator_roots((4,), {4}, Modulus(7)) == {4}
+        assert locator_roots((4,), {4}, 7) == {4}
 
     def test_roots_absent_from_candidates(self):
-        assert locator_roots((5, 6), {1, 4, 5}, Modulus(7)) == set()
+        assert locator_roots((5, 6), {1, 4, 5}, 7) == set()
 
     def test_locator_polynomial_signs(self):
         # (X - 1)(X - 2)(X - 4) = X^3 - 7X^2 + 14X - 8: e = (7, 14, 8) = (7, 3, 8) mod 11.
         # Flipping the sign of the odd terms would give the roots -1, -2, -4 = 10, 9, 7 instead.
-        assert locator_roots((7, 3, 8), range(11), Modulus(11)) == {1, 2, 4}
+        assert locator_roots((7, 3, 8), range(11), 11) == {1, 2, 4}
 
 
 def roundtrip(q: int, deleted: tuple[int, ...]) -> set[int]:
-    m = next_prime_above(q)
+    p = next_prime_above(q)
     e = len(deleted)
-    sums = tuple(sum(pow(i, k, m.p) for i in deleted) % m.p for k in range(1, e + 1))
-    return locator_roots(power_sums_to_elementary(sums, m), range(1, q + 1), m)
+    sums = tuple(sum(pow(i, k, p) for i in deleted) % p for k in range(1, e + 1))
+    return locator_roots(power_sums_to_elementary(sums, p), range(1, q + 1), p)
 
 
 class TestRoundTrip:

@@ -397,7 +397,7 @@ class TestClassMaterialization:
             deleted = rng.sample(range(1, spec.n + 1), rng.randint(0, spec.t))
             assert decode(spec, delete_positions(x, DeletionPattern(deleted, spec.n))) == x
         assert vtcode._suffix_counts.cache_info().misses <= len(specs)
-        assert sorted(builds) == sorted((s.q, s.t, s.set_code.vt.p.p) for s in specs)
+        assert sorted(builds) == sorted((s.q, s.t, s.set_code.vt.p) for s in specs)
 
     def test_members_live_on_the_code(self):
         # built once per code, and released with it

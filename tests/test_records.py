@@ -12,7 +12,6 @@ from delcode import (
     BoundReport,
     DecodeSteps,
     DeletionPattern,
-    Modulus,
     MultFreeCodeSpec,
     PermCodeBook,
     Permutation,
@@ -32,7 +31,7 @@ from delcode import (
 
 
 def _vt(a=(1, 3)):
-    return VTParams(12, 5, 2, Modulus(13), a)
+    return VTParams(12, 5, 2, 13, a)
 
 
 def _book(*images):
@@ -77,18 +76,17 @@ RECORDS = {
         lambda: DeletionPattern((1, 3), 5),
         "DeletionPattern(positions=(1, 3), original_length=4)",
     ),
-    "Modulus": (lambda: Modulus(13), lambda: Modulus(13), lambda: Modulus(17), "Modulus(p=13)"),
     "VTParams": (
         _vt,
         lambda: _vt([1, 3]),
         lambda: _vt((1, 4)),
-        "VTParams(q=12, n=5, t=2, p=Modulus(p=13), a=(1, 3))",
+        "VTParams(q=12, n=5, t=2, p=13, a=(1, 3))",
     ),
     "SetCode": (
         lambda: SetCode.from_vt(_vt()),
         lambda: SetCode(12, 5, 2, vt=_vt()),
         lambda: SetCode.from_vt(_vt((0, 0))),
-        "SetCode(q=12, n=5, t=2, vt=VTParams(q=12, n=5, t=2, p=Modulus(p=13), a=(1, 3)), sets=None)",
+        "SetCode(q=12, n=5, t=2, vt=VTParams(q=12, n=5, t=2, p=13, a=(1, 3)), sets=None)",
     ),
     "PermCodeBook": (
         lambda: _book((2, 1, 3), (1, 2, 3)),
@@ -118,7 +116,7 @@ RECORDS = {
         "BoundReport(q=12, n=5, t=2, size_lower_bound=0.5, log2_size_lower_bound=-1.0, "
         "redundancy_bound=20.0, singleton_log_size=10.75, log2_multfree_count=16.5, alpha=1.5, "
         "code_size=None, log2_code_size=None, redundancy_actual=None, eta=0.25, alpha_threshold=None, "
-        "alpha_exceeds_threshold=None, delta=None, delta_adjusted_bound=None)",
+        "alpha_exceeds_threshold=None)",
     ),
     "SimulationReport": (
         _tally,
@@ -186,7 +184,7 @@ def _components(spec):
 
 
 def _fresh_spec():
-    p = Modulus(13)
+    p = 13
     vt = VTParams(12, 5, 2, p, best_class(12, 5, 2, p)[0])
     return MultFreeCodeSpec(12, 5, 2, "stable", SetCode.from_vt(vt), greedy_sd_code(5, 2))
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from delcode import (
     BoundViolated,
     DecodeError,
-    Modulus,
     MultFreeCodeSpec,
     NoSolution,
     PermCodeBook,
@@ -60,7 +59,7 @@ def oracle_census(q, n, t, p):
     the order of their sorted symbols."""
     classes = {}
     for positions in itertools.combinations(range(1, q + 1), n):
-        label = tuple(sum(pow(i, k, p.p) for i in positions) % p.p for k in range(1, t + 1))
+        label = tuple(sum(pow(i, k, p) for i in positions) % p for k in range(1, t + 1))
         classes.setdefault(label, []).append(sum(1 << (i - 1) for i in positions))
     return classes
 
@@ -74,30 +73,30 @@ def dominating_search(y, class_words, n):
 
 class TestSyndrome:
     def test_all_zeros(self):
-        assert vt_syndrome((0,) * 6, 3, Modulus(7)) == (0, 0, 0)
+        assert vt_syndrome((0,) * 6, 3, 7) == (0, 0, 0)
 
     def test_single_one_at_position_one(self):
-        assert vt_syndrome((1, 0, 0, 0, 0), 2, Modulus(7)) == (1, 1)
+        assert vt_syndrome((1, 0, 0, 0, 0), 2, 7) == (1, 1)
 
     def test_two_ones(self):
         # positions 2 and 4: 2+4 = 6, 4+16 = 20 = 6 mod 7
-        assert vt_syndrome((0, 1, 0, 1, 0), 2, Modulus(7)) == (6, 6)
+        assert vt_syndrome((0, 1, 0, 1, 0), 2, 7) == (6, 6)
 
     def test_modulus_must_exceed_length(self):
         with pytest.raises(ValueError):
-            vt_syndrome((0,) * 7, 1, Modulus(7))
+            vt_syndrome((0,) * 7, 1, 7)
 
     @given(st.lists(st.integers(0, 1), max_size=30), st.integers(0, 4))
     def test_matches_power_sums(self, word, t):
         p = next_prime_above(max(len(word), 2))
         ones = [i for i, bit in enumerate(word, start=1) if bit]
-        expected = tuple(sum(pow(i, k, p.p) for i in ones) % p.p for k in range(1, t + 1))
+        expected = tuple(sum(pow(i, k, p) for i in ones) % p for k in range(1, t + 1))
         assert vt_syndrome(word, t, p) == expected
 
 
 class TestParams:
     def make(self):
-        return VTParams(5, 2, 2, Modulus(7), (6, 6))
+        return VTParams(5, 2, 2, 7, (6, 6))
 
     def test_membership_definitional(self):
         params = self.make()
@@ -113,22 +112,22 @@ class TestParams:
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            VTParams(5, 6, 1, Modulus(7), (0,))  # n > q
+            VTParams(5, 6, 1, 7, (0,))  # n > q
         with pytest.raises(ValueError):
-            VTParams(5, 2, 1, Modulus(5), (0,))  # p <= q
+            VTParams(5, 2, 1, 5, (0,))  # p <= q
         with pytest.raises(ValueError):
-            VTParams(5, 2, 1, Modulus(11), (0,))  # p > 2q
+            VTParams(5, 2, 1, 11, (0,))  # p > 2q
         with pytest.raises(ValueError):
-            VTParams(5, 2, 0, Modulus(7), ())  # t < 1
+            VTParams(5, 2, 0, 7, ())  # t < 1
         with pytest.raises(ValueError):
-            VTParams(5, 2, 2, Modulus(7), (6,))  # wrong length
+            VTParams(5, 2, 2, 7, (6,))  # wrong length
         with pytest.raises(ValueError):
-            VTParams(5, 2, 1, Modulus(7), (7,))  # residue range
+            VTParams(5, 2, 1, 7, (7,))  # residue range
 
 
 class TestDecodeAsymmetric:
     def setup_method(self):
-        self.params = VTParams(5, 2, 2, Modulus(7), (6, 6))
+        self.params = VTParams(5, 2, 2, 7, (6, 6))
         self.codeword = (0, 1, 0, 1, 0)
 
     def test_zero_error_passthrough(self):
@@ -141,7 +140,7 @@ class TestDecodeAsymmetric:
         assert decode_asymmetric((0, 0, 0, 0, 0), self.params) == self.codeword
 
     def test_weight_too_low(self):
-        params = VTParams(5, 3, 1, Modulus(7), (1,))
+        params = VTParams(5, 3, 1, 7, (1,))
         with pytest.raises(WeightTooLow):
             decode_asymmetric((1, 0, 0, 0, 0), params)
 
@@ -176,14 +175,14 @@ class TestDecodeAsymmetric:
 
 class TestEnumeration:
     def test_full_weight_class(self):
-        p = Modulus(7)
+        p = 7
         a_match = vt_syndrome((1, 1, 1), 1, p)
         assert enumerate_class(3, 3, 1, p, a_match) == [0b111]
         a_miss = ((a_match[0] + 1) % 7,)
         assert enumerate_class(3, 3, 1, p, a_miss) == []
 
     def test_known_member(self):
-        got = enumerate_class(5, 2, 2, Modulus(7), (6, 6))
+        got = enumerate_class(5, 2, 2, 7, (6, 6))
         assert to_mask((0, 1, 0, 1, 0)) in got
 
     def test_lexicographic_order(self):
@@ -197,7 +196,7 @@ class TestEnumeration:
 
     def test_partition(self):
         # classes are disjoint and their sizes add up to C(q, n)
-        q, n, t, p = 5, 2, 2, Modulus(7)
+        q, n, t, p = 5, 2, 2, 7
         seen = set()
         total = 0
         for label in itertools.product(range(7), repeat=t):
@@ -208,9 +207,9 @@ class TestEnumeration:
         assert total == math.comb(q, n) == len(seen)
 
     def test_class_sizes_census(self):
-        sizes = class_sizes(5, 2, 2, Modulus(7))
+        sizes = class_sizes(5, 2, 2, 7)
         assert sum(sizes.values()) == 10
-        assert sizes[(6, 6)] == len(enumerate_class(5, 2, 2, Modulus(7), (6, 6)))
+        assert sizes[(6, 6)] == len(enumerate_class(5, 2, 2, 7, (6, 6)))
 
 
 class TestAgainstOracle:
@@ -220,7 +219,7 @@ class TestAgainstOracle:
     def test_census_and_classes(self, t):
         for q in range(2, 13):
             p = next_prime_above(q)
-            if p.p**t > 2500:
+            if p**t > 2500:
                 continue
             for n in range(q + 1):
                 oracle = oracle_census(q, n, t, p)
@@ -231,7 +230,7 @@ class TestAgainstOracle:
                 labels = sorted(oracle, key=lambda label: (len(oracle[label]), label))
                 if t >= 2:
                     labels = [labels[0], labels[len(labels) // 2], labels[-1]]
-                    every = itertools.product(range(p.p), repeat=t)
+                    every = itertools.product(range(p), repeat=t)
                     labels += [label for label in every if label not in oracle][:1]
                 for label in labels:
                     assert enumerate_class(q, n, t, p, label) == oracle.get(label, [])
@@ -242,13 +241,13 @@ class TestAgainstOracle:
         # meets several candidates for its last one
         for q, p, t in itertools.product((6, 8), (3, 5), (1, 2)):
             for n in range(q + 1):
-                oracle = oracle_census(q, n, t, Modulus(p))
-                assert class_sizes(q, n, t, Modulus(p)) == {a: len(w) for a, w in oracle.items()}
+                oracle = oracle_census(q, n, t, p)
+                assert class_sizes(q, n, t, p) == {a: len(w) for a, w in oracle.items()}
                 for label, words in oracle.items():
-                    assert enumerate_class(q, n, t, Modulus(p), label) == words
+                    assert enumerate_class(q, n, t, p, label) == words
 
     def test_label_outside_the_partition_is_empty(self):
-        p = Modulus(7)
+        p = 7
         assert enumerate_class(5, 2, 2, p, (7, 0)) == []
         assert class_size(5, 2, 2, p, (1,)) == 0
 
@@ -353,16 +352,16 @@ def list_shift(row, i, t, p):
 def list_census(q, n, t, p):
     """Reference census: the syndrome-class DP on lists of Python ints, as a
     dict in flat order, residue 1 most significant."""
-    size = p.p**t
+    size = p**t
     rows = [[1] + [0] * (size - 1)] + [[0] * size for _ in range(n)]
     for i in range(1, q + 1):
         for w in range(min(i, n), 0, -1):
-            rows[w] = [x + y for x, y in zip(rows[w], list_shift(rows[w - 1], i, t, p.p))]
+            rows[w] = [x + y for x, y in zip(rows[w], list_shift(rows[w - 1], i, t, p))]
     labels = []
     for r in range(size):
         digits = []
         for _ in range(t):
-            r, d = divmod(r, p.p)
+            r, d = divmod(r, p)
             digits.append(d)
         labels.append(tuple(reversed(digits)))
     return {label: c for label, c in zip(labels, rows[n]) if c}
@@ -386,7 +385,7 @@ def bytearray_reach_table(q, n, t, p):
 
 def table_rows(q, n, t, p):
     """The suffix-count table read back as (i, w) -> list of p^t counts."""
-    table, width = vtcode._census(q, n, t, Modulus(p))
+    table, width = vtcode._census(q, n, t, p)
     step, size = width // 8, p**t
     assert len(table) == (q + 1) * (n + 1) * size * step
     fields = [int.from_bytes(table[j : j + step], "little") for j in range(0, len(table), step)]
@@ -403,7 +402,7 @@ def assert_table_matches_references(q, n, t, p):
     rows = table_rows(q, n, t, p)
     labels = itertools.product(range(p), repeat=t)
     root = {label: c for label, c in zip(labels, rows[1, n]) if c}
-    assert list(root.items()) == list(list_census(q, n, t, Modulus(p)).items())
+    assert list(root.items()) == list(list_census(q, n, t, p).items())
     if n == 0:
         return
     flags, size = bytearray_reach_table(q, n, t, p), p**t
@@ -426,7 +425,7 @@ class TestPackedRows:
         assert list(class_sizes(q, n, t, p).items()) == list(expected.items())
         a = max(expected, key=expected.get)
         assert class_size(q, n, t, p, a) == expected[a]
-        empty = next((r for r in itertools.product(range(p.p), repeat=t) if r not in expected), None)
+        empty = next((r for r in itertools.product(range(p), repeat=t) if r not in expected), None)
         if empty is not None:
             assert class_size(q, n, t, p, empty) == 0
 
@@ -439,7 +438,7 @@ class TestPackedRows:
 
     @pytest.mark.parametrize("q, n, t", GRID)
     def test_reach_table_matches_bytearray(self, q, n, t):
-        assert_table_matches_references(q, n, t, next_prime_above(q).p)
+        assert_table_matches_references(q, n, t, next_prime_above(q))
 
     # the largest draws take 0.20-0.23 s, over Hypothesis's 200 ms default deadline
     @settings(deadline=2000)
@@ -451,8 +450,8 @@ class TestPackedRows:
         p = data.draw(st.sampled_from([2, 3, 5, 7, 13, 17]))
         if p**t > 3000:
             t = 1
-        sizes = class_sizes(q, n, t, Modulus(p))
-        assert list(sizes.items()) == list(list_census(q, n, t, Modulus(p)).items())
+        sizes = class_sizes(q, n, t, p)
+        assert list(sizes.items()) == list(list_census(q, n, t, p).items())
         assert sum(sizes.values()) == math.comb(q, n)
         assert_table_matches_references(q, n, t, p)
 
@@ -460,7 +459,7 @@ class TestPackedRows:
     def test_every_field_matches_brute_force(self, t):
         # moduli below and above the block length; labels in flat order
         for q in range(11):
-            for p in {3, 5, next_prime_above(max(q, 2)).p}:
+            for p in {3, 5, next_prime_above(max(q, 2))}:
                 flat = {label: r for r, label in enumerate(itertools.product(range(p), repeat=t))}
                 expected = {}  # (i, w) -> per-label count of the w-subsets of positions i..q
                 for i in range(1, q + 2):
@@ -476,15 +475,15 @@ class TestPackedRows:
 
 class TestBestClass:
     def test_pigeonhole_bound(self):
-        a, size = best_class(10, 5, 2, Modulus(11))
+        a, size = best_class(10, 5, 2, 11)
         assert size >= math.ceil(252 / 121)
 
     def test_single_word_space(self):
-        a, size = best_class(3, 3, 1, Modulus(5))
+        a, size = best_class(3, 3, 1, 5)
         assert size == 1
 
     def test_small_case(self):
-        _, size = best_class(5, 2, 1, Modulus(7))
+        _, size = best_class(5, 2, 1, 7)
         assert size >= 2
 
     # C(10, 5) = 252 words over 121 classes: a largest class below 3 is impossible
@@ -492,11 +491,11 @@ class TestBestClass:
     def test_undersized_census_raises(self, monkeypatch, census):
         monkeypatch.setattr("delcode.vtcode.class_sizes", lambda q, n, t, p: census)
         with pytest.raises(BoundViolated):
-            best_class(10, 5, 2, Modulus(11))
+            best_class(10, 5, 2, 11)
 
     def test_tie_break_smallest_label(self):
         # q=2, n=1: words (1,0) and (0,1) land in distinct singleton classes
-        a, size = best_class(2, 1, 1, Modulus(3))
+        a, size = best_class(2, 1, 1, 3)
         assert size == 1
         assert a == (1,)
 
@@ -510,15 +509,15 @@ class TestScaleGuard:
     def test_env_override_lowers_cap(self, monkeypatch):
         monkeypatch.setenv("DELCODE_SCALE_GUARD", "5")
         with pytest.raises(ScaleGuardExceeded):
-            enumerate_class(5, 2, 2, Modulus(7), (6, 6))
+            enumerate_class(5, 2, 2, 7, (6, 6))
 
     def test_guard_holds_after_a_cached_census(self, monkeypatch):
-        q, n, t, p = 12, 5, 2, Modulus(13)
+        q, n, t, p = 12, 5, 2, 13
         sizes = class_sizes(q, n, t, p)
         misses = vtcode._suffix_counts.cache_info().misses
         assert class_sizes(q, n, t, p) == sizes
         assert vtcode._suffix_counts.cache_info().misses == misses  # served from the cache
-        monkeypatch.setenv("DELCODE_SCALE_GUARD", str(q * (n + 1) * p.p**t - 1))
+        monkeypatch.setenv("DELCODE_SCALE_GUARD", str(q * (n + 1) * p**t - 1))
         with pytest.raises(ScaleGuardExceeded):
             class_sizes(q, n, t, p)
 
@@ -549,7 +548,7 @@ class TestScaleGuard:
             first, second = (1 << s for s in set_bits(mask)[:2])
             for lost in (first, second, first | second):  # each reads the lost-set table
                 assert set_decode(mask ^ lost, params) == mask
-        assert builds == [(q, t, p.p)]
+        assert builds == [(q, t, p)]
         assert params._decoder_tables is params._decoder_tables
         assert params._lost_sets is params._lost_sets
         alive = weakref.ref(params)
@@ -565,7 +564,7 @@ class TestScaleGuard:
 
     def test_env_override_raises_cap(self, monkeypatch):
         monkeypatch.setenv("DELCODE_SCALE_GUARD", str(10**9))
-        got = enumerate_class(5, 2, 2, Modulus(7), (6, 6))
+        got = enumerate_class(5, 2, 2, 7, (6, 6))
         assert to_mask((0, 1, 0, 1, 0)) in got
 
 
@@ -607,7 +606,7 @@ class TestSetDecode:
 
     def test_alphabet_mismatch(self):
         # the mask decoder has no alphabet; decode_steps checks the received word's
-        params = VTParams(5, 2, 2, Modulus(7), (6, 6))
+        params = VTParams(5, 2, 2, 7, (6, 6))
         book = PermCodeBook(2, 2, (Permutation.identity(2),))
         spec = MultFreeCodeSpec(5, 2, 2, "stable", SetCode.from_vt(params), book)
         with pytest.raises(ValueError, match="alphabet size 4 differs from q = 5"):
@@ -698,7 +697,7 @@ class TestDecodeMask:
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_every_mask_and_label_exhaustive(self, t):
         # q = 6: every weight, class label and n, so every error path is hit
-        q, p = 6, Modulus(7)
+        q, p = 6, 7
         for n in range(q + 1):
             for label in itertools.product(range(7), repeat=t):
                 params = VTParams(q, n, t, p, label)
@@ -709,7 +708,7 @@ class TestDecodeMask:
         # p = 13 is 1 mod 4, so -1 is a square: v and -v are squares together,
         # where at p = 7 exactly one of them is.  Every two-loss locator's
         # discriminant 2 s2 - s1^2 is met: zero, a square and a non-square
-        q, t, p = 7, 2, Modulus(13)
+        q, t, p = 7, 2, 13
         for n in range(q + 1):
             for label in itertools.product(range(13), repeat=t):
                 params = VTParams(q, n, t, p, label)
@@ -730,7 +729,7 @@ class TestDecodeMask:
                     continue
                 label = vt_syndrome(subset_to_bitword(mask, q), t, p)
                 for shift in (0, 1):
-                    params = VTParams(q, size, t, p, tuple((r + shift) % p.p for r in label))
+                    params = VTParams(q, size, t, p, tuple((r + shift) % p for r in label))
                     for kept in range(size + 1):
                         for bits in itertools.combinations(chosen, kept):
                             agree(sum(1 << b for b in bits), params)
@@ -739,7 +738,7 @@ class TestDecodeMask:
     def test_arbitrary_masks(self, data):
         q, n, t = data.draw(st.sampled_from([(10, 5, 2), (9, 4, 1), (12, 5, 3), (13, 6, 2)]))
         p = next_prime_above(q)
-        label = data.draw(st.tuples(*[st.integers(0, p.p - 1)] * t))
+        label = data.draw(st.tuples(*[st.integers(0, p - 1)] * t))
         params = VTParams(q, n, t, p, label)
         # weights from below n - t through overweight, members included
         weight = data.draw(st.integers(0, q))
@@ -773,7 +772,7 @@ class TestDecodeMask:
         expected = {}
         for e in range(1, t + 1):
             for chosen in itertools.combinations(range(1, q + 1), e):
-                key = tuple(sum(pow(i, k, p.p) for i in chosen) % p.p for k in range(1, t + 1))
+                key = tuple(sum(pow(i, k, p) for i in chosen) % p for k in range(1, t + 1))
                 expected[key] = sum(1 << i - 1 for i in chosen)
         assert lost_sets == expected
 
@@ -792,7 +791,7 @@ class TestDecodeMask:
         assert "_lost_sets" not in vars(params)
 
     def test_bits_outside_the_block_rejected(self):
-        params = VTParams(5, 2, 2, Modulus(7), (6, 6))
+        params = VTParams(5, 2, 2, 7, (6, 6))
         for mask in (-1, 1 << 5):
             with pytest.raises(ValueError):
                 set_decode(mask, params)
@@ -805,5 +804,5 @@ class TestDecodeMask:
         builds = []
         monkeypatch.setattr(vtcode, "_byte_tables", lambda *args: builds.append(args))
         with pytest.raises(ScaleGuardExceeded):
-            VTParams(q, 5, 1, Modulus(q + 1), (0,))
+            VTParams(q, 5, 1, q + 1, (0,))
         assert builds == []
