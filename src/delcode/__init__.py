@@ -19,19 +19,14 @@ _EXPORTS = {
         "size_lower_bound",
     ),
     "errors": (
-        "Ambiguous",
         "BoundViolated",
         "DecodeError",
         "DelcodeError",
         "InputTooShort",
         "MalformedSpec",
-        "NoSolution",
-        "NotFound",
         "PermDecodeFailed",
         "ScaleGuardExceeded",
         "SetDecodeFailed",
-        "SymbolNotInSet",
-        "WeightTooLow",
     ),
     "model": (
         "DeletionPattern",

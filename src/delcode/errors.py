@@ -22,32 +22,17 @@ class DecodeError(DelcodeError):
     """Base class for decoder failures; channel harnesses catch this."""
 
 
-class NoSolution(DecodeError):
-    """Syndrome decoding found no consistent codeword: more errors than budgeted, or corrupt input."""
-
-
-class WeightTooLow(DecodeError):
-    """Received weight is below n - t, i.e. more than t ones were lost."""
-
-
-class NotFound(DecodeError):
-    """No codeword's deletion ball contains the received word."""
-
-
-class Ambiguous(DecodeError):
-    """More than one codeword ball contains the received word; the codebook is corrupt."""
-
-
 class SetDecodeFailed(DecodeError):
-    """The set-code component could not recover the original symbol set."""
+    """The set-code component could not recover the original symbol set: the
+    survivors' weight is above n or below n - t, or no member of the set code
+    lies within t deletions of them (more deletions than budgeted, or input
+    corrupted by something other than deletions)."""
 
 
 class PermDecodeFailed(DecodeError):
-    """The permutation-code component could not recover the original permutation."""
-
-
-class SymbolNotInSet(DecodeError):
-    """A received symbol is missing from the recovered set: non-deletion corruption."""
+    """The permutation-code component could not recover the original
+    permutation: the received word is too short, no codeword's deletion ball
+    contains it, or more than one does, which means the codebook is corrupt."""
 
 
 class InputTooShort(DecodeError):

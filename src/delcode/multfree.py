@@ -13,17 +13,7 @@ from collections.abc import Iterator
 from functools import cached_property
 from itertools import chain, combinations
 
-from .errors import (
-    Ambiguous,
-    InputTooShort,
-    MalformedSpec,
-    NoSolution,
-    NotFound,
-    PermDecodeFailed,
-    SetDecodeFailed,
-    SymbolNotInSet,
-    WeightTooLow,
-)
+from .errors import InputTooShort, MalformedSpec, SetDecodeFailed
 from .model import Permutation, Record, Word, ball_index, set_bits
 from .permcode import PermCodeBook, sd_decode, ud_decode
 from .vtcode import VTParams, class_size, enumerate_class, set_decode
@@ -61,13 +51,15 @@ def symbol_ranks(mask: int, y: Word) -> Word:
     """Rewrite y symbol-by-symbol as 1-based ranks inside the set.
 
     When the set is the decoded original and y the received word, this equals
-    the stable deletion of the original word's rank permutation.
+    the stable deletion of the original word's rank permutation.  A symbol
+    outside the set raises ValueError; `decode_steps` never passes one, since
+    the set decoders return a superset of the survivors.
     """
     rank = {v: j for j, v in enumerate(set_bits(mask), start=1)}
     ranks = []
     for s in y.symbols:
         if s not in rank:
-            raise SymbolNotInSet(f"received symbol {s} is not in the recovered set")
+            raise ValueError(f"received symbol {s} is not in the recovered set")
         ranks.append(rank[s])
     return Word(tuple(ranks), mask.bit_count() + 1, multiplicity_free=True)
 
@@ -137,10 +129,7 @@ class SetCode(Record):
     def decode_mask(self, survivors: int) -> int:
         """The member whose mask lost at most t elements to leave `survivors`."""
         if self.vt is not None:
-            try:
-                return set_decode(survivors, self.vt)
-            except (NoSolution, WeightTooLow) as exc:
-                raise SetDecodeFailed(str(exc)) from exc
+            return set_decode(survivors, self.vt)
         if self._ball_index.get(survivors) is None:  # construction refused meeting balls
             raise SetDecodeFailed(f"no member lies within {self.t} deletions of the survivors")
         return self.masks[self._ball_index[survivors]]
@@ -322,16 +311,10 @@ def decode_steps(spec: MultFreeCodeSpec, y: Word) -> DecodeSteps:
     recovered = spec.set_code.decode_mask(induced_set(y))
     if spec.mode == "stable":
         tau = symbol_ranks(recovered, y)
-        try:
-            sigma = sd_decode(spec.perm_code, tau)
-        except (NotFound, Ambiguous) as exc:
-            raise PermDecodeFailed(str(exc)) from exc
+        sigma = sd_decode(spec.perm_code, tau)
         return DecodeSteps(recovered, tau, None, sigma, psi(recovered, sigma, spec.q))
     reduced = induced_permutation(y)
-    try:
-        sigma = ud_decode(spec.perm_code, reduced)
-    except (NotFound, Ambiguous) as exc:
-        raise PermDecodeFailed(str(exc)) from exc
+    sigma = ud_decode(spec.perm_code, reduced)
     return DecodeSteps(recovered, None, reduced, sigma, psi(recovered, sigma, spec.q))
 
 

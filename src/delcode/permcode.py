@@ -9,7 +9,7 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 from itertools import combinations, permutations
 
-from .errors import Ambiguous, NotFound
+from .errors import PermDecodeFailed
 from .guards import PERM_ENUM_CAP, check_enumerable
 from .model import DeletionPattern, Permutation, Record, Word, apply_unstable_deletions, ball_index
 
@@ -134,13 +134,13 @@ def sd_decode(book: PermCodeBook, received: Word) -> Permutation:
     """The unique codeword whose radius-t stable-deletion ball contains the
     received word: one lookup in the book's stable ball index."""
     if len(received) < book.n - book.t:
-        raise NotFound(f"received length {len(received)} is below n - t = {book.n - book.t}")
+        raise PermDecodeFailed(f"received length {len(received)} is below n - t = {book.n - book.t}")
     index = book._stable_index  # a symbol above a byte is above n, so in no key
     key = bytes(received.symbols) if max(received.symbols, default=0) < 256 else None
     if key not in index:
-        raise NotFound("no codeword ball contains the received word")
+        raise PermDecodeFailed("no codeword ball contains the received word")
     if index[key] is None:
-        raise Ambiguous("multiple codeword balls contain the received word")
+        raise PermDecodeFailed("multiple codeword balls contain the received word")
     return book.codewords[index[key]]
 
 
@@ -149,7 +149,7 @@ def ud_decode(book: PermCodeBook, received: Permutation) -> Permutation:
     Brute force, not indexed: ROADMAP item 10 decodes unstable specs by the stable lookup."""
     missing = book.n - len(received)
     if missing < 0 or missing > book.t:
-        raise NotFound(f"received length {len(received)} is outside [n - t, n]")
+        raise PermDecodeFailed(f"received length {len(received)} is outside [n - t, n]")
     hits = []
     for sigma in book.codewords:
         if any(
@@ -158,9 +158,9 @@ def ud_decode(book: PermCodeBook, received: Permutation) -> Permutation:
         ):
             hits.append(sigma)
     if not hits:
-        raise NotFound("no codeword ball contains the received permutation")
+        raise PermDecodeFailed("no codeword ball contains the received permutation")
     if len(hits) > 1:
-        raise Ambiguous("multiple codeword balls contain the received permutation")
+        raise PermDecodeFailed("multiple codeword balls contain the received permutation")
     return hits[0]
 
 

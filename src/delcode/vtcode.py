@@ -11,7 +11,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 
-from .errors import BoundViolated, NoSolution, WeightTooLow
+from .errors import BoundViolated, SetDecodeFailed
 from .guards import CLASS_ENUM_CAP, check_enumerable
 from .model import Record
 from .modular import is_prime
@@ -334,10 +334,10 @@ def set_decode(mask: int, params: VTParams) -> int:
     weight = mask.bit_count()
     e = n - weight
     if e < 0:
-        raise NoSolution(f"weight {weight} exceeds the code weight {n}")
+        raise SetDecodeFailed(f"weight {weight} exceeds the code weight {n}")
     if e > t:
-        raise WeightTooLow(f"weight {weight} is below n - t = {n - t}")
+        raise SetDecodeFailed(f"weight {weight} is below n - t = {n - t}")
     lost = params._lost_sets.get(tuple(deficits)) if any(deficits) else 0
     if lost is None or lost & mask or lost.bit_count() != e:
-        raise NoSolution(f"no {e} clear positions have the deficits as power sums")
+        raise SetDecodeFailed(f"no {e} clear positions have the deficits as power sums")
     return mask | lost

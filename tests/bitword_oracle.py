@@ -10,7 +10,7 @@ tests hold the mask path to it, in result and in error.
 
 from typing import Iterable, Sequence
 
-from delcode.errors import NoSolution, WeightTooLow
+from delcode.errors import SetDecodeFailed
 from delcode.vtcode import VTParams
 
 BitWord = tuple[int, ...]
@@ -76,13 +76,13 @@ def decode_asymmetric(y: Sequence[int], params: VTParams) -> BitWord:
     weight = sum(y)
     e = params.n - weight
     if e < 0:
-        raise NoSolution(f"weight {weight} exceeds the code weight {params.n}")
+        raise SetDecodeFailed(f"weight {weight} exceeds the code weight {params.n}")
     if e > params.t:
-        raise WeightTooLow(f"weight {weight} is below n - t = {params.n - params.t}")
+        raise SetDecodeFailed(f"weight {weight} is below n - t = {params.n - params.t}")
     failure = f"no {e} clear positions have the deficits as power sums"
     if e == 0:
         if not is_codeword(y, params):
-            raise NoSolution(failure)
+            raise SetDecodeFailed(failure)
         return tuple(y)
 
     p = params.p
@@ -92,13 +92,13 @@ def decode_asymmetric(y: Sequence[int], params: VTParams) -> BitWord:
     candidates = [i for i, bit in enumerate(y, start=1) if not bit]
     roots = locator_roots(elementary, candidates, p)
     if len(roots) != e:
-        raise NoSolution(failure)
+        raise SetDecodeFailed(failure)
     repaired = list(y)
     for i in roots:
         repaired[i - 1] = 1
     repaired_word = tuple(repaired)
     if not is_codeword(repaired_word, params):
-        raise NoSolution(failure)
+        raise SetDecodeFailed(failure)
     return repaired_word
 
 

@@ -12,7 +12,7 @@ the tests hold its verdict and witness to `set_deletion_checks`.
 
 from itertools import islice
 
-from delcode.errors import Ambiguous, DecodeError, NotFound
+from delcode.errors import DecodeError, PermDecodeFailed
 from delcode.model import DeletionPattern, Permutation, Word, _check_positions, set_bits
 from delcode.multfree import SetCode, deletion_masks
 from delcode.permcode import PermCodeBook
@@ -36,12 +36,12 @@ def sd_decode(book: PermCodeBook, received: Word) -> Permutation:
     """The unique codeword whose radius-t stable-deletion ball contains the
     received word; ball membership is a subsequence test."""
     if len(received) < book.n - book.t:
-        raise NotFound(f"received length {len(received)} is below n - t = {book.n - book.t}")
+        raise PermDecodeFailed(f"received length {len(received)} is below n - t = {book.n - book.t}")
     hits = [s for s in book.codewords if _is_subsequence(received.symbols, s.images)]
     if not hits:
-        raise NotFound("no codeword ball contains the received word")
+        raise PermDecodeFailed("no codeword ball contains the received word")
     if len(hits) > 1:
-        raise Ambiguous("multiple codeword balls contain the received word")
+        raise PermDecodeFailed("multiple codeword balls contain the received word")
     return hits[0]
 
 

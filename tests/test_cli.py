@@ -393,6 +393,25 @@ class TestDecode:
         payload = json.loads(result.stdout)
         assert payload["error"] == "InputTooShort"
 
+    @pytest.mark.parametrize(
+        "word, stdout",
+        [
+            pytest.param(
+                "[0,1,4,9,8]",
+                '{"error": "PermDecodeFailed", "message": "no codeword ball contains the received word"}\n',
+                id="perm-stage",
+            ),
+            pytest.param(
+                "[0,1,2,3,4]",
+                '{"error": "SetDecodeFailed", "message": "no 0 clear positions have the deficits as power sums"}\n',
+                id="set-stage",
+            ),
+        ],
+    )
+    def test_each_stage_failure_prints_its_class(self, q12_spec_path, word, stdout):
+        result = run_cli("decode", "--spec", str(q12_spec_path), "--word", word)
+        assert (result.returncode, result.stdout) == (1, stdout)
+
     def test_structured_error_on_duplicate_symbols(self, spec_path):
         result = run_cli("decode", "--spec", str(spec_path), "--word", "[1,1,2]")
         assert result.returncode == 2
@@ -1002,12 +1021,13 @@ class TestBenchmarkScalePins:
 
 # every name `delcode/__init__.py` re-exported while it imported its submodules eagerly,
 # less `locator_roots` and `power_sums_to_elementary`, which the tests' bitword oracle holds,
-# and `Modulus`, now a plain int
+# `Modulus`, now a plain int, and the component decoders' own error classes, now
+# `SetDecodeFailed` and `PermDecodeFailed`
 PACKAGE_NAMES = (
-    "Ambiguous BoundReport BoundViolated DecodeError DecodeSteps DelcodeError DeletionPattern "
-    "InputTooShort MalformedSpec MultFreeCodeSpec NoSolution NotFound PermCodeBook "
+    "BoundReport BoundViolated DecodeError DecodeSteps DelcodeError DeletionPattern "
+    "InputTooShort MalformedSpec MultFreeCodeSpec PermCodeBook "
     "PermDecodeFailed Permutation ScaleGuardExceeded SetCode SetDecodeFailed SimulationReport "
-    "SymbolNotInSet VTParams WeightTooLow Word apply_unstable_deletions best_class build_code "
+    "VTParams Word apply_unstable_deletions best_class build_code "
     "class_size class_sizes code_size decode decode_steps delete_positions draw_deletion_pattern "
     "encode_index enumerate_class greedy_sd_code greedy_ud_code induced_permutation induced_set "
     "is_codeword load_spec next_prime_above psi "

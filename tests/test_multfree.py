@@ -1,11 +1,14 @@
+import ast
 import functools
 import gc
 import hashlib
 import itertools
 import math
+import pathlib
 import random
 import tracemalloc
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +20,10 @@ from delcode import (
     InputTooShort,
     MultFreeCodeSpec,
     PermCodeBook,
+    PermDecodeFailed,
     Permutation,
     SetCode,
     SetDecodeFailed,
-    SymbolNotInSet,
     VTParams,
     Word,
     apply_unstable_deletions,
@@ -30,6 +33,7 @@ from delcode import (
     decode,
     decode_steps,
     delete_positions,
+    errors,
     encode_index,
     greedy_sd_code,
     greedy_ud_code,
@@ -141,7 +145,7 @@ class TestSymbolRanks:
         assert tau.symbols == (4, 2, 1)
 
     def test_symbol_outside_set(self):
-        with pytest.raises(SymbolNotInSet):
+        with pytest.raises(ValueError, match="received symbol 4 is not in the recovered set"):
             symbol_ranks(0b110, Word((1, 4), 5))  # the set {1, 2}
 
 
@@ -568,6 +572,57 @@ class TestDecodeFuzz:
             return
         assert len(got) == spec.n
         assert spec.set_code.decode_mask(induced_set(got)) == induced_set(got)
+
+
+def q12_spec():
+    # the spec that `construct --q 12 --n 5 --t 2` writes: 7 sets times 4 permutations
+    set_code = SetCode.from_vt(VTParams(12, 5, 2, 13, (1, 3)))
+    return MultFreeCodeSpec(12, 5, 2, "stable", set_code, greedy_sd_code(5, 2))
+
+
+class TestThreeFailures:
+    """A decode fails in one of three ways, one per stage: too short a word,
+    a set decode, or a permutation decode."""
+
+    def test_every_word_at_q12(self):
+        spec = q12_spec()
+        assert code_size(spec) == 28
+        outcomes = Counter()
+        for length in range(spec.n - spec.t, spec.n + 1):
+            for x in multfree_words(spec.q, length):
+                try:
+                    decode(spec, x)
+                    outcomes["decoded"] += 1
+                except DecodeError as exc:
+                    outcomes[type(exc)] += 1
+        # each codeword with 0, 1 or 2 of its 5 symbols deleted: 28 * 16
+        assert outcomes == {"decoded": 448, SetDecodeFailed: 106_140, PermDecodeFailed: 1_652}
+
+    @pytest.mark.parametrize("kind", ["syndrome", "explicit"])
+    def test_set_decode_returns_a_superset(self, kind, explicit_spec):
+        # so every received symbol has a rank in the recovered set
+        code = (q12_spec() if kind == "syndrome" else explicit_spec).set_code
+        decoded = 0
+        for mask in range(1 << code.q):
+            try:
+                got = code.decode_mask(mask)
+            except SetDecodeFailed:
+                continue
+            assert got & mask == mask
+            decoded += 1
+        assert decoded > 0
+
+    def test_every_error_class_is_raised(self):
+        # the two base classes are only caught; every other class has a raise in the package
+        package = pathlib.Path(errors.__file__).parent
+        raised = {
+            node.exc.func.id
+            for path in package.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
+        }
+        defined = {name for name, value in vars(errors).items() if isinstance(value, type)}
+        assert defined - raised == {"DelcodeError", "DecodeError"}
 
 
 class TestSpecSerialization:

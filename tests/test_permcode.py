@@ -11,11 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delcode import (
-    Ambiguous,
     DeletionPattern,
     MultFreeCodeSpec,
-    NotFound,
     PermCodeBook,
+    PermDecodeFailed,
     Permutation,
     ScaleGuardExceeded,
     SetCode,
@@ -51,11 +50,11 @@ def unstable_deletion_ball(sigma, t):
 
 
 def decode_outcome(decode, book, received):
-    """The codeword a stable decoder returns, or the class of the error it raises."""
+    """The codeword a stable decoder returns, or the class and message of the error it raises."""
     try:
         return decode(book, received)
-    except (NotFound, Ambiguous) as exc:
-        return type(exc)
+    except PermDecodeFailed as exc:
+        return type(exc), str(exc)
 
 
 def all_patterns(n, t):
@@ -256,17 +255,17 @@ class TestStableDecode:
 
     def test_not_found(self):
         received = Word((3, 2, 1), 6, multiplicity_free=True)
-        with pytest.raises(NotFound):
+        with pytest.raises(PermDecodeFailed, match="no codeword ball"):
             sd_decode(self.book, received)
 
     def test_too_short(self):
         received = Word((1, 2), 6, multiplicity_free=True)
-        with pytest.raises(NotFound):
+        with pytest.raises(PermDecodeFailed, match="below n - t"):
             sd_decode(self.book, received)
 
     def test_ambiguous_on_corrupt_book(self):
         book = PermCodeBook(3, 1, (Permutation((1, 2, 3)), Permutation((1, 3, 2))))
-        with pytest.raises(Ambiguous):
+        with pytest.raises(PermDecodeFailed, match="multiple codeword balls"):
             sd_decode(book, Word((1, 2), 4, multiplicity_free=True))
 
     def test_exhaustive_channels_never_ambiguous(self):
@@ -299,7 +298,7 @@ class TestLookupMatchesScan:
         book = PermCodeBook(5, 1, (Permutation((1, 2, 3, 4, 5)), Permutation((2, 1, 3, 4, 5))))
         received = Word((1, 3, 4, 5), 6, multiplicity_free=True)
         for decode in (sd_decode, scan_sd_decode):
-            with pytest.raises(Ambiguous, match="multiple codeword balls"):
+            with pytest.raises(PermDecodeFailed, match="multiple codeword balls"):
                 decode(book, received)
         assert not verify_sd_property(book)
         sets = SetCode(6, 5, 1, sets=(0b11111,))
@@ -338,7 +337,7 @@ class TestLookupMatchesScan:
         assert not verify_sd_property(book)
         assert not verify_ud_property(book)
         for decode in (sd_decode, scan_sd_decode):
-            with pytest.raises(Ambiguous):
+            with pytest.raises(PermDecodeFailed, match="multiple codeword balls"):
                 decode(book, Word(sigma.images, 5, multiplicity_free=True))
 
     @pytest.mark.parametrize("stray", [0, 6, 255, 256, 1000])
@@ -346,7 +345,7 @@ class TestLookupMatchesScan:
         book = greedy_sd_code(5, 1)
         received = Word((1, 2, 3, stray), 1001, multiplicity_free=True)
         for decode in (sd_decode, scan_sd_decode):
-            with pytest.raises(NotFound, match="no codeword ball"):
+            with pytest.raises(PermDecodeFailed, match="no codeword ball"):
                 decode(book, received)
 
     def test_index_built_on_first_use_and_kept(self):
@@ -393,7 +392,7 @@ class TestUnstable:
 
     def test_not_found_and_length_guards(self):
         book = greedy_ud_code(4, 1)
-        with pytest.raises(NotFound):
+        with pytest.raises(PermDecodeFailed, match="outside"):
             ud_decode(book, Permutation((1,)))  # two deletions, budget is one
         lone = PermCodeBook(4, 1, (Permutation.identity(4),))
         # identity's unstable deletions all stay the identity
@@ -401,13 +400,13 @@ class TestUnstable:
             Permutation.identity(4),
             Permutation.identity(3),
         }
-        with pytest.raises(NotFound):
+        with pytest.raises(PermDecodeFailed, match="no codeword ball"):
             ud_decode(lone, Permutation((3, 2, 1)))
 
     def test_ambiguous_on_corrupt_book(self):
         book = PermCodeBook(3, 1, (Permutation((1, 2, 3)), Permutation((2, 1, 3))))
         # deleting position 1 of the first or position 2 of the second gives (1, 2)
-        with pytest.raises(Ambiguous):
+        with pytest.raises(PermDecodeFailed, match="multiple codeword balls"):
             ud_decode(book, Permutation((1, 2)))
 
 

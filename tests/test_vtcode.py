@@ -14,13 +14,12 @@ from delcode import (
     BoundViolated,
     DecodeError,
     MultFreeCodeSpec,
-    NoSolution,
     PermCodeBook,
     Permutation,
     ScaleGuardExceeded,
     SetCode,
+    SetDecodeFailed,
     VTParams,
-    WeightTooLow,
     Word,
     best_class,
     class_size,
@@ -141,15 +140,15 @@ class TestDecodeAsymmetric:
 
     def test_weight_too_low(self):
         params = VTParams(5, 3, 1, 7, (1,))
-        with pytest.raises(WeightTooLow):
+        with pytest.raises(SetDecodeFailed, match="below n - t"):
             decode_asymmetric((1, 0, 0, 0, 0), params)
 
     def test_overweight_rejected(self):
-        with pytest.raises(NoSolution):
+        with pytest.raises(SetDecodeFailed, match="exceeds the code weight"):
             decode_asymmetric((1, 1, 1, 0, 0), self.params)
 
     def test_corrupt_full_weight_word(self):
-        with pytest.raises(NoSolution):
+        with pytest.raises(SetDecodeFailed, match="no 0 clear positions"):
             decode_asymmetric((1, 1, 0, 0, 0), self.params)
 
     def test_soundness_exhaustive_and_oracle_agreement(self):
@@ -786,7 +785,7 @@ class TestDecodeMask:
         for mask in enumerate_class(q, n, t, p, a):
             assert set_decode(mask, params) == mask
         short = enumerate_class(q, n - 1, t, p, a)[0]
-        with pytest.raises(NoSolution, match="no 1 clear positions"):
+        with pytest.raises(SetDecodeFailed, match="no 1 clear positions"):
             set_decode(short, params)
         assert "_lost_sets" not in vars(params)
 
