@@ -29,7 +29,6 @@ _EXPORTS = {
         "SetDecodeFailed",
     ),
     "model": (
-        "DeletionPattern",
         "Permutation",
         "Word",
         "apply_unstable_deletions",

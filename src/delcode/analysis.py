@@ -183,7 +183,6 @@ def simulate(spec: MultFreeCodeSpec, trials: int, t_max: int, seed: int) -> Simu
         raise ValueError("the spec describes an empty code")
 
     by_weight = {w: {"trials": 0, "successes": 0, "failures": 0} for w in range(t_max + 1)}
-    successes = failures = 0
     rng = random.Random(seed * 1_000_003)
     for _ in range(trials):
         x = encode_index(spec, rng.randrange(total))
@@ -193,12 +192,9 @@ def simulate(spec: MultFreeCodeSpec, trials: int, t_max: int, seed: int) -> Simu
             ok = decode(spec, y) == x
         except DecodeError:
             ok = False
-        slot = by_weight[pattern.size]
+        slot = by_weight[len(pattern)]
         slot["trials"] += 1
-        if ok:
-            slot["successes"] += 1
-            successes += 1
-        else:
-            slot["failures"] += 1
-            failures += 1
+        slot["successes" if ok else "failures"] += 1
+    successes = sum(slot["successes"] for slot in by_weight.values())
+    failures = sum(slot["failures"] for slot in by_weight.values())
     return SimulationReport(trials, t_max, seed, successes, failures, by_weight)

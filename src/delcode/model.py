@@ -2,7 +2,9 @@
 unstable (rank-compressing) deletion of permutations, a seeded deletion channel
 and the deletion-ball index.
 
-Positions are 1-based throughout the public API and in every file format.
+Positions are 1-based throughout the public API and in every file format.  A
+deletion pattern is a tuple of positions, checked against the word it is
+applied to.
 """
 
 import random
@@ -110,51 +112,34 @@ class Permutation(Record):
         return len(self.images)
 
 
-class DeletionPattern(Record):
-    """Sorted 1-based deletion positions inside a length-n word."""
-
-    __slots__ = ("positions", "original_length")
-
-    def __init__(self, positions: tuple[int, ...], original_length: int):
-        positions = tuple(sorted(positions))
-        if len(set(positions)) != len(positions):
-            raise ValueError("duplicate deletion position")
-        for pos in positions:
-            if not 1 <= pos <= original_length:
-                raise ValueError(f"position {pos} outside [1, {original_length}]")
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "original_length", original_length)
-
-    @property
-    def size(self) -> int:
-        return len(self.positions)
+def _kept(seq: tuple, positions: tuple[int, ...]) -> tuple:
+    """The entries of seq at none of the 1-based positions, in order.  A repeated
+    position, or one outside [1, len(seq)], raises ValueError."""
+    drop = set(positions)
+    if len(drop) != len(positions):
+        raise ValueError("duplicate deletion position")
+    for pos in positions:
+        if not 1 <= pos <= len(seq):
+            raise ValueError(f"position {pos} outside [1, {len(seq)}]")
+    return tuple(s for k, s in enumerate(seq, start=1) if k not in drop)
 
 
-def _check_positions(pattern: DeletionPattern, length: int) -> None:
-    if pattern.positions and pattern.positions[-1] > length:
-        raise ValueError(f"position {pattern.positions[-1]} out of range for length {length}")
+def delete_positions(x: Word, positions: tuple[int, ...]) -> Word:
+    """Remove the given positions from x, preserving the order of survivors."""
+    return Word(_kept(x.symbols, positions), x.alphabet_size, x.multiplicity_free)
 
 
-def delete_positions(x: Word, pattern: DeletionPattern) -> Word:
-    """Remove the pattern's positions from x, preserving the order of survivors."""
-    _check_positions(pattern, len(x))
-    drop = set(pattern.positions)
-    kept = tuple(s for k, s in enumerate(x.symbols, start=1) if k not in drop)
-    return Word(kept, x.alphabet_size, x.multiplicity_free)
-
-
-def apply_unstable_deletions(sigma: Permutation, pattern: DeletionPattern) -> Permutation:
+def apply_unstable_deletions(sigma: Permutation, positions: tuple[int, ...]) -> Permutation:
     """Drop positions, then rank-compress survivors back onto 1..(n - |I|)."""
-    _check_positions(pattern, len(sigma))
-    drop = set(pattern.positions)
-    kept = [v for k, v in enumerate(sigma.images, start=1) if k not in drop]
+    kept = _kept(sigma.images, positions)
     rank = {v: j for j, v in enumerate(sorted(kept), start=1)}
     return Permutation(tuple(rank[v] for v in kept))
 
 
-def draw_deletion_pattern(rng: random.Random, n: int, t_max: int) -> DeletionPattern:
-    """Channel draw: size uniform in {0..t_max}, then a uniform subset of [n] of that size."""
+def draw_deletion_pattern(rng: random.Random, n: int, t_max: int) -> tuple[int, ...]:
+    """Channel draw: size uniform in {0..t_max}, then a uniform subset of [n] of
+    that size, as its sorted positions."""
     if not 0 <= t_max <= n:
         raise ValueError(f"t_max {t_max} must lie in [0, {n}]")
     size = rng.randint(0, t_max)
-    return DeletionPattern(tuple(rng.sample(range(1, n + 1), size)), n)
+    return tuple(sorted(rng.sample(range(1, n + 1), size)))

@@ -11,7 +11,7 @@ from itertools import combinations, permutations
 
 from .errors import PermDecodeFailed
 from .guards import PERM_ENUM_CAP, check_enumerable
-from .model import DeletionPattern, Permutation, Record, Word, apply_unstable_deletions, ball_index
+from .model import Permutation, Record, Word, apply_unstable_deletions, ball_index
 
 
 class PermCodeBook(Record):
@@ -119,12 +119,15 @@ def verify_ud_property(book: PermCodeBook) -> bool:
     return None not in book._unstable_index.values()
 
 
-def ball_collision(book: PermCodeBook, unstable: bool) -> tuple[Permutation, Permutation, bytes]:
+def ball_collision(book: PermCodeBook, unstable: bool) -> tuple[Permutation, Permutation, bytes] | None:
     """Two codewords whose radius-t balls meet, and a key in both, for a book
     that fails its disjointness check: the first key the ball index marks as
-    shared.  A stable key is a common subsequence of length >= n - t."""
+    shared.  A stable key is a common subsequence of length >= n - t.  None
+    when the balls are disjoint."""
     index = book._unstable_index if unstable else book._stable_index
-    key = next(k for k, owner in index.items() if owner is None)
+    key = next((k for k, owner in index.items() if owner is None), None)
+    if key is None:
+        return None
     keys = _ball_keys(book.n, book.t, unstable)
     first, second = [s for s in book.codewords if key in keys(bytes(s.images))][:2]
     return first, second, key
@@ -153,7 +156,7 @@ def ud_decode(book: PermCodeBook, received: Permutation) -> Permutation:
     hits = []
     for sigma in book.codewords:
         if any(
-            apply_unstable_deletions(sigma, DeletionPattern(positions, book.n)) == received
+            apply_unstable_deletions(sigma, positions) == received
             for positions in combinations(range(1, book.n + 1), missing)
         ):
             hits.append(sigma)

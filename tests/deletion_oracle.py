@@ -13,18 +13,15 @@ the tests hold its verdict and witness to `set_deletion_checks`.
 from itertools import islice
 
 from delcode.errors import DecodeError, PermDecodeFailed
-from delcode.model import DeletionPattern, Permutation, Word, _check_positions, set_bits
+from delcode.model import Permutation, Word, _kept, set_bits
 from delcode.multfree import SetCode, deletion_masks
 from delcode.permcode import PermCodeBook
 from delcode.vtcode import is_codeword
 
 
-def apply_stable_deletions(sigma: Permutation, pattern: DeletionPattern) -> Word:
+def apply_stable_deletions(sigma: Permutation, positions: tuple[int, ...]) -> Word:
     """Drop positions; survivors keep their values, so the result is no longer a permutation."""
-    _check_positions(pattern, len(sigma))
-    drop = set(pattern.positions)
-    kept = tuple(v for k, v in enumerate(sigma.images, start=1) if k not in drop)
-    return Word(kept, len(sigma) + 1, multiplicity_free=True)
+    return Word(_kept(sigma.images, positions), len(sigma) + 1, multiplicity_free=True)
 
 
 def _is_subsequence(short: tuple[int, ...], long: tuple[int, ...]) -> bool:

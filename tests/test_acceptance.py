@@ -6,7 +6,6 @@ import math
 from fractions import Fraction
 
 from delcode import (
-    DeletionPattern,
     MultFreeCodeSpec,
     PermCodeBook,
     Permutation,
@@ -41,8 +40,7 @@ from deletion_oracle import apply_stable_deletions
 
 def patterns_up_to(n, t):
     for size in range(min(t, n) + 1):
-        for positions in itertools.combinations(range(1, n + 1), size):
-            yield DeletionPattern(positions, n)
+        yield from itertools.combinations(range(1, n + 1), size)
 
 
 def test_criterion_1_worked_example_fidelity(criterion):

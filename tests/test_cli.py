@@ -1021,10 +1021,10 @@ class TestBenchmarkScalePins:
 
 # every name `delcode/__init__.py` re-exported while it imported its submodules eagerly,
 # less `locator_roots` and `power_sums_to_elementary`, which the tests' bitword oracle holds,
-# `Modulus`, now a plain int, and the component decoders' own error classes, now
-# `SetDecodeFailed` and `PermDecodeFailed`
+# `Modulus`, now a plain int, the component decoders' own error classes, now
+# `SetDecodeFailed` and `PermDecodeFailed`, and `DeletionPattern`, now a tuple of positions
 PACKAGE_NAMES = (
-    "BoundReport BoundViolated DecodeError DecodeSteps DelcodeError DeletionPattern "
+    "BoundReport BoundViolated DecodeError DecodeSteps DelcodeError "
     "InputTooShort MalformedSpec MultFreeCodeSpec PermCodeBook "
     "PermDecodeFailed Permutation ScaleGuardExceeded SetCode SetDecodeFailed SimulationReport "
     "VTParams Word apply_unstable_deletions best_class build_code "

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delcode import (
-    DeletionPattern,
     Permutation,
     Word,
     apply_unstable_deletions,
@@ -87,36 +87,23 @@ class TestPermutation:
         assert len(Permutation(())) == 0
 
 
-class TestDeletionPattern:
-    def test_positions_sorted_and_validated(self):
-        pat = DeletionPattern((4, 2), 5)
-        assert pat.positions == (2, 4)
-        assert pat.size == 2
-        with pytest.raises(ValueError):
-            DeletionPattern((0,), 5)
-        with pytest.raises(ValueError):
-            DeletionPattern((6,), 5)
-        with pytest.raises(ValueError):
-            DeletionPattern((2, 2), 5)
-
-
 class TestDeletePositions:
     def test_drops_requested_positions(self):
         x = Word((6, 7, 4, 5, 3), 8, multiplicity_free=True)
-        got = delete_positions(x, DeletionPattern((2, 4), 5))
+        got = delete_positions(x, (2, 4))
         assert got.symbols == (6, 4, 3)
 
     def test_empty_pattern_is_identity(self):
         x = Word((1, 2, 3), 4)
-        assert delete_positions(x, DeletionPattern((), 3)) == x
+        assert delete_positions(x, ()) == x
 
     def test_full_deletion_yields_empty_word(self):
         x = Word((0, 9, 0, 9), 10)
-        assert delete_positions(x, DeletionPattern((1, 2, 3, 4), 4)).symbols == ()
+        assert delete_positions(x, (1, 2, 3, 4)).symbols == ()
 
     def test_position_out_of_range(self):
         with pytest.raises(ValueError):
-            delete_positions(Word((1, 2), 4), DeletionPattern((3,), 3))
+            delete_positions(Word((1, 2), 4), (3,))
 
     @given(st.data())
     def test_result_is_subsequence_of_right_length(self, data):
@@ -129,7 +116,7 @@ class TestDeletePositions:
             else st.just(set())
         )
         x = Word(symbols, q)
-        got = delete_positions(x, DeletionPattern(tuple(positions), len(symbols)))
+        got = delete_positions(x, tuple(positions))
         assert len(got) == len(x) - len(positions)
         assert is_subsequence(got.symbols, x.symbols)
 
@@ -140,32 +127,63 @@ class TestDeletePositions:
             for r in range(n + 1):
                 for first in itertools.combinations(range(1, n + 1), r):
                     survivors = [k for k in range(1, n + 1) if k not in first]
-                    mid = delete_positions(x, DeletionPattern(first, n))
+                    mid = delete_positions(x, first)
                     for r2 in range(len(survivors) + 1):
                         for second in itertools.combinations(range(1, len(survivors) + 1), r2):
-                            two_step = delete_positions(
-                                mid, DeletionPattern(second, len(survivors))
-                            )
+                            two_step = delete_positions(mid, second)
                             combined = tuple(first) + tuple(survivors[j - 1] for j in second)
-                            one_step = delete_positions(x, DeletionPattern(combined, n))
+                            one_step = delete_positions(x, combined)
                             assert two_step == one_step
+
+
+class TestPositionsCheck:
+    """The one check of a deletion pattern, made where it is applied: a repeated
+    position, or one outside [1, len], raises ValueError; otherwise the
+    survivors come back in order."""
+
+    @given(st.data())
+    def test_refused_exactly_when_repeated_or_out_of_range(self, data):
+        n = data.draw(st.integers(0, 10))
+        positions = tuple(data.draw(st.lists(st.integers(0, n + 1), max_size=5)))
+        valid = len(set(positions)) == len(positions) and all(1 <= k <= n for k in positions)
+        x = Word(tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))), 4)
+        sigma = Permutation(data.draw(st.permutations(range(1, n + 1))))
+        kept_symbols = tuple(s for k, s in enumerate(x.symbols, start=1) if k not in positions)
+        kept_images = [v for k, v in enumerate(sigma.images, start=1) if k not in positions]
+        ranks = tuple(sorted(kept_images).index(v) + 1 for v in kept_images)
+        if valid:
+            assert delete_positions(x, positions) == Word(kept_symbols, 4)
+            assert apply_unstable_deletions(sigma, positions) == Permutation(ranks)
+        else:
+            with pytest.raises(ValueError):
+                delete_positions(x, positions)
+            with pytest.raises(ValueError):
+                apply_unstable_deletions(sigma, positions)
+
+    def test_error_texts(self):
+        x = Word((1, 2, 3), 4)
+        with pytest.raises(ValueError, match=r"^duplicate deletion position$"):
+            delete_positions(x, (2, 2))
+        for bad in (0, 4):
+            with pytest.raises(ValueError, match=rf"^position {bad} outside \[1, 3\]$"):
+                delete_positions(x, (1, bad))
 
 
 class TestStableDeletions:
     def test_single_deletion(self):
-        got = apply_stable_deletions(Permutation((2, 3, 1, 4, 5)), DeletionPattern((2,), 5))
+        got = apply_stable_deletions(Permutation((2, 3, 1, 4, 5)), (2,))
         assert got.symbols == (2, 1, 4, 5)
 
     def test_double_deletion(self):
-        got = apply_stable_deletions(Permutation((4, 5, 2, 3, 1)), DeletionPattern((2, 4), 5))
+        got = apply_stable_deletions(Permutation((4, 5, 2, 3, 1)), (2, 4))
         assert got.symbols == (4, 2, 1)
 
     def test_empty_pattern(self):
         sigma = Permutation((1, 2, 3))
-        assert apply_stable_deletions(sigma, DeletionPattern((), 3)).symbols == (1, 2, 3)
+        assert apply_stable_deletions(sigma, ()).symbols == (1, 2, 3)
 
     def test_result_is_word_not_permutation(self):
-        got = apply_stable_deletions(Permutation((2, 3, 1)), DeletionPattern((3,), 3))
+        got = apply_stable_deletions(Permutation((2, 3, 1)), (3,))
         assert isinstance(got, Word) and not isinstance(got, Permutation)
         # surviving values keep their range, so they need the full [n] alphabet
         assert got.alphabet_size == 4
@@ -173,20 +191,18 @@ class TestStableDeletions:
 
 class TestUnstableDeletions:
     def test_single_deletion(self):
-        got = apply_unstable_deletions(Permutation((2, 3, 1, 4, 5)), DeletionPattern((2,), 5))
+        got = apply_unstable_deletions(Permutation((2, 3, 1, 4, 5)), (2,))
         assert got == Permutation((2, 1, 3, 4))
 
     def test_double_deletion(self):
-        got = apply_unstable_deletions(Permutation((2, 3, 1, 4, 5)), DeletionPattern((2, 4), 5))
+        got = apply_unstable_deletions(Permutation((2, 3, 1, 4, 5)), (2, 4))
         assert got == Permutation((2, 1, 3))
 
     def test_identity_is_fixed(self):
         for n in range(1, 6):
             for r in range(min(2, n) + 1):
                 for positions in itertools.combinations(range(1, n + 1), r):
-                    got = apply_unstable_deletions(
-                        Permutation.identity(n), DeletionPattern(positions, n)
-                    )
+                    got = apply_unstable_deletions(Permutation.identity(n), positions)
                     assert got == Permutation.identity(n - r)
 
     def test_matches_rank_compressed_stable_deletion_exhaustively(self):
@@ -195,20 +211,27 @@ class TestUnstableDeletions:
                 sigma = Permutation(images)
                 for r in range(min(2, n) + 1):
                     for positions in itertools.combinations(range(1, n + 1), r):
-                        pat = DeletionPattern(positions, n)
-                        stable = apply_stable_deletions(sigma, pat)
-                        assert apply_unstable_deletions(sigma, pat) == induced_permutation(stable)
+                        stable = apply_stable_deletions(sigma, positions)
+                        assert apply_unstable_deletions(sigma, positions) == induced_permutation(stable)
 
 
 class TestChannel:
     def test_zero_budget_gives_empty_pattern(self):
         for seed in range(20):
-            assert draw_deletion_pattern(random.Random(seed), 5, 0).positions == ()
+            assert draw_deletion_pattern(random.Random(seed), 5, 0) == ()
 
     def test_deterministic_for_fixed_seed(self):
         for seed in (0, 1, 12345):
             draw = draw_deletion_pattern(random.Random(seed), 9, 3)
             assert draw == draw_deletion_pattern(random.Random(seed), 9, 3)
+
+    def test_seeded_draws_pinned(self):
+        # sorted position tuples; the digest was taken when a draw was a record, from its positions
+        rng = random.Random(7)
+        draws = [draw_deletion_pattern(rng, (5, 7, 9)[i % 3], i % 4) for i in range(1000)]
+        assert all(type(draw) is tuple and list(draw) == sorted(set(draw)) for draw in draws)
+        digest = hashlib.sha256(repr(draws).encode()).hexdigest()
+        assert digest == "bb98489e782c04312c46c8137dd17ca3f6e5effa8d06c55a456109b2f13c72ad"
 
     def test_budget_above_length_rejected(self):
         with pytest.raises(ValueError):
@@ -219,7 +242,7 @@ class TestChannel:
         counts = {0: 0, 1: 0, 2: 0}
         samples = 10_000
         for seed in range(samples):
-            counts[draw_deletion_pattern(random.Random(seed), 5, 2).size] += 1
+            counts[len(draw_deletion_pattern(random.Random(seed), 5, 2))] += 1
         for size, count in counts.items():
             assert abs(count / samples - 1 / 3) <= 0.02, (size, count)
         expected = samples / 3

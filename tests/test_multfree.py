@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from delcode import (
     DecodeError,
-    DeletionPattern,
     InputTooShort,
     MultFreeCodeSpec,
     PermCodeBook,
@@ -59,8 +58,7 @@ def multfree_words(q, n):
 
 def patterns_up_to(n, t):
     for size in range(min(t, n) + 1):
-        for positions in itertools.combinations(range(1, n + 1), size):
-            yield DeletionPattern(positions, n)
+        yield from itertools.combinations(range(1, n + 1), size)
 
 
 distinct_words = st.integers(2, 16).flatmap(
@@ -138,7 +136,7 @@ class TestDecomposition:
 class TestSymbolRanks:
     def test_matches_stable_deletion_of_rank_permutation(self):
         x = Word((6, 7, 4, 5, 3), 8, multiplicity_free=True)
-        pat = DeletionPattern((2, 4), 5)
+        pat = (2, 4)
         y = delete_positions(x, pat)
         tau = symbol_ranks(induced_set(x), y)
         assert tau == apply_stable_deletions(induced_permutation(x), pat)
@@ -170,8 +168,7 @@ class TestCommutation:
         symbols = tuple(data.draw(st.permutations(range(q)))[:n])
         x = Word(symbols, q, multiplicity_free=True)
         k = data.draw(st.integers(0, n))
-        positions = tuple(data.draw(st.sets(st.integers(1, n), min_size=k, max_size=k)))
-        pat = DeletionPattern(positions, n)
+        pat = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=k, max_size=k))))
         y = delete_positions(x, pat)
         sigma = induced_permutation(x)
         assert symbol_ranks(induced_set(x), y) == apply_stable_deletions(sigma, pat)
@@ -399,7 +396,7 @@ class TestClassMaterialization:
             spec = specs[k % 3]
             x = encode_index(spec, rng.randrange(code_size(spec)))
             deleted = rng.sample(range(1, spec.n + 1), rng.randint(0, spec.t))
-            assert decode(spec, delete_positions(x, DeletionPattern(deleted, spec.n))) == x
+            assert decode(spec, delete_positions(x, deleted)) == x
         assert vtcode._suffix_counts.cache_info().misses <= len(specs)
         assert sorted(builds) == sorted((s.q, s.t, s.set_code.vt.p) for s in specs)
 

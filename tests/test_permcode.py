@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delcode import (
-    DeletionPattern,
     MultFreeCodeSpec,
     PermCodeBook,
     PermDecodeFailed,
@@ -59,8 +58,7 @@ def decode_outcome(decode, book, received):
 
 def all_patterns(n, t):
     for size in range(t + 1):
-        for positions in itertools.combinations(range(1, n + 1), size):
-            yield DeletionPattern(positions, n)
+        yield from itertools.combinations(range(1, n + 1), size)
 
 
 def position_deletion_keys(images, t, unstable):
@@ -135,7 +133,7 @@ def codebook_sha256(book):
 class TestBalls:
     def test_radius_zero_is_singleton(self):
         sigma = Permutation((3, 1, 2))
-        assert stable_deletion_ball(sigma, 0) == {apply_stable_deletions(sigma, DeletionPattern((), 3))}
+        assert stable_deletion_ball(sigma, 0) == {apply_stable_deletions(sigma, ())}
         assert unstable_deletion_ball(sigma, 0) == {sigma}
 
     def test_two_element_example(self):
@@ -150,7 +148,7 @@ class TestBalls:
                 stable = [apply_stable_deletions(sigma, pat) for pat in patterns]
                 unstable = [apply_unstable_deletions(sigma, pat) for pat in patterns]
                 for t in range(n + 1):
-                    within = [len(pat.positions) <= t for pat in patterns]
+                    within = [len(pat) <= t for pat in patterns]
                     assert stable_deletion_ball(sigma, t) == set(itertools.compress(stable, within))
                     assert unstable_deletion_ball(sigma, t) == set(
                         itertools.compress(unstable, within)
@@ -321,8 +319,7 @@ class TestLookupMatchesScan:
         assert witness["codewords"] == [list(a.images), list(b.images)]
         key = tuple(witness["key"])
         assert len(key) >= 5 - 1
-        positions = [pos for e in (0, 1) for pos in itertools.combinations(range(1, 6), e)]
-        patterns = [DeletionPattern(pos, 5) for pos in positions]
+        patterns = [pos for e in (0, 1) for pos in itertools.combinations(range(1, 6), e)]
         for sigma in (a, b):
             if mode == "stable":
                 ball = {apply_stable_deletions(sigma, pat).symbols for pat in patterns}
@@ -365,6 +362,11 @@ class TestUnstable:
         assert not verify_ud_property(book)
         assert ball_collision(book, True) == (book.codewords[0], book.codewords[1], bytes((1, 2)))
         assert len(builds) == 1 and "_stable_index" not in vars(book)
+
+    def test_no_collision_in_disjoint_balls(self):
+        stable, unstable = greedy_sd_code(5, 1), greedy_ud_code(5, 1)
+        assert verify_sd_property(stable) and ball_collision(stable, False) is None
+        assert verify_ud_property(unstable) and ball_collision(unstable, True) is None
 
     def test_greedy_rejects_multi_deletion_budget(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ import pytest
 from delcode import (
     BoundReport,
     DecodeSteps,
-    DeletionPattern,
     MultFreeCodeSpec,
     PermCodeBook,
     Permutation,
@@ -69,12 +68,6 @@ RECORDS = {
         lambda: Permutation([2, 1]),
         lambda: Permutation((1, 2)),
         "Permutation(images=(2, 1))",
-    ),
-    "DeletionPattern": (
-        lambda: DeletionPattern((3, 1), 4),
-        lambda: DeletionPattern([1, 3], 4),
-        lambda: DeletionPattern((1, 3), 5),
-        "DeletionPattern(positions=(1, 3), original_length=4)",
     ),
     "VTParams": (
         _vt,
