@@ -20,8 +20,8 @@ def main() -> None:
         exact, _ = size_lower_bound(q, args.n, args.t)
         report = singleton_report(q, args.n, args.t, code_size=exact)
         print(
-            f"{alpha:>6.2f} {q:>12} {report.eta:>9.4f} "
-            f"{report.redundancy_actual:>12.3f} {report.redundancy_bound:>11.3f}"
+            f"{alpha:>6.2f} {q:>12} {report['eta']:>9.4f} "
+            f"{report['redundancy_actual']:>12.3f} {report['redundancy_bound']:>11.3f}"
         )
 
 

@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "analysis": (
-        "BoundReport",
         "SimulationReport",
         "redundancy",
         "redundancy_bound",

@@ -60,63 +60,37 @@ def redundancy_bound(q: int, n: int, t: int) -> float:
     return t * math.log2(q) + (3 * t - 1) * math.log2(n) + (4 * t - 1)
 
 
-class BoundReport(Record):
-    """Bit-level accounting for one (q, n, t) point, optionally against a
-    materialized code size."""
-
-    __slots__ = (
-        "q", "n", "t", "size_lower_bound", "log2_size_lower_bound", "redundancy_bound",
-        "singleton_log_size", "log2_multfree_count", "alpha", "code_size", "log2_code_size",
-        "redundancy_actual", "eta", "alpha_threshold", "alpha_exceeds_threshold",
-    )
-
-    def __init__(
-        self,
-        q: int,
-        n: int,
-        t: int,
-        size_lower_bound: float,
-        log2_size_lower_bound: float,
-        redundancy_bound: float,
-        singleton_log_size: float,
-        log2_multfree_count: float,  # exact finite-n value sum_i log2(q - i)
-        alpha: float,  # log(q) / log(n)
-        code_size: float | None = None,
-        log2_code_size: float | None = None,
-        redundancy_actual: float | None = None,
-        eta: float | None = None,  # Singleton gap n - t - log2|C|/log2(q)
-        alpha_threshold: float | None = None,  # (3t-1)/eta; alpha above it closes the gap
-        alpha_exceeds_threshold: bool | None = None,
-    ):
-        values = locals()
-        for name in self.__slots__:
-            object.__setattr__(self, name, values[name])
-
-    def to_json_dict(self) -> dict:
-        """The fields, each non-finite float (which JSON cannot hold) as None."""
-        values = ((name, getattr(self, name)) for name in self.__slots__)
-        return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in values}
-
-
-def singleton_report(q: int, n: int, t: int, code_size=None) -> BoundReport:
-    """Full bound report: guaranteed size, redundancy bound, Singleton-gap eta
-    for a supplied code size, and the alpha threshold that closes the gap."""
-    exact, log2_bound = size_lower_bound(q, n, t)
+def _float(x) -> float:
+    """x as a float, or inf when it is too large for one."""
     try:
-        bound_float = float(exact)
+        return float(x)
     except OverflowError:
-        bound_float = math.inf
+        return math.inf
+
+
+def singleton_report(q: int, n: int, t: int, code_size=None) -> dict:
+    """The report `bounds` prints: guaranteed size, redundancy bound, and, for a
+    supplied code size, its Singleton-gap eta and the alpha threshold that
+    closes the gap.  Without a size the last six keys are None; so is every
+    value that is not a finite float, which JSON cannot hold."""
+    exact, log2_bound = size_lower_bound(q, n, t)
     log_q = math.log2(q)
     report = {
         "q": q,
         "n": n,
         "t": t,
-        "size_lower_bound": bound_float,
+        "size_lower_bound": _float(exact),
         "log2_size_lower_bound": log2_bound,
         "redundancy_bound": redundancy_bound(q, n, t),
         "singleton_log_size": (n - t) * log_q,
-        "log2_multfree_count": sum(math.log2(q - i) for i in range(n)),
+        "log2_multfree_count": sum(math.log2(q - i) for i in range(n)),  # exact log2 q!/(q-n)!
         "alpha": log_q / math.log2(n) if n > 1 else math.inf,
+        "code_size": None,
+        "log2_code_size": None,
+        "redundancy_actual": None,
+        "eta": None,
+        "alpha_threshold": None,
+        "alpha_exceeds_threshold": None,
     }
     if code_size is not None:
         words = math.perm(q, n)
@@ -126,21 +100,17 @@ def singleton_report(q: int, n: int, t: int, code_size=None) -> BoundReport:
                 "the number of multiplicity-free words"
             )
         log2_size = _log2(code_size)
-        eta = n - t - log2_size / log_q
-        threshold = (3 * t - 1) / eta if eta != 0 else math.inf
-        try:
-            size_float = float(code_size)
-        except OverflowError:
-            size_float = math.inf
+        eta = n - t - log2_size / log_q  # the Singleton gap
+        threshold = (3 * t - 1) / eta if eta != 0 else math.inf  # alpha above it closes the gap
         report.update(
-            code_size=size_float,
+            code_size=_float(code_size),
             log2_code_size=log2_size,
             redundancy_actual=redundancy(q, n, code_size),
             eta=eta,
             alpha_threshold=threshold,
             alpha_exceeds_threshold=bool(report["alpha"] > threshold),
         )
-    return BoundReport(**report)
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in report.items()}
 
 
 class SimulationReport(Record):

@@ -112,8 +112,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_bounds(args) -> int:
     from .analysis import singleton_report
 
-    report = singleton_report(args.q, args.n, args.t, code_size=args.size)
-    _emit(report.to_json_dict())
+    _emit(singleton_report(args.q, args.n, args.t, code_size=args.size))
     return 0
 
 

@@ -49,9 +49,11 @@ class Record:
 
 
 class Word(Record):
-    """A q-ary sequence; the multiplicity_free flag asserts pairwise-distinct symbols."""
+    """A q-ary sequence: its symbols and its alphabet size.  A word is
+    multiplicity-free when its symbols are pairwise distinct, a fact about the
+    symbols rather than a field; `multiplicity_free=True` only checks the input."""
 
-    __slots__ = ("symbols", "alphabet_size", "multiplicity_free")
+    __slots__ = ("symbols", "alphabet_size")
 
     def __init__(self, symbols: tuple[int, ...], alphabet_size: int, multiplicity_free: bool = False):
         symbols = tuple(symbols)
@@ -60,14 +62,10 @@ class Word(Record):
         for s in symbols:
             if not 0 <= s < alphabet_size:
                 raise ValueError(f"symbol {s} outside [0, {alphabet_size - 1}]")
-        if multiplicity_free:
-            if len(set(symbols)) != len(symbols):
-                raise ValueError("duplicate symbol in a multiplicity-free word")
-            if len(symbols) > alphabet_size:
-                raise ValueError("multiplicity-free word longer than its alphabet")
+        if multiplicity_free and len(set(symbols)) != len(symbols):
+            raise ValueError("duplicate symbol in a multiplicity-free word")
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "alphabet_size", alphabet_size)
-        object.__setattr__(self, "multiplicity_free", multiplicity_free)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -126,7 +124,7 @@ def _kept(seq: tuple, positions: tuple[int, ...]) -> tuple:
 
 def delete_positions(x: Word, positions: tuple[int, ...]) -> Word:
     """Remove the given positions from x, preserving the order of survivors."""
-    return Word(_kept(x.symbols, positions), x.alphabet_size, x.multiplicity_free)
+    return Word(_kept(x.symbols, positions), x.alphabet_size)
 
 
 def apply_unstable_deletions(sigma: Permutation, positions: tuple[int, ...]) -> Permutation:

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from functools import cached_property
 from itertools import chain, combinations
 
-from .errors import InputTooShort, MalformedSpec, SetDecodeFailed
+from .errors import InputTooShort, MalformedSpec, PermDecodeFailed, SetDecodeFailed
 from .model import Permutation, Record, Word, ball_index, set_bits
 from .permcode import PermCodeBook, sd_decode, ud_decode
 from .vtcode import VTParams, class_size, enumerate_class, set_decode
@@ -174,8 +174,6 @@ class MultFreeCodeSpec(Record):
     ):
         if mode not in ("stable", "unstable"):
             raise ValueError(f"unknown mode {mode!r}")
-        if q < n:
-            raise ValueError(f"alphabet size q={q} below code length n={n}")
         if (set_code.q, set_code.n, set_code.t) != (q, n, t):
             raise ValueError("set code disagrees with the spec's (q, n, t)")
         if (perm_code.n, perm_code.t) != (n, t):
@@ -300,7 +298,8 @@ def decode_steps(spec: MultFreeCodeSpec, y: Word) -> DecodeSteps:
     Stable mode: decode the surviving symbol set, rewrite the received word as
     ranks within the recovered set (the stable deletion of the original rank
     permutation), decode that in the permutation code, and reassemble.
-    Unstable mode decodes the received word's own induced permutation instead.
+    Unstable mode decodes the received word's own induced permutation instead,
+    and refuses a codeword that does not contain the received word.
     """
     if len(y) > spec.n:
         raise ValueError(f"received length {len(y)} exceeds the code length {spec.n}")
@@ -315,7 +314,13 @@ def decode_steps(spec: MultFreeCodeSpec, y: Word) -> DecodeSteps:
         return DecodeSteps(recovered, tau, None, sigma, psi(recovered, sigma, spec.q))
     reduced = induced_permutation(y)
     sigma = ud_decode(spec.perm_code, reduced)
-    return DecodeSteps(recovered, None, reduced, sigma, psi(recovered, sigma, spec.q))
+    codeword = psi(recovered, sigma, spec.q)
+    # ud_decode matches ranks only: past the budget, or with a substituted symbol,
+    # the codeword it leads to can hold the received symbols in another order
+    remaining = iter(codeword.symbols)
+    if not all(s in remaining for s in y.symbols):
+        raise PermDecodeFailed("the decoded codeword does not contain the received word")
+    return DecodeSteps(recovered, None, reduced, sigma, codeword)
 
 
 def decode(spec: MultFreeCodeSpec, y: Word) -> Word:

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -100,32 +101,32 @@ class TestRedundancyBound:
 class TestSingletonReport:
     def test_zero_gap_at_singleton_size(self):
         report = singleton_report(8, 5, 2, code_size=8**3)
-        assert report.eta == pytest.approx(0.0, abs=1e-12)
-        assert report.singleton_log_size == 9.0
+        assert report["eta"] == pytest.approx(0.0, abs=1e-12)
+        assert report["singleton_log_size"] == 9.0
 
     def test_small_example_gap(self):
         report = singleton_report(8, 5, 2, code_size=4)
-        assert report.singleton_log_size == 9.0
-        assert report.log2_code_size == 2.0
-        assert report.eta == pytest.approx(5 - 2 - 2 / 3)
-        assert report.redundancy_actual == 13.0
-        assert report.alpha == pytest.approx(3 / math.log2(5))
-        assert report.alpha_threshold == pytest.approx(5 / (7 / 3))
-        assert report.alpha_exceeds_threshold is False
+        assert report["singleton_log_size"] == 9.0
+        assert report["log2_code_size"] == 2.0
+        assert report["eta"] == pytest.approx(5 - 2 - 2 / 3)
+        assert report["redundancy_actual"] == 13.0
+        assert report["alpha"] == pytest.approx(3 / math.log2(5))
+        assert report["alpha_threshold"] == pytest.approx(5 / (7 / 3))
+        assert report["alpha_exceeds_threshold"] is False
 
     def test_gap_shrinks_with_size(self):
-        etas = [singleton_report(64, 5, 1, code_size=s).eta for s in (4, 64, 4096)]
+        etas = [singleton_report(64, 5, 1, code_size=s)["eta"] for s in (4, 64, 4096)]
         assert etas == sorted(etas, reverse=True)
 
     def test_without_code_size(self):
         report = singleton_report(8, 5, 2)
-        assert report.code_size is None
-        assert report.eta is None
-        assert report.redundancy_actual is None
+        assert list(report) == list(singleton_report(8, 5, 2, code_size=4))
+        sized = list(report)[-6:]
+        assert sized[0] == "code_size" and all(report[key] is None for key in sized)
 
     def test_multfree_count_is_exact_falling_factorial(self):
         report = singleton_report(9, 4, 1)
-        assert report.log2_multfree_count == pytest.approx(math.log2(9 * 8 * 7 * 6))
+        assert report["log2_multfree_count"] == pytest.approx(math.log2(9 * 8 * 7 * 6))
 
     @pytest.mark.parametrize("size", [0, -3])
     def test_rejects_nonpositive_code_size(self, size):
@@ -134,21 +135,20 @@ class TestSingletonReport:
 
     def test_rejects_code_size_above_the_multfree_count(self):
         # 500 * 499 * 498 multiplicity-free words of length 3
-        assert singleton_report(500, 3, 1, code_size=500 * 499 * 498).redundancy_actual >= 0
+        assert singleton_report(500, 3, 1, code_size=500 * 499 * 498)["redundancy_actual"] >= 0
         with pytest.raises(ValueError, match="at most q!/\\(q-n\\)! = 124251000"):
             singleton_report(500, 3, 1, code_size=500 * 499 * 498 + 1)
         with pytest.raises(ValueError):
             singleton_report(500, 3, 1, code_size=10**28)
 
     def test_json_dict(self):
-        data = singleton_report(8, 5, 2, code_size=4).to_json_dict()
+        data = singleton_report(8, 5, 2, code_size=4)
         assert data["q"] == 8 and data["redundancy_actual"] == 13.0
+        assert json.loads(json.dumps(data, allow_nan=False)) == data
 
     def test_json_dict_writes_non_finite_as_null(self):
-        report = singleton_report(5, 2, 1, code_size=5)
-        assert report.alpha_threshold == math.inf  # eta is 0; the library value stays
-        assert report.to_json_dict()["alpha_threshold"] is None
-        assert singleton_report(5, 1, 1).to_json_dict()["alpha"] is None
+        assert singleton_report(5, 2, 1, code_size=5)["alpha_threshold"] is None  # eta is 0
+        assert singleton_report(5, 1, 1)["alpha"] is None
 
 
 class TestSimulate:

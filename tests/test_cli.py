@@ -567,6 +567,23 @@ class TestErrors:
         assert cli.main(["verify", "--spec", str(path)]) == 2
         assert capsys.readouterr().out == '{"error": "ValueError", "message": "15 is not prime"}\n'
 
+    @pytest.mark.parametrize(
+        "set_code, q, message",
+        [
+            ('"a": [1, 3], "n": 5, "p": 13, "q": 12, "t": 2', 4, "set code disagrees with the spec's (q, n, t)"),
+            ('"a": [1, 3], "n": 5, "p": 13, "q": 4, "t": 2', 4, "need 0 <= n <= q, got n=5, q=4"),
+            ('"n": 5, "q": 4, "sets": [[0, 1, 2, 3, 4]], "t": 2', 4, "symbol 4 outside [0, 3]"),
+        ],
+        ids=["spec-only", "class", "explicit"],
+    )
+    def test_alphabet_below_the_length_refused(self, tmp_path, capsys, set_code, q, message):
+        # the set code refuses q < n, or disagrees with a spec that has it
+        path = tmp_path / "spec.json"
+        text = Q12_SPEC.replace('"a": [1, 3], "n": 5, "p": 13, "q": 12, "t": 2', set_code)
+        path.write_text(text.replace('"t": 2}, "q": 12,', f'"t": 2}}, "q": {q},'))
+        assert cli.main(["verify", "--spec", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": "ValueError", "message": message}
+
     def test_negative_budget_refused(self, tmp_path, capsys):
         # p**t is a float at t < 0, so the census must refuse t before sizing a table
         out = str(tmp_path / "s.json")
@@ -1022,9 +1039,10 @@ class TestBenchmarkScalePins:
 # every name `delcode/__init__.py` re-exported while it imported its submodules eagerly,
 # less `locator_roots` and `power_sums_to_elementary`, which the tests' bitword oracle holds,
 # `Modulus`, now a plain int, the component decoders' own error classes, now
-# `SetDecodeFailed` and `PermDecodeFailed`, and `DeletionPattern`, now a tuple of positions
+# `SetDecodeFailed` and `PermDecodeFailed`, `DeletionPattern`, now a tuple of positions,
+# and `BoundReport`, now the dict `singleton_report` returns
 PACKAGE_NAMES = (
-    "BoundReport BoundViolated DecodeError DecodeSteps DelcodeError "
+    "BoundViolated DecodeError DecodeSteps DelcodeError "
     "InputTooShort MalformedSpec MultFreeCodeSpec PermCodeBook "
     "PermDecodeFailed Permutation ScaleGuardExceeded SetCode SetDecodeFailed SimulationReport "
     "VTParams Word apply_unstable_deletions best_class build_code "

@@ -44,8 +44,15 @@ class TestWord:
             Word((1, 2, 1), 5, multiplicity_free=True)
 
     def test_multiplicity_free_capped_by_alphabet(self):
-        with pytest.raises(ValueError):
+        # distinct symbols in [0, q) number at most q, so the range check refuses it
+        with pytest.raises(ValueError, match="symbol 2 outside"):
             Word((0, 1, 2), 2, multiplicity_free=True)
+
+    def test_flag_checks_the_symbols_and_is_not_kept(self):
+        assert Word.__slots__ == ("symbols", "alphabet_size")
+        plain, checked = Word((1, 2), 3), Word((1, 2), 3, True)
+        assert plain == checked and hash(plain) == hash(checked)
+        assert len({plain, checked}) == 1
 
     def test_empty_word(self):
         assert len(Word((), 4)) == 0

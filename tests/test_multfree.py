@@ -511,6 +511,14 @@ class TestDecode:
             for pat in patterns_up_to(5, 2):
                 assert decode(explicit_spec, delete_positions(x, pat)) == x
 
+    def test_deletions_of_a_plain_word_decode_to_it(self):
+        # a word built without the multiplicity-free flag equals the codeword it spells
+        spec = q12_spec()
+        for i in range(code_size(spec)):
+            plain = Word(encode_index(spec, i).symbols, spec.q)
+            for pat in patterns_up_to(spec.n, spec.t):
+                assert decode(spec, delete_positions(plain, pat)) == plain
+
     def test_too_short_rejected(self, explicit_spec):
         with pytest.raises(InputTooShort):
             decode(explicit_spec, Word((6, 4), 8, multiplicity_free=True))
@@ -543,6 +551,29 @@ class TestUnstableMode:
                 assert steps.codeword == x
                 assert steps.tau is None
                 assert steps.reduced_perm == induced_permutation(y)
+
+
+    def test_substituted_words_decode_only_to_supersequences(self):
+        # one deletion and one substituted symbol: ranks can match a codeword whose
+        # deletions never give the received word, and that decode is refused
+        spec = syndrome_class_specs()[1]
+        rng = random.Random(7)
+        refused = 0
+        for _ in range(300):
+            x = encode_index(spec, rng.randrange(code_size(spec)))
+            symbols = list(delete_positions(x, (rng.randint(1, spec.n),)).symbols)
+            symbols[rng.randrange(len(symbols))] = rng.choice(sorted(set(range(spec.q)) - set(symbols)))
+            y = Word(tuple(symbols), spec.q, True)
+            try:
+                got = decode(spec, y)
+            except PermDecodeFailed as exc:
+                refused += str(exc) == "the decoded codeword does not contain the received word"
+                continue
+            except DecodeError:
+                continue
+            remaining = iter(got.symbols)
+            assert all(s in remaining for s in y.symbols), (y, got)
+        assert refused > 0
 
 
 @functools.cache
