@@ -25,6 +25,7 @@ from .multfree import (
 )
 from .permcode import (
     ball_collision,
+    check_radius,
     greedy_sd_code,
     greedy_ud_code,
     verify_sd_property,
@@ -38,6 +39,8 @@ def _emit(payload) -> None:
 
 
 def _cmd_construct(args) -> int:
+    if args.n >= 0:  # refuse t > n before the census, which can run long; it refuses n < 0 at once
+        check_radius(args.n, args.t)
     p = next_prime_above(args.q)
     a, class_size = best_class(args.q, args.n, args.t, p)
     params = VTParams(args.q, args.n, args.t, p, a)

@@ -2,11 +2,12 @@
 
 A radius-t stable ball is the set of subsequences of length >= n - t; unstable
 deletions also rank-compress the survivors (codebooks only for t <= 1).  One key
-function serves the greedy scan, disjointness checks and balls of both."""
+function serves the unstable scan, the disjointness checks and the decode index;
+the stable scan needs only the subsequences of exactly n - t symbols."""
 
 import math
-from collections.abc import Callable, Iterable, Iterator
-from functools import cached_property
+from collections.abc import Callable, Hashable, Iterable, Iterator
+from functools import cached_property, partial
 from itertools import combinations, permutations
 
 from .errors import PermDecodeFailed
@@ -56,13 +57,17 @@ class PermCodeBook(Record):
         return ball_index((bytes(s.images) for s in self.codewords), _ball_keys(self.n, self.t, True))
 
 
+def check_radius(n: int, t: int) -> None:
+    if not 0 <= t <= n:
+        raise ValueError(f"deletion radius t={t} outside [0, {n}]")
+
+
 def _ball_keys(n: int, t: int, unstable: bool) -> Callable:
     """Lazy keys of a radius-t ball around a permutation held as bytes.  Values are
     distinct, so deleting positions keeps what deleting their values keeps: the keys
     are images.translate(table, deleted) over every set of at most t values, most
     values first so that a lazy disjointness test meets a taken key early."""
-    if not 0 <= t <= n:
-        raise ValueError(f"deletion radius t={t} outside [0, {n}]")
+    check_radius(n, t)
     if n > 255:
         raise ValueError(f"ball keys hold values as bytes, so n={n} must be at most 255")
     deletes = [bytes(values) for size in range(t, -1, -1)
@@ -78,10 +83,10 @@ def _ball_keys(n: int, t: int, unstable: bool) -> Callable:
     return lambda images: map(images.translate, tables, deletes)
 
 
-def _first_fit(candidates: Iterable[bytes], ball_keys: Callable) -> Iterator[bytes]:
+def _first_fit(candidates: Iterable[Hashable], ball_keys: Callable) -> Iterator[Hashable]:
     """Yield each candidate whose ball shares no key with the ball of an earlier
     yielded one; admission only consults earlier admissions."""
-    taken: set[bytes] = set()
+    taken: set[Hashable] = set()
     for images in candidates:
         if taken.isdisjoint(ball_keys(images)):
             # merging a whole set grows the table less eagerly than adding keys one by one
@@ -91,7 +96,14 @@ def _first_fit(candidates: Iterable[bytes], ball_keys: Callable) -> Iterator[byt
 
 def _greedy_book(n: int, t: int, unstable: bool) -> PermCodeBook:
     check_enumerable(math.factorial(n), PERM_ENUM_CAP, "symmetric-group scan")
-    admitted = _first_fit(map(bytes, permutations(range(1, n + 1))), _ball_keys(n, t, unstable))
+    check_radius(n, t)
+    candidates = permutations(range(1, n + 1))
+    if unstable:
+        admitted = _first_fit(map(bytes, candidates), _ball_keys(n, t, True))
+    else:
+        # two stable balls meet iff the words share n - t symbols in order, so the
+        # subsequences of exactly that length are all the keys a test needs
+        admitted = _first_fit(candidates, partial(combinations, r=n - t))
     return PermCodeBook(n, t, tuple(Permutation(images) for images in admitted))
 
 

@@ -117,6 +117,21 @@ class TestConstruct:
         assert result.returncode == 2
         assert json.loads(result.stdout)["error"] == "ScaleGuardExceeded"
 
+    @pytest.mark.parametrize("guard", [None, "1000000000"])
+    def test_radius_above_length_refused_before_the_census(self, guard, tmp_path, monkeypatch, capsys):
+        # the (12, 5, 6) census would visit 347,530,248 items: above the default
+        # cap, and about 10 s of work under a raised one
+        if guard is None:
+            monkeypatch.delenv("DELCODE_SCALE_GUARD", raising=False)
+        else:
+            monkeypatch.setenv("DELCODE_SCALE_GUARD", guard)
+        monkeypatch.setattr(vtcode, "_census", lambda *args: pytest.fail("census ran"))
+        out = tmp_path / "x.json"
+        assert cli.main(["construct", "--q", "12", "--n", "5", "--t", "6", "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"error": "ValueError", "message": "deletion radius t=6 outside [0, 5]"}
+        assert not out.exists()
+
 
 class TestVerify:
     def test_constructed_spec_passes(self, spec_path):

@@ -578,8 +578,10 @@ class TestUnstableMode:
 
 @functools.cache
 def syndrome_class_specs():
+    # the specs that `construct` writes at these points
     specs = []
-    for q, n, t, mode in ((10, 5, 2, "stable"), (9, 5, 1, "unstable")):
+    points = ((10, 5, 2, "stable"), (9, 5, 1, "unstable"), (12, 5, 2, "stable"), (10, 5, 1, "unstable"))
+    for q, n, t, mode in points:
         p = next_prime_above(q)
         a, _ = best_class(q, n, t, p)
         book = greedy_sd_code(n, t) if mode == "stable" else greedy_ud_code(n, t)
@@ -590,7 +592,9 @@ def syndrome_class_specs():
 
 class TestDecodeFuzz:
     @given(st.data())
+    @settings(max_examples=400)
     def test_any_word_fails_only_with_decode_errors(self, data):
+        # the decode contract: a DecodeError, or a codeword holding the word as a subsequence
         spec = data.draw(st.sampled_from(syndrome_class_specs()))
         length = data.draw(st.integers(spec.n - spec.t, spec.n))
         symbols = data.draw(st.permutations(range(spec.q)))[:length]
@@ -600,6 +604,8 @@ class TestDecodeFuzz:
             return
         assert len(got) == spec.n
         assert spec.set_code.decode_mask(induced_set(got)) == induced_set(got)
+        remaining = iter(got.symbols)
+        assert all(s in remaining for s in symbols), (symbols, got)
 
 
 def q12_spec():

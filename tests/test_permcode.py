@@ -103,16 +103,37 @@ SD_CODEBOOK_SHA256 = {
     (2, 2): "f3ef5f91af6b6fa500dd74183116d76098bbadf49c33dedeb2987ae36f3cb8b8",
     (3, 1): "bccfb9472eac8795b6f129ef3b849abaaaa9be877dc30592b9389dd9075a2e10",
     (3, 2): "17ad192e248a235a9a9e8c9dd009d9e95137c3d948c8c65a10393e56a8478ff4",
+    (3, 3): "5802d3210073e3793a04e55cf6d801ffb020291915eb4dc33222a0acfb23c980",
     (4, 1): "5e5019c8f6855e2b0a6217ab327b3d51cb0d9fd7fec3cfd38812407274b42e6d",
     (4, 2): "31da038554518cad344f108ca4cf39bbfed5fdff3adf47bf2fdd4dfb8c4160f9",
+    (4, 3): "c0bfd1ec45da1f3b02837db787a3f13b7d92ff90a67395a48aad80713e2e6d96",
+    (4, 4): "6bc5697d3435d15ba919c1a9920355e44f5245c6b030ce77a8ead20322256b5f",
     (5, 1): "5e61146599cddbc5e0fb591bed287a4d4f6a7663ffa32ee9ec420285d8538949",
     (5, 2): "ae271a2f51c95b499a8f7ea7ee98ec3902aff6d97deab8d1a90dbf53a72f13cd",
+    (5, 3): "7dee87f730a992dedf51ec37cebde7a7c39e407a72013e2b23be69896b223244",
+    (5, 4): "b66ce52708249a850a0757f7dc80012cacbf3d87f0d9c3615bb8f570ade1808f",
+    (5, 5): "9b6e932aa4e7fbf6bdb1536dd25d20791a2d5675bec35bb92d03f80b678eac0d",
     (6, 1): "efee52fb70a3a5aa1188ff0fc141a0f9950b8753c3ca270e226791e9c481979a",
     (6, 2): "b036fa23e737ed4baf816e166481a77947d63b17e4ebd03ad96902b84f21fa4f",
+    (6, 3): "7d91209ef8035548d741bad5fae71c82833d53bb5ae5413c461ae607a3debc53",
+    (6, 4): "11993bfe1e3daecb8cb9386690035824958b03e91296020091f1445869cce96c",
+    (6, 5): "a2d2e5d944cf731f0f1f65b331bf473801c2e3160e7a8c2eabe7496db7b95b7c",
+    (6, 6): "a026d8d2949f3352f668458f0e3572b18a19c48a0f638598461243eac3917135",
     (7, 1): "3da954fd156f1611256db39a1b6ff4db0ed17e0fd5a73613f69b1ba0a71f14d3",
     (7, 2): "6566b9a0378a147c16d48830bec91696e6f63eb2f42e3f957e655e8523a3af39",
+    (7, 3): "c2bfec40d4bb1206e8add9d0a75fb78557760a9fa7fadbdb79d730b30dcc2ca3",
+    (7, 4): "20c0da20f73661b525b875e8ca526afa8323f394189b5af51110febcff33e4e3",
+    (7, 5): "f16a451f4c29319f1acdbd3c8a68bd4ac787cd771968a5195f754d8b81026d93",
+    (7, 6): "b483ca4b372a8cb4101b3a8625993a7e68e6b0cea1cfeaaf7167725c4561f772",
+    (7, 7): "8c35bc0a40a8d9c9d30e759b2f17941b038d14ed1627ce70e72f533acbc43167",
     (8, 1): "0259a8a6fee473d6b3685f032a3fefa33bb17467be3453c4ea6065f20a027c56",
     (8, 2): "6f6918761032eac0e6cf8c4a862d1a10d60fa1cd11c661b32273d542fe98a28f",
+    (8, 3): "d19c7e2200ec0bd7a66180f9d2d656eceaef9f98f8029f78be72b57db8a2cd45",
+    (8, 4): "c89d987439e10759cbab117e36eb59f0ed48c7aa1f7c4ca119c7c622d18b5621",
+    (8, 5): "1d52a8432cda444b0189c4ba61a789ca062c2d7b5154543277f8daf8e38d8d87",
+    (8, 6): "9f29af57449083367186f08c5e1d961bbd571b5e252b18d9bf4d93654e671c8f",
+    (8, 7): "7def59e7bd2cd1b9dbebb71ca171e27011daa2eb37bc7a1a1f147395ddf7baa7",
+    (8, 8): "936f5600699dde885dba2cdced73bc241dd87da643952c07d9e2ac08f6bf05de",
 }
 UD_CODEBOOK_SHA256 = {
     1: "603884859743753eff4a4e417c62ab980c9422363ca4279802f9614ad6a82632",
@@ -166,6 +187,20 @@ class TestBalls:
             _ball_keys(256, 1, False)
         with pytest.raises(ValueError, match="at most 255"):
             verify_sd_property(PermCodeBook(256, 1, (Permutation.identity(256),)))
+
+    def test_balls_meet_iff_words_share_n_minus_t_symbols(self):
+        # the fact the stable scan rests on: it tests only the depth-t keys
+        checks = 0
+        for n in range(1, 6):
+            perms = list(itertools.permutations(range(1, n + 1)))
+            for t in range(n + 1):
+                keys = _ball_keys(n, t, False)
+                balls = [set(keys(bytes(images))) for images in perms]
+                deepest = [set(itertools.combinations(images, n - t)) for images in perms]
+                for i, j in itertools.combinations_with_replacement(range(len(perms)), 2):
+                    assert balls[i].isdisjoint(balls[j]) == deepest[i].isdisjoint(deepest[j])
+                    checks += 1
+        assert checks == 45_155
 
     def test_size_bounded_by_pattern_count(self):
         for t in range(4):
