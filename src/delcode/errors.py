@@ -32,8 +32,8 @@ class SetDecodeFailed(DecodeError):
 class PermDecodeFailed(DecodeError):
     """The permutation-code component could not recover the original
     permutation: the received word is too short, no codeword's deletion ball
-    contains it, or more than one does, which means the codebook is corrupt; or,
-    in unstable mode, the codeword reached does not contain the received word."""
+    contains it, or two hold its first n - t symbols (a corrupt codebook); or, in
+    unstable mode, the codeword reached does not contain the received word."""
 
 
 class InputTooShort(DecodeError):

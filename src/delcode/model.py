@@ -1,6 +1,6 @@
 """Words, the set bits of a symbol-set mask, permutations, position deletion,
-unstable (rank-compressing) deletion of permutations, a seeded deletion channel
-and the deletion-ball index.
+the subsequence test, unstable (rank-compressing) deletion of permutations, a
+seeded deletion channel and the deletion-ball index.
 
 Positions are 1-based throughout the public API and in every file format.  A
 deletion pattern is a tuple of positions, checked against the word it is
@@ -125,6 +125,12 @@ def _kept(seq: tuple, positions: tuple[int, ...]) -> tuple:
 def delete_positions(x: Word, positions: tuple[int, ...]) -> Word:
     """Remove the given positions from x, preserving the order of survivors."""
     return Word(_kept(x.symbols, positions), x.alphabet_size)
+
+
+def is_subsequence(short: tuple, long: tuple) -> bool:
+    """True iff deleting some entries of long leaves short, in one O(len(long)) pass."""
+    remaining = iter(long)
+    return all(s in remaining for s in short)
 
 
 def apply_unstable_deletions(sigma: Permutation, positions: tuple[int, ...]) -> Permutation:

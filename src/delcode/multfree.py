@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import chain, combinations
 
 from .errors import InputTooShort, MalformedSpec, PermDecodeFailed, SetDecodeFailed
-from .model import Permutation, Record, Word, ball_index, set_bits
+from .model import Permutation, Record, Word, ball_index, is_subsequence, set_bits
 from .permcode import PermCodeBook, sd_decode, ud_decode
 from .vtcode import VTParams, class_size, enumerate_class, set_decode
 
@@ -317,8 +317,7 @@ def decode_steps(spec: MultFreeCodeSpec, y: Word) -> DecodeSteps:
     codeword = psi(recovered, sigma, spec.q)
     # ud_decode matches ranks only: past the budget, or with a substituted symbol,
     # the codeword it leads to can hold the received symbols in another order
-    remaining = iter(codeword.symbols)
-    if not all(s in remaining for s in y.symbols):
+    if not is_subsequence(y.symbols, codeword.symbols):
         raise PermDecodeFailed("the decoded codeword does not contain the received word")
     return DecodeSteps(recovered, None, reduced, sigma, codeword)
 

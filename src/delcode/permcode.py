@@ -1,18 +1,18 @@
 """Greedy deletion-ball packings in the symmetric group, their checks and decoders.
 
 A radius-t stable ball is the set of subsequences of length >= n - t; unstable
-deletions also rank-compress the survivors (codebooks only for t <= 1).  One key
-function serves the unstable scan, the disjointness checks and the decode index;
-the stable scan needs only the subsequences of exactly n - t symbols."""
+deletions also rank-compress the survivors (codebooks only for t <= 1).  Two balls
+meet iff they share a subsequence of exactly n - t symbols, so the one key function
+yields those alone, for the scan, the checks, the witness and the decode index."""
 
 import math
-from collections.abc import Callable, Hashable, Iterable, Iterator
-from functools import cached_property, partial
+from collections.abc import Callable, Iterable, Iterator
+from functools import cached_property
 from itertools import combinations, permutations
 
 from .errors import PermDecodeFailed
 from .guards import PERM_ENUM_CAP, check_enumerable
-from .model import Permutation, Record, Word, apply_unstable_deletions, ball_index
+from .model import Permutation, Record, Word, apply_unstable_deletions, ball_index, is_subsequence
 
 
 class PermCodeBook(Record):
@@ -24,8 +24,7 @@ class PermCodeBook(Record):
 
     def __init__(self, n: int, t: int, codewords: tuple[Permutation, ...]):
         codewords = tuple(sorted(codewords, key=lambda s: s.images))
-        if not 0 <= t <= n:
-            raise ValueError(f"deletion budget t={t} outside [0, {n}]")
+        check_radius(n, t)
         for sigma in codewords:
             if len(sigma) != n:
                 raise ValueError(f"codeword of length {len(sigma)} in a length-{n} book")
@@ -48,13 +47,13 @@ class PermCodeBook(Record):
         return cls(data["n"], data["t"], tuple(Permutation(tuple(images)) for images in data["codewords"]))
 
     @cached_property
-    def _stable_index(self) -> dict[bytes, int | None]:
-        """Stable ball index, built on first use and kept; `_ball_keys` refuses n > 255 first."""
-        return ball_index((bytes(s.images) for s in self.codewords), _ball_keys(self.n, self.t, False))
+    def _stable_index(self) -> dict[tuple, int | None]:
+        """Stable ball index, built on first use and kept."""
+        return ball_index((s.images for s in self.codewords), _ball_keys(self.n, self.t, False))
 
     @cached_property
     def _unstable_index(self) -> dict[bytes, int | None]:
-        return ball_index((bytes(s.images) for s in self.codewords), _ball_keys(self.n, self.t, True))
+        return ball_index((s.images for s in self.codewords), _ball_keys(self.n, self.t, True))
 
 
 def check_radius(n: int, t: int) -> None:
@@ -63,30 +62,30 @@ def check_radius(n: int, t: int) -> None:
 
 
 def _ball_keys(n: int, t: int, unstable: bool) -> Callable:
-    """Lazy keys of a radius-t ball around a permutation held as bytes.  Values are
-    distinct, so deleting positions keeps what deleting their values keeps: the keys
-    are images.translate(table, deleted) over every set of at most t values, most
-    values first so that a lazy disjointness test meets a taken key early."""
+    """Lazy keys of a radius-t ball around a permutation's images tuple: its C(n, t)
+    subsequences of exactly n - t symbols.  A longer subsequence two balls share
+    cuts down to one of these, and deleting the same position from two rank-equal
+    sequences leaves them rank-equal, so two balls meet iff they share a key."""
     check_radius(n, t)
+    if not unstable:
+        return lambda images: combinations(images, n - t)
     if n > 255:
-        raise ValueError(f"ball keys hold values as bytes, so n={n} must be at most 255")
-    deletes = [bytes(values) for size in range(t, -1, -1)
-               for values in combinations(range(1, n + 1), size)]
-    tables = [None] * len(deletes)
-    if unstable:
-        # an unstable table ranks the survivors, x -> x - #{deleted values < x}: the
-        # ranks 0, 1, ... with a filler byte inserted at each deleted value, lowest first
-        tables = [bytearray(range(256 - len(values))) for values in deletes]
-        for table, values in zip(tables, deletes):
-            for v in values:
-                table.insert(v, 0)
-    return lambda images: map(images.translate, tables, deletes)
+        raise ValueError(f"unstable ball keys hold values as bytes, so n={n} must be at most 255")
+    # values are distinct, so deleting positions keeps what deleting their values
+    # keeps; a rank table maps x -> x - #{deleted values < x}: the ranks 0, 1, ...
+    # with a filler byte inserted at each deleted value, lowest first
+    deletes = [bytes(values) for values in combinations(range(1, n + 1), t)]
+    tables = [bytearray(range(256 - t)) for _ in deletes]
+    for table, values in zip(tables, deletes):
+        for v in values:
+            table.insert(v, 0)
+    return lambda images: map(bytes(images).translate, tables, deletes)
 
 
-def _first_fit(candidates: Iterable[Hashable], ball_keys: Callable) -> Iterator[Hashable]:
+def _first_fit(candidates: Iterable[tuple], ball_keys: Callable) -> Iterator[tuple]:
     """Yield each candidate whose ball shares no key with the ball of an earlier
     yielded one; admission only consults earlier admissions."""
-    taken: set[Hashable] = set()
+    taken = set()
     for images in candidates:
         if taken.isdisjoint(ball_keys(images)):
             # merging a whole set grows the table less eagerly than adding keys one by one
@@ -96,14 +95,7 @@ def _first_fit(candidates: Iterable[Hashable], ball_keys: Callable) -> Iterator[
 
 def _greedy_book(n: int, t: int, unstable: bool) -> PermCodeBook:
     check_enumerable(math.factorial(n), PERM_ENUM_CAP, "symmetric-group scan")
-    check_radius(n, t)
-    candidates = permutations(range(1, n + 1))
-    if unstable:
-        admitted = _first_fit(map(bytes, candidates), _ball_keys(n, t, True))
-    else:
-        # two stable balls meet iff the words share n - t symbols in order, so the
-        # subsequences of exactly that length are all the keys a test needs
-        admitted = _first_fit(candidates, partial(combinations, r=n - t))
+    admitted = _first_fit(permutations(range(1, n + 1)), _ball_keys(n, t, unstable))
     return PermCodeBook(n, t, tuple(Permutation(images) for images in admitted))
 
 
@@ -131,32 +123,33 @@ def verify_ud_property(book: PermCodeBook) -> bool:
     return None not in book._unstable_index.values()
 
 
-def ball_collision(book: PermCodeBook, unstable: bool) -> tuple[Permutation, Permutation, bytes] | None:
+def ball_collision(book: PermCodeBook, unstable: bool) -> tuple[Permutation, Permutation, tuple | bytes] | None:
     """Two codewords whose radius-t balls meet, and a key in both, for a book
     that fails its disjointness check: the first key the ball index marks as
-    shared.  A stable key is a common subsequence of length >= n - t.  None
-    when the balls are disjoint."""
+    shared, a common subsequence of exactly n - t symbols (rank-compressed in
+    unstable mode).  None when the balls are disjoint."""
     index = book._unstable_index if unstable else book._stable_index
     key = next((k for k, owner in index.items() if owner is None), None)
     if key is None:
         return None
     keys = _ball_keys(book.n, book.t, unstable)
-    first, second = [s for s in book.codewords if key in keys(bytes(s.images))][:2]
+    first, second = [s for s in book.codewords if key in keys(s.images)][:2]
     return first, second, key
 
 
 def sd_decode(book: PermCodeBook, received: Word) -> Permutation:
-    """The unique codeword whose radius-t stable-deletion ball contains the
-    received word: one lookup in the book's stable ball index."""
-    if len(received) < book.n - book.t:
+    """The unique codeword whose radius-t stable-deletion ball contains the received
+    word: one index lookup of the word's first n - t symbols, then one O(n) test that
+    the codeword found holds the whole word.  On a corrupt book, a prefix in two balls raises."""
+    head = received.symbols[:book.n - book.t]
+    if len(head) < book.n - book.t:
         raise PermDecodeFailed(f"received length {len(received)} is below n - t = {book.n - book.t}")
-    index = book._stable_index  # a symbol above a byte is above n, so in no key
-    key = bytes(received.symbols) if max(received.symbols, default=0) < 256 else None
-    if key not in index:
+    owner = book._stable_index.get(head, -1)
+    if owner is None:
+        raise PermDecodeFailed("multiple codeword balls contain the received word's first n - t symbols")
+    if owner < 0 or not is_subsequence(received.symbols, book.codewords[owner].images):
         raise PermDecodeFailed("no codeword ball contains the received word")
-    if index[key] is None:
-        raise PermDecodeFailed("multiple codeword balls contain the received word")
-    return book.codewords[index[key]]
+    return book.codewords[owner]
 
 
 def ud_decode(book: PermCodeBook, received: Permutation) -> Permutation:

@@ -709,36 +709,45 @@ class TestErrors:
         with pytest.raises(ScaleGuardExceeded, match="lost-set keys would visit 10001628 items"):
             vtcode.VTParams(q, n, 2, next_prime_above(q), (0, 0))
 
-    def test_decode_refuses_perm_length_above_255(self, tmp_path):
-        # the stable ball index holds values as bytes, as verify's does
-        spec = {
-            "q": 257,
-            "n": 256,
-            "t": 1,
-            "mode": "stable",
-            "set_code": {"q": 257, "n": 256, "t": 1, "sets": [list(range(256))]},
-            "perm_code": {"n": 256, "t": 1, "codewords": [list(range(1, 257))], "order": "lex"},
-        }
-        path = tmp_path / "long.json"
-        path.write_text(json.dumps(spec))
-        result = run_cli("decode", "--spec", str(path), "--word", json.dumps(list(range(256))))
-        assert result.returncode == 2, result.stderr
-        payload = json.loads(result.stdout)
-        assert payload["error"] == "ValueError"
-        assert "at most 255" in payload["message"]
+    def test_perm_radius_outside_the_length_reads_as_construct_does(self, tmp_path, capsys):
+        # a book's radius is checked by the one check construct runs, with its text
+        out = str(tmp_path / "x.json")
+        assert cli.main(["construct", "--q", "12", "--n", "5", "--t", "6", "--out", out]) == 2
+        refused = json.loads(capsys.readouterr().out)
+        assert refused == {"error": "ValueError", "message": "deletion radius t=6 outside [0, 5]"}
+        path = tmp_path / "spec.json"
+        path.write_text(Q12_SPEC.replace('"order": "lex", "t": 2}', '"order": "lex", "t": 6}'))
+        for command in (["verify"], ["decode", "--word", "[0, 1, 2, 3, 4]"]):
+            assert cli.main([*command, "--spec", str(path)]) == 2
+            assert json.loads(capsys.readouterr().out) == refused
 
-    def test_verify_refuses_perm_length_above_255(self, tmp_path):
+    @staticmethod
+    def _long_perm_spec(tmp_path, mode):
+        # a stable book's keys are tuples, so only unstable mode needs values in a byte
         spec = {
             "q": 257,
             "n": 256,
             "t": 1,
-            "mode": "stable",
+            "mode": mode,
             "set_code": {"q": 257, "n": 256, "t": 1, "sets": [list(range(256))]},
             "perm_code": {"n": 256, "t": 1, "codewords": [list(range(1, 257))], "order": "lex"},
         }
-        path = tmp_path / "long.json"
+        path = tmp_path / f"long-{mode}.json"
         path.write_text(json.dumps(spec))
-        result = run_cli("verify", "--spec", str(path))
+        return path
+
+    def test_decode_accepts_stable_perm_length_above_255(self, tmp_path):
+        path = self._long_perm_spec(tmp_path, "stable")
+        word = list(range(256))
+        result = run_cli("decode", "--spec", str(path), "--word", json.dumps(word[1:]))
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["codeword"] == word
+
+    def test_verify_accepts_stable_perm_length_above_255_only(self, tmp_path):
+        result = run_cli("verify", "--spec", str(self._long_perm_spec(tmp_path, "stable")))
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["ok"] is True
+        result = run_cli("verify", "--spec", str(self._long_perm_spec(tmp_path, "unstable")))
         assert result.returncode == 2, result.stderr
         payload = json.loads(result.stdout)
         assert payload["error"] == "ValueError"

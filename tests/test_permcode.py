@@ -37,15 +37,13 @@ from deletion_oracle import sd_decode as scan_sd_decode
 
 
 def stable_deletion_ball(sigma, t):
-    """Every word reachable from sigma by at most t stable deletions, as the
-    greedy scan and verify list them (`_ball_keys`)."""
-    keys = _ball_keys(len(sigma), t, False)(bytes(sigma.images))
-    return {Word(key, len(sigma) + 1, multiplicity_free=True) for key in keys}
+    """Every word reachable from sigma by at most t stable deletions, by the oracle."""
+    return {apply_stable_deletions(sigma, pat) for pat in all_patterns(len(sigma), t)}
 
 
 def unstable_deletion_ball(sigma, t):
     """Every permutation reachable from sigma by at most t unstable deletions."""
-    return {Permutation(key) for key in _ball_keys(len(sigma), t, True)(bytes(sigma.images))}
+    return {apply_unstable_deletions(sigma, pat) for pat in all_patterns(len(sigma), t)}
 
 
 def decode_outcome(decode, book, received):
@@ -62,15 +60,15 @@ def all_patterns(n, t):
 
 
 def position_deletion_keys(images, t, unstable):
-    # a ball listed by deleting positions, survivors rank-compressed for unstable keys
+    # a ball's keys listed by deleting exactly t positions, survivors
+    # rank-compressed for unstable keys
     keys = []
-    for size in range(t + 1):
-        for dropped in itertools.combinations(range(len(images)), size):
-            kept = tuple(v for k, v in enumerate(images) if k not in dropped)
-            if unstable:
-                ordered = sorted(kept)
-                kept = tuple(bisect(ordered, v) for v in kept)
-            keys.append(kept)
+    for dropped in itertools.combinations(range(len(images)), t):
+        kept = tuple(v for k, v in enumerate(images) if k not in dropped)
+        if unstable:
+            ordered = sorted(kept)
+            kept = tuple(bisect(ordered, v) for v in kept)
+        keys.append(kept)
     return sorted(keys)
 
 
@@ -162,45 +160,47 @@ class TestBalls:
         assert ball == {(1, 2), (1,), (2,)}
 
     def test_matches_pattern_enumeration(self):
+        # the keys are the members of the oracle's ball with exactly n - t symbols
         for n in range(1, 7):
-            patterns = list(all_patterns(n, n))
             for images in itertools.permutations(range(1, n + 1)):
                 sigma = Permutation(images)
-                stable = [apply_stable_deletions(sigma, pat) for pat in patterns]
-                unstable = [apply_unstable_deletions(sigma, pat) for pat in patterns]
                 for t in range(n + 1):
-                    within = [len(pat) <= t for pat in patterns]
-                    assert stable_deletion_ball(sigma, t) == set(itertools.compress(stable, within))
-                    assert unstable_deletion_ball(sigma, t) == set(
-                        itertools.compress(unstable, within)
-                    )
+                    stable = {w.symbols for w in stable_deletion_ball(sigma, t) if len(w) == n - t}
+                    unstable = {p.images for p in unstable_deletion_ball(sigma, t) if len(p) == n - t}
+                    assert set(_ball_keys(n, t, False)(images)) == stable
+                    assert {tuple(key) for key in _ball_keys(n, t, True)(images)} == unstable
 
     @given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))), st.data())
     def test_bytes_keys_match_position_deletions(self, images, data):
         t = data.draw(st.integers(0, len(images)))
         for unstable in (False, True):
-            keys = sorted(tuple(key) for key in _ball_keys(len(images), t, unstable)(bytes(images)))
+            keys = sorted(tuple(key) for key in _ball_keys(len(images), t, unstable)(tuple(images)))
             assert keys == position_deletion_keys(images, t, unstable)
+            assert len(keys) == math.comb(len(images), t)
 
     def test_values_above_a_byte_refused(self):
+        # only the unstable rank tables need values that fit a byte
         with pytest.raises(ValueError, match="at most 255"):
-            _ball_keys(256, 1, False)
+            _ball_keys(256, 1, True)
         with pytest.raises(ValueError, match="at most 255"):
-            verify_sd_property(PermCodeBook(256, 1, (Permutation.identity(256),)))
+            verify_ud_property(PermCodeBook(256, 1, (Permutation.identity(256),)))
+        assert verify_sd_property(PermCodeBook(256, 1, (Permutation.identity(256),)))
 
     def test_balls_meet_iff_words_share_n_minus_t_symbols(self):
-        # the fact the stable scan rests on: it tests only the depth-t keys
+        # the fact every ball test rests on: two whole balls meet iff their
+        # exact keys meet, stable and unstable, for every pair at n <= 5
         checks = 0
-        for n in range(1, 6):
-            perms = list(itertools.permutations(range(1, n + 1)))
-            for t in range(n + 1):
-                keys = _ball_keys(n, t, False)
-                balls = [set(keys(bytes(images))) for images in perms]
-                deepest = [set(itertools.combinations(images, n - t)) for images in perms]
-                for i, j in itertools.combinations_with_replacement(range(len(perms)), 2):
-                    assert balls[i].isdisjoint(balls[j]) == deepest[i].isdisjoint(deepest[j])
-                    checks += 1
-        assert checks == 45_155
+        for unstable, ball in ((False, stable_deletion_ball), (True, unstable_deletion_ball)):
+            for n in range(1, 6):
+                perms = list(itertools.permutations(range(1, n + 1)))
+                for t in range(n + 1):
+                    keys = _ball_keys(n, t, unstable)
+                    balls = [ball(Permutation(images), t) for images in perms]
+                    exact = [set(keys(images)) for images in perms]
+                    for i, j in itertools.combinations_with_replacement(range(len(perms)), 2):
+                        assert balls[i].isdisjoint(balls[j]) == exact[i].isdisjoint(exact[j])
+                        checks += 1
+        assert checks == 2 * 45_155
 
     def test_size_bounded_by_pattern_count(self):
         for t in range(4):
@@ -208,8 +208,9 @@ class TestBalls:
             assert len(stable_deletion_ball(Permutation((2, 5, 3, 1, 4)), t)) <= bound
 
     def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            stable_deletion_ball(Permutation((1, 2)), 3)
+        for unstable in (False, True):
+            with pytest.raises(ValueError, match="deletion radius t=3 outside"):
+                _ball_keys(2, 3, unstable)
 
 
 class TestGreedyConstruction:
@@ -301,6 +302,39 @@ class TestStableDecode:
         with pytest.raises(PermDecodeFailed, match="multiple codeword balls"):
             sd_decode(book, Word((1, 2), 4, multiplicity_free=True))
 
+    def test_prefix_in_two_balls_raises_on_corrupt_book(self):
+        # the whole word lies in one ball only, but its first n - t symbols lie
+        # in both: the lookup refuses where the subsequence scan returns a codeword
+        a, b = Permutation((1, 2, 3, 4, 5)), Permutation((1, 2, 3, 5, 4))
+        book = PermCodeBook(5, 1, (a, b))
+        received = Word(a.images, 6, multiplicity_free=True)
+        assert scan_sd_decode(book, received) == a
+        with pytest.raises(PermDecodeFailed) as caught:
+            sd_decode(book, received)
+        assert str(caught.value) == "multiple codeword balls contain the received word's first n - t symbols"
+        assert not verify_sd_property(book)
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(0, n),
+                st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=4),
+                st.lists(st.integers(0, n + 1), max_size=n + 1, unique=True),
+            )
+        )
+    )
+    def test_never_returns_a_codeword_without_the_received_word(self, case):
+        # on any book, corrupt ones included
+        n, t, codewords, symbols = case
+        book = PermCodeBook(n, t, tuple(Permutation(images) for images in codewords))
+        received = Word(symbols, n + 2, multiplicity_free=True)
+        outcome = decode_outcome(sd_decode, book, received)
+        if isinstance(outcome, Permutation):
+            assert outcome in book.codewords
+            it = iter(outcome.images)
+            assert all(s in it for s in received.symbols)
+
     def test_exhaustive_channels_never_ambiguous(self):
         # every genuine at-most-t output of a verified greedy book decodes to its source
         for n, t in ((4, 2), (5, 2), (6, 1), (6, 2)):
@@ -353,7 +387,7 @@ class TestLookupMatchesScan:
         witness = payload["perm_balls_witness"]
         assert witness["codewords"] == [list(a.images), list(b.images)]
         key = tuple(witness["key"])
-        assert len(key) >= 5 - 1
+        assert len(key) == 5 - 1
         patterns = [pos for e in (0, 1) for pos in itertools.combinations(range(1, 6), e)]
         for sigma in (a, b):
             if mode == "stable":
