@@ -838,6 +838,135 @@ class TestCodewordOrder:
         assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
+def _key_lookup_error(value):
+    """The text of the TypeError that looking a key up in a string or a list raises."""
+    try:
+        value["q"]
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+    raise AssertionError(f"{value!r} took a key")
+
+
+def _compared(op, left, right):
+    return f"TypeError: '{op}' not supported between instances of '{left}' and '{right}'"
+
+
+# the texts differ across Python versions, so they are taken from the one running
+_STR_INDEX = _key_lookup_error("x")
+_LIST_INDEX = _key_lookup_error([0])
+
+# the explicit form of the Q12_SPEC set code, for the malformed-key cases
+EXPLICIT_SET_CODE = {"n": 5, "q": 12, "sets": [[0, 1, 2, 3, 4]], "t": 2}
+WRONG_VALUES = {"str": "x", "list": [0], "object": {"k": 0}}
+
+# what `verify` prints and exits with when one key of Q12_SPEC, at its top level,
+# in either form of its set code or in its book, is dropped or holds a string, a
+# list or an object; the id is form-level-key-kind, and a MalformedSpec message
+# follows "spec.json: ".  Pinned while each record still parsed its own part of
+# the file, so moving the parse leaves every report as it was.
+MALFORMED_KEY_REPORTS = {
+    "class-top-mode-drop": (2, "MalformedSpec", "KeyError: 'mode'"),
+    "class-top-mode-str": (2, "ValueError", "unknown mode 'x'"),
+    "class-top-mode-list": (2, "ValueError", "unknown mode [0]"),
+    "class-top-mode-object": (2, "ValueError", "unknown mode {'k': 0}"),
+    "class-top-n-drop": (2, "MalformedSpec", "KeyError: 'n'"),
+    "class-top-n-str": (2, "ValueError", "set code disagrees with the spec's (q, n, t)"),
+    "class-top-n-list": (2, "ValueError", "set code disagrees with the spec's (q, n, t)"),
+    "class-top-n-object": (2, "ValueError", "set code disagrees with the spec's (q, n, t)"),
+    "class-top-perm_code-drop": (2, "MalformedSpec", "KeyError: 'perm_code'"),
+    "class-top-perm_code-str": (2, "MalformedSpec", _STR_INDEX),
+    "class-top-perm_code-list": (2, "MalformedSpec", _LIST_INDEX),
+    "class-top-perm_code-object": (2, "MalformedSpec", "KeyError: 'n'"),
+    "class-top-q-drop": (2, "MalformedSpec", "KeyError: 'q'"),
+    "class-top-q-str": (2, "ValueError", "set code disagrees with the spec's (q, n, t)"),
+    "class-top-q-list": (2, "ValueError", "set code disagrees with the spec's (q, n, t)"),
+    "class-top-q-object": (2, "ValueError", "set code disagrees with the spec's (q, n, t)"),
+    "class-top-set_code-drop": (2, "MalformedSpec", "KeyError: 'set_code'"),
+    "class-top-set_code-str": (2, "MalformedSpec", _STR_INDEX),
+    "class-top-set_code-list": (2, "MalformedSpec", _LIST_INDEX),
+    "class-top-set_code-object": (2, "MalformedSpec", "KeyError: 'q'"),
+    "class-top-t-drop": (2, "MalformedSpec", "KeyError: 't'"),
+    "class-top-t-str": (2, "ValueError", "set code disagrees with the spec's (q, n, t)"),
+    "class-top-t-list": (2, "ValueError", "set code disagrees with the spec's (q, n, t)"),
+    "class-top-t-object": (2, "ValueError", "set code disagrees with the spec's (q, n, t)"),
+    "class-set_code-a-drop": (2, "MalformedSpec", "KeyError: 'a'"),
+    "class-set_code-a-str": (2, "ValueError", "syndrome vector has 1 entries, expected t=2"),
+    "class-set_code-a-list": (2, "ValueError", "syndrome vector has 1 entries, expected t=2"),
+    "class-set_code-a-object": (2, "ValueError", "syndrome vector has 1 entries, expected t=2"),
+    "class-set_code-n-drop": (2, "MalformedSpec", "KeyError: 'n'"),
+    "class-set_code-n-str": (2, "MalformedSpec", _compared("<=", "int", "str")),
+    "class-set_code-n-list": (2, "MalformedSpec", _compared("<=", "int", "list")),
+    "class-set_code-n-object": (2, "MalformedSpec", _compared("<=", "int", "dict")),
+    "class-set_code-p-drop": (2, "MalformedSpec", "KeyError: 'p'"),
+    "class-set_code-p-str": (2, "MalformedSpec", _compared("<", "str", "int")),
+    "class-set_code-p-list": (2, "MalformedSpec", _compared("<", "list", "int")),
+    "class-set_code-p-object": (2, "MalformedSpec", _compared("<", "dict", "int")),
+    "class-set_code-q-drop": (2, "MalformedSpec", "KeyError: 'q'"),
+    "class-set_code-q-str": (2, "MalformedSpec", _compared("<=", "int", "str")),
+    "class-set_code-q-list": (2, "MalformedSpec", _compared("<=", "int", "list")),
+    "class-set_code-q-object": (2, "MalformedSpec", _compared("<=", "int", "dict")),
+    "class-set_code-t-drop": (2, "MalformedSpec", "KeyError: 't'"),
+    "class-set_code-t-str": (2, "MalformedSpec", _compared("<", "str", "int")),
+    "class-set_code-t-list": (2, "MalformedSpec", _compared("<", "list", "int")),
+    "class-set_code-t-object": (2, "MalformedSpec", _compared("<", "dict", "int")),
+    "class-perm_code-codewords-drop": (2, "MalformedSpec", "KeyError: 'codewords'"),
+    "class-perm_code-codewords-str": (2, "ValueError", "images are not a rearrangement of 1..n"),
+    "class-perm_code-codewords-list": (2, "MalformedSpec", "TypeError: 'int' object is not iterable"),
+    "class-perm_code-codewords-object": (2, "ValueError", "images are not a rearrangement of 1..n"),
+    "class-perm_code-n-drop": (2, "MalformedSpec", "KeyError: 'n'"),
+    "class-perm_code-n-str": (2, "MalformedSpec", _compared("<=", "int", "str")),
+    "class-perm_code-n-list": (2, "MalformedSpec", _compared("<=", "int", "list")),
+    "class-perm_code-n-object": (2, "MalformedSpec", _compared("<=", "int", "dict")),
+    "class-perm_code-order-drop": (0, None, None),
+    "class-perm_code-order-str": (2, "ValueError", "unknown codeword order 'x'"),
+    "class-perm_code-order-list": (2, "ValueError", "unknown codeword order [0]"),
+    "class-perm_code-order-object": (2, "ValueError", "unknown codeword order {'k': 0}"),
+    "class-perm_code-t-drop": (2, "MalformedSpec", "KeyError: 't'"),
+    "class-perm_code-t-str": (2, "MalformedSpec", _compared("<=", "int", "str")),
+    "class-perm_code-t-list": (2, "MalformedSpec", _compared("<=", "int", "list")),
+    "class-perm_code-t-object": (2, "MalformedSpec", _compared("<=", "int", "dict")),
+    "explicit-set_code-n-drop": (2, "MalformedSpec", "KeyError: 'n'"),
+    "explicit-set_code-n-str": (2, "ValueError", "explicit set with the wrong alphabet or cardinality"),
+    "explicit-set_code-n-list": (2, "ValueError", "explicit set with the wrong alphabet or cardinality"),
+    "explicit-set_code-n-object": (2, "ValueError", "explicit set with the wrong alphabet or cardinality"),
+    "explicit-set_code-q-drop": (2, "MalformedSpec", "KeyError: 'q'"),
+    "explicit-set_code-q-str": (2, "MalformedSpec", _compared("<", "str", "int")),
+    "explicit-set_code-q-list": (2, "MalformedSpec", _compared("<", "list", "int")),
+    "explicit-set_code-q-object": (2, "MalformedSpec", _compared("<", "dict", "int")),
+    "explicit-set_code-sets-drop": (2, "MalformedSpec", "KeyError: 'p'"),
+    "explicit-set_code-sets-str": (2, "MalformedSpec", _compared("<=", "int", "str")),
+    "explicit-set_code-sets-list": (2, "MalformedSpec", "TypeError: 'int' object is not iterable"),
+    "explicit-set_code-sets-object": (2, "MalformedSpec", _compared("<=", "int", "str")),
+    "explicit-set_code-t-drop": (2, "MalformedSpec", "KeyError: 't'"),
+    "explicit-set_code-t-str": (2, "MalformedSpec", _compared("<", "str", "int")),
+    "explicit-set_code-t-list": (2, "MalformedSpec", _compared("<", "list", "int")),
+    "explicit-set_code-t-object": (2, "MalformedSpec", _compared("<", "dict", "int")),
+}
+
+
+class TestMalformedKeys:
+    @pytest.mark.parametrize("case", MALFORMED_KEY_REPORTS)
+    def test_verify_reports_as_pinned(self, tmp_path, monkeypatch, capsys, case):
+        form, level, key, kind = case.split("-")
+        spec = json.loads(Q12_SPEC)
+        if form == "explicit":
+            spec["set_code"] = dict(EXPLICIT_SET_CODE)
+        part = spec if level == "top" else spec[level]
+        if kind == "drop":
+            del part[key]
+        else:
+            part[key] = WRONG_VALUES[kind]
+        monkeypatch.chdir(tmp_path)
+        with open("spec.json", "w") as fh:
+            json.dump(spec, fh)
+        code, error, message = MALFORMED_KEY_REPORTS[case]
+        assert cli.main(["verify", "--spec", "spec.json"]) == code
+        if error == "MalformedSpec":
+            message = f"spec.json: {message}"
+        expected = json.loads(VERIFY_OK) if code == 0 else {"error": error, "message": message}
+        assert json.loads(capsys.readouterr().out) == expected
+
+
 class TestSimulateAtBenchmarkScale:
     """The channel workload's specs and its pinned tallies (trials, successes,
     failures by deletion count), run through the CLI."""
