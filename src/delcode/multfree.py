@@ -1,6 +1,6 @@
 """Multiplicity-free codewords as (symbol set, permutation) pairs: the
 decomposition bijection, code assembly from a set code and a permutation code,
-and the end-to-end deletion decoder.  A symbol set is held as its bitmask, bit
+the spec file that stores such a code, and the end-to-end deletion decoder.  A symbol set is held as its bitmask, bit
 s set iff symbol s is present.
 
 Deleting symbols from a multiplicity-free word removes the same elements from
@@ -140,23 +140,6 @@ class SetCode(Record):
         the member's position in `masks`, as one `model.ball_index`."""
         return ball_index(self.masks, lambda m: (m ^ r for r in deletion_masks(m, self.t)))
 
-    def to_json_dict(self) -> dict:
-        if self.vt is not None:
-            return self.vt.to_json_dict()
-        return {
-            "q": self.q,
-            "n": self.n,
-            "t": self.t,
-            "sets": [set_bits(m) for m in self.sets],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SetCode":
-        if "sets" in data:
-            sets = tuple(induced_set(Word(s, data["q"])) for s in data["sets"])
-            return cls(data["q"], data["n"], data["t"], sets=sets)
-        return cls.from_vt(VTParams.from_json_dict(data))
-
 
 class MultFreeCodeSpec(Record):
     """A composed multiplicity-free code: set code times permutation code."""
@@ -187,31 +170,25 @@ class MultFreeCodeSpec(Record):
         object.__setattr__(self, "set_code", set_code)
         object.__setattr__(self, "perm_code", perm_code)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "t": self.t,
-            "mode": self.mode,
-            "set_code": self.set_code.to_json_dict(),
-            "perm_code": self.perm_code.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MultFreeCodeSpec":
-        return cls(
-            data["q"],
-            data["n"],
-            data["t"],
-            data["mode"],
-            SetCode.from_json_dict(data["set_code"]),
-            PermCodeBook.from_json_dict(data["perm_code"]),
-        )
-
 
 def save_spec(spec: MultFreeCodeSpec, path) -> None:
+    """Write the spec file, which `load_spec` reads; no other code names its keys."""
+    code, book = spec.set_code, spec.perm_code
+    set_code = {"q": code.q, "n": code.n, "t": code.t}
+    if code.vt is not None:
+        set_code.update(p=code.vt.p, a=code.vt.a)
+    else:
+        set_code["sets"] = [set_bits(m) for m in code.sets]
+    data = {
+        "q": spec.q,
+        "n": spec.n,
+        "t": spec.t,
+        "mode": spec.mode,
+        "set_code": set_code,
+        "perm_code": {"n": book.n, "t": book.t, "codewords": [s.images for s in book.codewords], "order": "lex"},
+    }
     with open(path, "w") as fh:
-        fh.write(json.dumps(spec.to_json_dict(), sort_keys=True) + "\n")
+        fh.write(json.dumps(data, sort_keys=True) + "\n")
 
 
 def _holds_bool(data) -> bool:
@@ -231,19 +208,36 @@ def _holds_bool(data) -> bool:
 
 
 def load_spec(path) -> MultFreeCodeSpec:
+    """Read a spec file that `save_spec` wrote."""
+
     def refuse(text):
         raise MalformedSpec(f"{path}: {text} where the spec holds an integer")
 
     # every number in a spec is an integer; bool is an int subclass, so refuse it too
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8, whatever the locale
         try:
             data = json.load(fh, parse_float=refuse, parse_constant=refuse)
         except RecursionError as exc:
             raise MalformedSpec(f"{path}: nested too deeply") from exc
+        except ValueError as exc:  # not JSON, such as an empty or cut file, or not UTF-8
+            raise MalformedSpec(f"{path}: {type(exc).__name__}: {exc}") from exc
     if _holds_bool(data):
         refuse("true or false")
     try:
-        return MultFreeCodeSpec.from_json_dict(data)
+        # each record is built, and so checked, before the next key is read, so a
+        # file with several faults reports the first in this fixed order
+        q, n, t, mode = data["q"], data["n"], data["t"], data["mode"]
+        code = data["set_code"]
+        if "sets" in code:
+            sets = tuple(induced_set(Word(s, code["q"])) for s in code["sets"])
+            set_code = SetCode(code["q"], code["n"], code["t"], sets=sets)
+        else:
+            set_code = SetCode.from_vt(VTParams(code["q"], code["n"], code["t"], code["p"], code["a"]))
+        book = data["perm_code"]
+        if "order" in book and book["order"] != "lex":  # the one order a book is held in
+            raise ValueError(f"unknown codeword order {book['order']!r}")
+        perm_code = PermCodeBook(book["n"], book["t"], [Permutation(tuple(c)) for c in book["codewords"]])
+        return MultFreeCodeSpec(q, n, t, mode, set_code, perm_code)
     except (KeyError, TypeError) as exc:
         # a missing key, or a list or scalar where an object or number belongs
         raise MalformedSpec(f"{path}: {type(exc).__name__}: {exc}") from exc

@@ -17,10 +17,9 @@ from .model import Permutation, Record, Word, apply_unstable_deletions, ball_ind
 
 class PermCodeBook(Record):
     """A permutation code with its deletion budget.  The codewords are held
-    sorted by their images, the one order there is: spec files name it "lex"."""
+    sorted by their images, the one order there is."""
 
     __slots__ = ("n", "t", "codewords", "__dict__")
-    order = "lex"
 
     def __init__(self, n: int, t: int, codewords: tuple[Permutation, ...]):
         codewords = tuple(sorted(codewords, key=lambda s: s.images))
@@ -31,20 +30,6 @@ class PermCodeBook(Record):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "codewords", codewords)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "codewords": [list(sigma.images) for sigma in self.codewords],
-            "order": self.order,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PermCodeBook":
-        if "order" in data and data["order"] != cls.order:
-            raise ValueError(f"unknown codeword order {data['order']!r}")
-        return cls(data["n"], data["t"], tuple(Permutation(tuple(images)) for images in data["codewords"]))
 
     @cached_property
     def _stable_index(self) -> dict[tuple, int | None]:

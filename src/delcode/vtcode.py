@@ -49,13 +49,6 @@ class VTParams(Record):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "a", a)
 
-    def to_json_dict(self) -> dict:
-        return {"q": self.q, "n": self.n, "t": self.t, "p": self.p, "a": list(self.a)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "VTParams":
-        return cls(data["q"], data["n"], data["t"], data["p"], data["a"])
-
     @cached_property
     def _decoder_tables(self) -> tuple[tuple[list[int], ...], int]:
         return _byte_tables(self.q, self.t, self.p)

@@ -1189,6 +1189,74 @@ class TestBenchmarkScalePins:
             assert sha256_text(capsys.readouterr().out) == digest
 
 
+class TestCorruptSpecFile:
+    """A spec file that is not UTF-8 JSON text is a MalformedSpec naming the
+    path, as a missing key is."""
+
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            (b"", "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+            (
+                Q12_SPEC[:100].encode(),
+                "JSONDecodeError: Expecting ',' delimiter: line 1 column 101 (char 100)",
+            ),
+            (
+                b"\xff" + Q12_SPEC.encode(),
+                "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            ),
+        ],
+        ids=["empty", "cut-at-100-bytes", "not-utf-8"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("verify",),
+            ("simulate", "--trials", "1", "--tmax", "1", "--seed", "0"),
+            ("enumerate",),
+            ("decode", "--word", "[1,2,3]"),
+        ],
+    )
+    def test_refused_naming_the_path(self, tmp_path, capsys, content, error, command):
+        path = tmp_path / "spec.json"
+        path.write_bytes(content)
+        assert cli.main([command[0], "--spec", str(path), *command[1:]]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"error": "MalformedSpec", "message": f"{path}: {error}"}
+
+
+class TestSpecRoundTrip:
+    """Loading a spec file and saving it again rewrites the same bytes."""
+
+    @staticmethod
+    def assert_rewritten(path):
+        again = path.with_name("again.json")
+        multfree.save_spec(multfree.load_spec(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "q, n, t, mode",
+        [pytest.param(*point.values[:4], id=point.id) for point in BENCHMARK_POINTS]
+        + [pytest.param(12, 5, 1, "unstable", id="12-5-1-unstable")],
+    )
+    def test_constructed(self, tmp_path, q, n, t, mode):
+        path = tmp_path / "spec.json"
+        args = ("--q", str(q), "--n", str(n), "--t", str(t), "--mode", mode, "--out", str(path))
+        assert cli.main(["construct", *args]) == 0
+        self.assert_rewritten(path)
+
+    def test_explicit_sets(self, tmp_path, explicit_spec):
+        path = tmp_path / "spec.json"
+        multfree.save_spec(explicit_spec, path)
+        self.assert_rewritten(path)
+        assert multfree.load_spec(path) == explicit_spec
+
+    def test_q12_spec_text(self, q12_spec_path):
+        # what `construct --q 12 --n 5 --t 2` writes, held as text in this file
+        q12_spec_path.write_text(Q12_SPEC + "\n")
+        self.assert_rewritten(q12_spec_path)
+
+
 # every name `delcode/__init__.py` re-exported while it imported its submodules eagerly,
 # less `locator_roots` and `power_sums_to_elementary`, which the tests' bitword oracle holds,
 # `Modulus`, now a plain int, the component decoders' own error classes, now

@@ -3,6 +3,7 @@ import functools
 import gc
 import hashlib
 import itertools
+import json
 import math
 import pathlib
 import random
@@ -230,21 +231,21 @@ class TestSetCode:
             with pytest.raises(ValueError, match="wrong alphabet or cardinality"):
                 SetCode(3, 1, 1, sets=(bad,))
 
-    def test_rejects_negative_budget(self):
+    def test_rejects_negative_budget(self, tmp_path):
         with pytest.raises(ValueError, match="deletion budget t=-1 is negative"):
             SetCode(8, 5, -1, sets=self.explicit_sets())
         with pytest.raises(ValueError, match="deletion budget t=-1 is negative"):
-            SetCode.from_json_dict({"q": 8, "n": 5, "t": -1, "sets": [[0, 1, 2, 3, 4]]})
+            load_set_code(tmp_path, {"q": 8, "n": 5, "t": -1, "sets": [[0, 1, 2, 3, 4]]})
         # a budget above n is still a code: its one member's ball holds the empty set
         lone = SetCode(8, 5, 6, sets=self.explicit_sets()[:1])
         assert lone.decode_mask(0) == lone.masks[0]
 
-    def test_explicit_rejects_empty(self):
+    def test_explicit_rejects_empty(self, tmp_path):
         # the check lives in construction, so every path to a SetCode meets it
         with pytest.raises(ValueError, match="must be nonempty"):
             SetCode(12, 5, 2, sets=())
         with pytest.raises(ValueError, match="must be nonempty"):
-            SetCode.from_json_dict({"q": 12, "n": 5, "t": 2, "sets": []})
+            load_set_code(tmp_path, {"q": 12, "n": 5, "t": 2, "sets": []})
 
     @given(st.data())
     @settings(max_examples=300)
@@ -328,16 +329,17 @@ class TestSetCode:
         with pytest.raises(SetDecodeFailed):
             sc.decode_mask(0b11)  # {0, 1}: below n - t survivors
 
-    def test_json_roundtrip_both_backends(self):
+    def test_json_roundtrip_both_backends(self, tmp_path):
         explicit = self.explicit_code()
-        data = explicit.to_json_dict()
-        assert data["sets"] == [[0, 1, 2, 3, 4], [3, 4, 5, 6, 7]]
-        assert SetCode.from_json_dict(data) == explicit
+        path = tmp_path / "explicit.json"
+        book = PermCodeBook(5, 2, (Permutation.identity(5),))
+        save_spec(MultFreeCodeSpec(8, 5, 2, "stable", explicit, book), path)
+        assert json.loads(path.read_text())["set_code"]["sets"] == [[0, 1, 2, 3, 4], [3, 4, 5, 6, 7]]
+        assert load_spec(path).set_code == explicit
 
-        p = next_prime_above(10)
-        a, _ = best_class(10, 5, 2, p)
-        vt = SetCode.from_vt(VTParams(10, 5, 2, p, a))
-        assert SetCode.from_json_dict(vt.to_json_dict()) == vt
+        vt = best_class_spec(10, 5, 2)
+        save_spec(vt, tmp_path / "vt.json")
+        assert load_spec(tmp_path / "vt.json").set_code == vt.set_code
 
     def test_mismatched_vt_params_rejected(self):
         p = next_prime_above(10)
@@ -361,6 +363,15 @@ SET_ORDER_SHA256 = {
     (40, 6, 1): "ae3f29a7ce001e046ee73f2006fd4b477d5c9730a9ca128b57415a91587fe9cd",
     (30, 8, 3): "dc9d93510e3540daeee7d4aa1cdf0892f834678ed4dd0cbbb41d7cfdc30b656d",
 }
+
+
+def load_set_code(tmp_path, set_code):
+    """The set code `load_spec` builds from a spec file holding the given one."""
+    n, t = set_code["n"], set_code["t"]
+    book = {"n": n, "t": t, "codewords": [list(range(1, n + 1))]}
+    spec = {"q": set_code["q"], "n": n, "t": t, "mode": "stable", "set_code": set_code, "perm_code": book}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    return load_spec(tmp_path / "spec.json").set_code
 
 
 def best_class_spec(q, n, t):
@@ -476,7 +487,7 @@ class TestEncodeIndex:
         with pytest.raises(IndexError):
             encode_index(explicit_spec, -1)
 
-    def test_out_of_order_book(self):
+    def test_out_of_order_book(self, tmp_path):
         # a book given out of order encodes, enumerates and saves in lex order
         lex = greedy_sd_code(4, 1).codewords
         assert len(lex) > 2
@@ -485,7 +496,9 @@ class TestEncodeIndex:
         expected = [psi(m, sigma, 8) for m in spec.set_code.masks for sigma in lex]
         assert list(build_code(spec)) == expected
         assert [encode_index(spec, i) for i in range(code_size(spec))] == expected
-        assert book.to_json_dict()["codewords"] == [list(sigma.images) for sigma in lex]
+        save_spec(spec, tmp_path / "spec.json")
+        saved = json.loads((tmp_path / "spec.json").read_text())["perm_code"]["codewords"]
+        assert saved == [list(sigma.images) for sigma in lex]
 
     def test_zero_deletion_roundtrip(self, explicit_spec):
         for i in range(code_size(explicit_spec)):

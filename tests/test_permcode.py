@@ -22,6 +22,7 @@ from delcode import (
     cli,
     greedy_sd_code,
     greedy_ud_code,
+    load_spec,
     reference_size_bound,
     save_spec,
     sd_decode,
@@ -93,7 +94,7 @@ def naive_greedy_ud(n, t):
     return naive_greedy(n, t, lambda sigma, pat: apply_unstable_deletions(sigma, pat).images)
 
 
-# sha256 of json.dumps(book.to_json_dict(), sort_keys=True): any change to the
+# sha256 of json.dumps(book_file_form(book), sort_keys=True): any change to the
 # admission order or to the ball contents changes a lex first-fit codebook
 SD_CODEBOOK_SHA256 = {
     (1, 1): "603884859743753eff4a4e417c62ab980c9422363ca4279802f9614ad6a82632",
@@ -145,8 +146,21 @@ UD_CODEBOOK_SHA256 = {
 }
 
 
+def book_file_form(book):
+    """The book as a spec file holds it under "perm_code"."""
+    return {"n": book.n, "t": book.t, "codewords": [list(s.images) for s in book.codewords], "order": "lex"}
+
+
 def codebook_sha256(book):
-    return hashlib.sha256(json.dumps(book.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(book_file_form(book), sort_keys=True).encode()).hexdigest()
+
+
+def saved_spec(book, path):
+    """Save a stable spec with the book over one set of n symbols, and return
+    the file's parsed JSON."""
+    sets = SetCode(book.n + 1, book.n, book.t, sets=((1 << book.n) - 1,))
+    save_spec(MultFreeCodeSpec(book.n + 1, book.n, book.t, "stable", sets, book), path)
+    return json.loads(path.read_text())
 
 
 class TestBalls:
@@ -247,10 +261,11 @@ class TestGreedyConstruction:
         with pytest.raises(ScaleGuardExceeded):
             greedy_sd_code(9, 1)
 
-    def test_order_tag(self):
-        # the one order there is: a class constant, not a constructor field
+    def test_order_tag(self, tmp_path):
+        # the one order there is: written by save_spec, neither a field nor an attribute
         assert "order" not in inspect.signature(PermCodeBook).parameters
-        assert greedy_sd_code(3, 1).order == "lex"
+        assert not hasattr(greedy_sd_code(3, 1), "order")
+        assert saved_spec(greedy_sd_code(3, 1), tmp_path / "spec.json")["perm_code"]["order"] == "lex"
 
 
 class TestVerify:
@@ -500,12 +515,14 @@ class TestReferenceBound:
 
 
 class TestCodebookSerialization:
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, tmp_path):
         book = greedy_sd_code(4, 1)
-        data = book.to_json_dict()
+        data = saved_spec(book, tmp_path / "spec.json")["perm_code"]
         assert data["n"] == 4 and data["t"] == 1 and data["order"] == "lex"
         assert all(isinstance(c, list) for c in data["codewords"])
-        assert PermCodeBook.from_json_dict(data) == book
+        # the form the pinned codebook digests hash is the one the file holds
+        assert data == book_file_form(book)
+        assert load_spec(tmp_path / "spec.json").perm_code == book
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -27,7 +28,9 @@ from delcode import (
     decode_steps,
     enumerate_class,
     is_codeword,
+    load_spec,
     next_prime_above,
+    save_spec,
     set_decode,
     vtcode,
 )
@@ -103,11 +106,13 @@ class TestParams:
         assert not is_bitword_codeword((0, 0, 0, 0, 0), params)  # weight mismatch
         assert not is_bitword_codeword((1, 1, 0, 0, 0), params)  # wrong syndrome
 
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, tmp_path):
         params = self.make()
-        data = params.to_json_dict()
-        assert data == {"q": 5, "n": 2, "t": 2, "p": 7, "a": [6, 6]}
-        assert VTParams.from_json_dict(data) == params
+        path = tmp_path / "spec.json"
+        book = PermCodeBook(2, 2, (Permutation.identity(2),))
+        save_spec(MultFreeCodeSpec(5, 2, 2, "stable", SetCode.from_vt(params), book), path)
+        assert json.loads(path.read_text())["set_code"] == {"q": 5, "n": 2, "t": 2, "p": 7, "a": [6, 6]}
+        assert load_spec(path).set_code.vt == params
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
