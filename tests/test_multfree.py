@@ -590,17 +590,18 @@ class TestUnstableMode:
 
 
 @functools.cache
+def construct_spec(q, n, t, mode):
+    """The spec that `construct` writes at this point."""
+    p = next_prime_above(q)
+    a, _ = best_class(q, n, t, p)
+    book = greedy_sd_code(n, t) if mode == "stable" else greedy_ud_code(n, t)
+    return MultFreeCodeSpec(q, n, t, mode, SetCode.from_vt(VTParams(q, n, t, p, a)), book)
+
+
+@functools.cache
 def syndrome_class_specs():
-    # the specs that `construct` writes at these points
-    specs = []
     points = ((10, 5, 2, "stable"), (9, 5, 1, "unstable"), (12, 5, 2, "stable"), (10, 5, 1, "unstable"))
-    for q, n, t, mode in points:
-        p = next_prime_above(q)
-        a, _ = best_class(q, n, t, p)
-        book = greedy_sd_code(n, t) if mode == "stable" else greedy_ud_code(n, t)
-        set_code = SetCode.from_vt(VTParams(q, n, t, p, a))
-        specs.append(MultFreeCodeSpec(q, n, t, mode, set_code, book))
-    return specs
+    return [construct_spec(*point) for point in points]
 
 
 class TestDecodeFuzz:
@@ -670,6 +671,48 @@ class TestThreeFailures:
         }
         defined = {name for name, value in vars(errors).items() if isinstance(value, type)}
         assert defined - raised == {"DelcodeError", "DecodeError"}
+
+
+# what `decode` does with 200 seeded codewords of each channel spec, each sent
+# with t deletions, with t + 1, and with t and one symbol replaced by one the
+# received word does not hold; pinned so a change to the decoder shows
+DECODE_OUTCOMES = {
+    (24, 7, 2, "stable"): {
+        "t": {"returned_sent": 200},
+        "t+1": {"InputTooShort": 200},
+        "substituted": {"returned_sent": 6, "silent_miscorrection": 21, "SetDecodeFailed": 149, "PermDecodeFailed": 24},
+    },
+    (20, 7, 1, "unstable"): {
+        "t": {"returned_sent": 200},
+        "t+1": {"InputTooShort": 200},
+        "substituted": {"returned_sent": 4, "silent_miscorrection": 30, "SetDecodeFailed": 85, "PermDecodeFailed": 81},
+    },
+}
+
+
+class TestDecodeOutcomes:
+    @pytest.mark.parametrize("point", DECODE_OUTCOMES, ids="{0[0]}-{0[1]}-{0[2]}-{0[3]}".format)
+    def test_tallies(self, point):
+        spec = construct_spec(*point)
+        rng = random.Random(7)
+        tallies = {kind: Counter() for kind in DECODE_OUTCOMES[point]}
+        for _ in range(200):
+            x = encode_index(spec, rng.randrange(code_size(spec)))
+            kept = delete_positions(x, tuple(rng.sample(range(1, spec.n + 1), spec.t)))
+            symbols = list(kept.symbols)
+            symbols[rng.randrange(len(symbols))] = rng.choice(sorted(set(range(spec.q)) - set(symbols)))
+            received = {
+                "t": kept,
+                "t+1": delete_positions(x, tuple(rng.sample(range(1, spec.n + 1), spec.t + 1))),
+                "substituted": Word(tuple(symbols), spec.q, True),
+            }
+            for kind, y in received.items():
+                try:
+                    outcome = "returned_sent" if decode(spec, y) == x else "silent_miscorrection"
+                except DecodeError as exc:
+                    outcome = type(exc).__name__
+                tallies[kind][outcome] += 1
+        assert tallies == DECODE_OUTCOMES[point]
 
 
 class TestSpecSerialization:
