@@ -36,7 +36,6 @@ _EXPORTS = {
     ),
     "modular": ("next_prime_above",),
     "multfree": (
-        "DecodeSteps",
         "MultFreeCodeSpec",
         "SetCode",
         "build_code",

@@ -87,15 +87,12 @@ def _cmd_decode(args) -> int:
             f"({len(args.word)} characters)"
         )
     y = Word(tuple(symbols), spec.q, multiplicity_free=True)
-    steps = decode_steps(spec, y)
-    result = {"codeword": list(steps.codeword.symbols)}
+    recovered, ranks, sigma, codeword = decode_steps(spec, y)
+    result = {"codeword": list(codeword.symbols)}
     if args.trace:
-        result["recovered_set"] = set_bits(steps.recovered_set)
-        if steps.tau is not None:
-            result["tau"] = list(steps.tau.symbols)
-        if steps.reduced_perm is not None:
-            result["reduced_perm"] = list(steps.reduced_perm.images)
-        result["sigma"] = list(steps.sigma.images)
+        result["recovered_set"] = set_bits(recovered)
+        result["tau" if spec.mode == "stable" else "reduced_perm"] = list(ranks)
+        result["sigma"] = list(sigma.images)
     _emit(result)
     return 0
 

@@ -32,10 +32,7 @@ def induced_set(x: Word) -> int:
 
 def induced_permutation(x: Word) -> Permutation:
     """Rank sequence of x: entry k is the rank of x_k among x's symbols (1 = smallest)."""
-    if len(set(x.symbols)) != len(x.symbols):
-        raise ValueError("duplicate symbol in the input word")
-    rank = {v: j for j, v in enumerate(sorted(x.symbols), start=1)}
-    return Permutation(tuple(rank[v] for v in x.symbols))
+    return Permutation(symbol_ranks(induced_set(x), x))
 
 
 def psi(mask: int, sigma: Permutation, q: int) -> Word:
@@ -47,21 +44,20 @@ def psi(mask: int, sigma: Permutation, q: int) -> Word:
     return Word(tuple(ordered[s - 1] for s in sigma.images), q, True)
 
 
-def symbol_ranks(mask: int, y: Word) -> Word:
+def symbol_ranks(mask: int, y: Word) -> tuple[int, ...]:
     """Rewrite y symbol-by-symbol as 1-based ranks inside the set.
 
     When the set is the decoded original and y the received word, this equals
-    the stable deletion of the original word's rank permutation.  A symbol
-    outside the set raises ValueError; `decode_steps` never passes one, since
-    the set decoders return a superset of the survivors.
+    the stable deletion of the original word's rank permutation; when it is y's
+    own symbols, the unstable deletion.  A symbol outside the set raises
+    ValueError; `decode_steps` never passes one, since the set decoders return
+    a superset of the survivors.
     """
     rank = {v: j for j, v in enumerate(set_bits(mask), start=1)}
-    ranks = []
-    for s in y.symbols:
-        if s not in rank:
-            raise ValueError(f"received symbol {s} is not in the recovered set")
-        ranks.append(rank[s])
-    return Word(tuple(ranks), mask.bit_count() + 1, multiplicity_free=True)
+    try:
+        return tuple(map(rank.__getitem__, y.symbols))
+    except KeyError as exc:
+        raise ValueError(f"received symbol {exc.args[0]} is not in the recovered set") from None
 
 
 def deletion_masks(mask: int, t: int) -> Iterator[int]:
@@ -266,34 +262,15 @@ def encode_index(spec: MultFreeCodeSpec, index: int) -> Word:
     return psi(spec.set_code.masks[i_set], perms[i_perm], spec.q)
 
 
-class DecodeSteps(Record):
-    """Intermediate decoder state, kept for inspection and tests."""
+def decode_steps(spec: MultFreeCodeSpec, y: Word) -> tuple[int, tuple[int, ...], Permutation, Word]:
+    """Recover a codeword from at most t deletions, with each stage's value:
+    the recovered set's mask, the ranks the permutation decoder reads, the
+    permutation it returns, and the codeword.
 
-    __slots__ = ("recovered_set", "tau", "reduced_perm", "sigma", "codeword")
-
-    def __init__(
-        self,
-        recovered_set: int,  # mask
-        tau: Word | None,
-        reduced_perm: Permutation | None,
-        sigma: Permutation,
-        codeword: Word,
-    ):
-        object.__setattr__(self, "recovered_set", recovered_set)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "reduced_perm", reduced_perm)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "codeword", codeword)
-
-
-def decode_steps(spec: MultFreeCodeSpec, y: Word) -> DecodeSteps:
-    """Recover a codeword from at most t deletions, keeping intermediates.
-
-    Stable mode: decode the surviving symbol set, rewrite the received word as
-    ranks within the recovered set (the stable deletion of the original rank
-    permutation), decode that in the permutation code, and reassemble.
-    Unstable mode decodes the received word's own induced permutation instead,
-    and refuses a codeword that does not contain the received word.
+    Stable mode ranks the received word within the recovered set, which is the
+    stable deletion of the original rank permutation; unstable mode ranks it
+    within its own symbols, the unstable deletion, and refuses a codeword that
+    does not contain the received word.
     """
     if len(y) > spec.n:
         raise ValueError(f"received length {len(y)} exceeds the code length {spec.n}")
@@ -301,21 +278,19 @@ def decode_steps(spec: MultFreeCodeSpec, y: Word) -> DecodeSteps:
         raise InputTooShort(f"received length {len(y)} is below n - t = {spec.n - spec.t}")
     if y.alphabet_size != spec.q:
         raise ValueError(f"alphabet size {y.alphabet_size} differs from q = {spec.q}")
-    recovered = spec.set_code.decode_mask(induced_set(y))
-    if spec.mode == "stable":
-        tau = symbol_ranks(recovered, y)
-        sigma = sd_decode(spec.perm_code, tau)
-        return DecodeSteps(recovered, tau, None, sigma, psi(recovered, sigma, spec.q))
-    reduced = induced_permutation(y)
-    sigma = ud_decode(spec.perm_code, reduced)
+    stable = spec.mode == "stable"
+    survivors = induced_set(y)
+    recovered = spec.set_code.decode_mask(survivors)
+    ranks = symbol_ranks(recovered if stable else survivors, y)
+    sigma = (sd_decode if stable else ud_decode)(spec.perm_code, ranks)
     codeword = psi(recovered, sigma, spec.q)
     # ud_decode matches ranks only: past the budget, or with a substituted symbol,
     # the codeword it leads to can hold the received symbols in another order
-    if not is_subsequence(y.symbols, codeword.symbols):
+    if not stable and not is_subsequence(y.symbols, codeword.symbols):
         raise PermDecodeFailed("the decoded codeword does not contain the received word")
-    return DecodeSteps(recovered, None, reduced, sigma, codeword)
+    return recovered, ranks, sigma, codeword
 
 
 def decode(spec: MultFreeCodeSpec, y: Word) -> Word:
     """Recover the unique codeword that y was obtained from by at most t deletions."""
-    return decode_steps(spec, y).codeword
+    return decode_steps(spec, y)[-1]

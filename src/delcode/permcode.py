@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 
 from .errors import PermDecodeFailed
 from .guards import PERM_ENUM_CAP, check_enumerable
-from .model import Permutation, Record, Word, apply_unstable_deletions, ball_index, is_subsequence
+from .model import Permutation, Record, apply_unstable_deletions, ball_index, is_subsequence
 
 
 class PermCodeBook(Record):
@@ -122,31 +122,31 @@ def ball_collision(book: PermCodeBook, unstable: bool) -> tuple[Permutation, Per
     return first, second, key
 
 
-def sd_decode(book: PermCodeBook, received: Word) -> Permutation:
+def sd_decode(book: PermCodeBook, ranks: tuple[int, ...]) -> Permutation:
     """The unique codeword whose radius-t stable-deletion ball contains the received
-    word: one index lookup of the word's first n - t symbols, then one O(n) test that
-    the codeword found holds the whole word.  On a corrupt book, a prefix in two balls raises."""
-    head = received.symbols[:book.n - book.t]
+    ranks: one index lookup of their first n - t, then one O(n) test that the
+    codeword found holds them all.  On a corrupt book, a prefix in two balls raises."""
+    head = ranks[:book.n - book.t]
     if len(head) < book.n - book.t:
-        raise PermDecodeFailed(f"received length {len(received)} is below n - t = {book.n - book.t}")
+        raise PermDecodeFailed(f"received length {len(ranks)} is below n - t = {book.n - book.t}")
     owner = book._stable_index.get(head, -1)
     if owner is None:
         raise PermDecodeFailed("multiple codeword balls contain the received word's first n - t symbols")
-    if owner < 0 or not is_subsequence(received.symbols, book.codewords[owner].images):
+    if owner < 0 or not is_subsequence(ranks, book.codewords[owner].images):
         raise PermDecodeFailed("no codeword ball contains the received word")
     return book.codewords[owner]
 
 
-def ud_decode(book: PermCodeBook, received: Permutation) -> Permutation:
-    """The unique codeword reaching the received permutation by <= t unstable deletions.
+def ud_decode(book: PermCodeBook, ranks: tuple[int, ...]) -> Permutation:
+    """The unique codeword reaching the received ranks by <= t unstable deletions.
     Brute force, not indexed: ROADMAP item 10 decodes unstable specs by the stable lookup."""
-    missing = book.n - len(received)
+    missing = book.n - len(ranks)
     if missing < 0 or missing > book.t:
-        raise PermDecodeFailed(f"received length {len(received)} is outside [n - t, n]")
+        raise PermDecodeFailed(f"received length {len(ranks)} is outside [n - t, n]")
     hits = []
     for sigma in book.codewords:
         if any(
-            apply_unstable_deletions(sigma, positions) == received
+            apply_unstable_deletions(sigma, positions).images == ranks
             for positions in combinations(range(1, book.n + 1), missing)
         ):
             hits.append(sigma)

@@ -4,8 +4,9 @@ set-layer checks as one decode of every deletion of every member.
 
 The decoder never forms this word: it rewrites the received symbols as ranks
 inside the recovered set (`delcode.multfree.symbol_ranks`).  The tests hold that
-rewrite, the greedy stable books and the stable decoder to this definition, and
-the shipped ball-index lookup (`delcode.permcode.sd_decode`) to the scan.
+rewrite, the greedy stable books and the stable decoder to this definition's
+symbols, and the shipped ball-index lookup (`delcode.permcode.sd_decode`) to the
+scan; both decoders read a tuple of ranks.
 `verify` certifies set decoding from the decoder's tables instead of decoding;
 the tests hold its verdict and witness to `set_deletion_checks`.
 """
@@ -29,12 +30,12 @@ def _is_subsequence(short: tuple[int, ...], long: tuple[int, ...]) -> bool:
     return all(s in it for s in short)
 
 
-def sd_decode(book: PermCodeBook, received: Word) -> Permutation:
+def sd_decode(book: PermCodeBook, ranks: tuple[int, ...]) -> Permutation:
     """The unique codeword whose radius-t stable-deletion ball contains the
-    received word; ball membership is a subsequence test."""
-    if len(received) < book.n - book.t:
-        raise PermDecodeFailed(f"received length {len(received)} is below n - t = {book.n - book.t}")
-    hits = [s for s in book.codewords if _is_subsequence(received.symbols, s.images)]
+    received ranks; ball membership is a subsequence test."""
+    if len(ranks) < book.n - book.t:
+        raise PermDecodeFailed(f"received length {len(ranks)} is below n - t = {book.n - book.t}")
+    hits = [s for s in book.codewords if _is_subsequence(ranks, s.images)]
     if not hits:
         raise PermDecodeFailed("no codeword ball contains the received word")
     if len(hits) > 1:

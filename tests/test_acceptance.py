@@ -51,11 +51,11 @@ def test_criterion_1_worked_example_fidelity(criterion):
         words = [w.symbols for w in build_code(spec)]
         assert words == [(0, 1, 2, 3, 4), (3, 4, 1, 2, 0), (3, 4, 5, 6, 7), (6, 7, 4, 5, 3)]
 
-        steps = decode_steps(spec, Word((6, 4, 3), 8, multiplicity_free=True))
-        assert steps.recovered_set == 0b11111000
-        assert steps.tau.symbols == (4, 2, 1)
-        assert steps.sigma == Permutation((4, 5, 2, 3, 1))
-        assert steps.codeword.symbols == (6, 7, 4, 5, 3)
+        recovered, ranks, sigma, codeword = decode_steps(spec, Word((6, 4, 3), 8, multiplicity_free=True))
+        assert recovered == 0b11111000
+        assert ranks == (4, 2, 1)
+        assert sigma == Permutation((4, 5, 2, 3, 1))
+        assert codeword.symbols == (6, 7, 4, 5, 3)
 
 
 def test_criterion_2_bijection_suite(criterion):
@@ -125,7 +125,7 @@ def test_criterion_5_permutation_sd_suite(criterion):
         assert verify_sd_property(book)
         for sigma in book.codewords:
             for pat in patterns_up_to(5, 2):
-                received = apply_stable_deletions(sigma, pat)
+                received = apply_stable_deletions(sigma, pat).symbols
                 assert sd_decode(book, received) == sigma
         for n in range(1, 7):
             assert len(greedy_sd_code(n, 0).codewords) == math.factorial(n)
@@ -141,7 +141,7 @@ def test_criterion_6_commutation_laws(criterion):
                     subset = induced_set(x)
                     for pat in patterns_up_to(n, 2):
                         y = delete_positions(x, pat)
-                        assert symbol_ranks(subset, y) == apply_stable_deletions(sigma, pat)
+                        assert symbol_ranks(subset, y) == apply_stable_deletions(sigma, pat).symbols
                         assert induced_permutation(y) == apply_unstable_deletions(sigma, pat)
 
 

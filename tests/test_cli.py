@@ -1261,9 +1261,10 @@ class TestSpecRoundTrip:
 # less `locator_roots` and `power_sums_to_elementary`, which the tests' bitword oracle holds,
 # `Modulus`, now a plain int, the component decoders' own error classes, now
 # `SetDecodeFailed` and `PermDecodeFailed`, `DeletionPattern`, now a tuple of positions,
-# and `BoundReport`, now the dict `singleton_report` returns
+# `BoundReport`, now the dict `singleton_report` returns, and `DecodeSteps`, now the
+# tuple `decode_steps` returns
 PACKAGE_NAMES = (
-    "BoundViolated DecodeError DecodeSteps DelcodeError "
+    "BoundViolated DecodeError DelcodeError "
     "InputTooShort MalformedSpec MultFreeCodeSpec PermCodeBook "
     "PermDecodeFailed Permutation ScaleGuardExceeded SetCode SetDecodeFailed SimulationReport "
     "VTParams Word apply_unstable_deletions best_class build_code "

@@ -97,7 +97,7 @@ class TestDecomposition:
         assert induced_permutation(Word((7, 4, 2), 8)) == Permutation((3, 2, 1))
 
     def test_induced_permutation_rejects_duplicates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate symbol 1"):
             induced_permutation(Word((1, 1), 5))
 
     def test_psi_example(self):
@@ -140,8 +140,8 @@ class TestSymbolRanks:
         pat = (2, 4)
         y = delete_positions(x, pat)
         tau = symbol_ranks(induced_set(x), y)
-        assert tau == apply_stable_deletions(induced_permutation(x), pat)
-        assert tau.symbols == (4, 2, 1)
+        assert tau == apply_stable_deletions(induced_permutation(x), pat).symbols
+        assert tau == (4, 2, 1)
 
     def test_symbol_outside_set(self):
         with pytest.raises(ValueError, match="received symbol 4 is not in the recovered set"):
@@ -159,7 +159,7 @@ class TestCommutation:
                     subset = induced_set(x)
                     for pat in patterns_up_to(n, 2):
                         y = delete_positions(x, pat)
-                        assert symbol_ranks(subset, y) == apply_stable_deletions(sigma, pat)
+                        assert symbol_ranks(subset, y) == apply_stable_deletions(sigma, pat).symbols
                         assert induced_permutation(y) == apply_unstable_deletions(sigma, pat)
 
     @given(st.data())
@@ -172,7 +172,7 @@ class TestCommutation:
         pat = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=k, max_size=k))))
         y = delete_positions(x, pat)
         sigma = induced_permutation(x)
-        assert symbol_ranks(induced_set(x), y) == apply_stable_deletions(sigma, pat)
+        assert symbol_ranks(induced_set(x), y) == apply_stable_deletions(sigma, pat).symbols
         assert induced_permutation(y) == apply_unstable_deletions(sigma, pat)
 
 
@@ -509,11 +509,11 @@ class TestEncodeIndex:
 class TestDecode:
     def test_worked_example_with_steps(self, explicit_spec):
         y = Word((6, 4, 3), 8, multiplicity_free=True)
-        steps = decode_steps(explicit_spec, y)
-        assert steps.recovered_set == 0b11111000  # {3, 4, 5, 6, 7}
-        assert steps.tau.symbols == (4, 2, 1)
-        assert steps.sigma == Permutation((4, 5, 2, 3, 1))
-        assert steps.codeword.symbols == (6, 7, 4, 5, 3)
+        recovered, ranks, sigma, codeword = decode_steps(explicit_spec, y)
+        assert recovered == 0b11111000  # {3, 4, 5, 6, 7}
+        assert ranks == (4, 2, 1)
+        assert sigma == Permutation((4, 5, 2, 3, 1))
+        assert codeword.symbols == (6, 7, 4, 5, 3)
 
     def test_codeword_passthrough(self, explicit_spec):
         x = Word((3, 4, 1, 2, 0), 8, multiplicity_free=True)
@@ -560,10 +560,10 @@ class TestUnstableMode:
         for x in build_code(spec):
             for pat in patterns_up_to(4, 1):
                 y = delete_positions(x, pat)
-                steps = decode_steps(spec, y)
-                assert steps.codeword == x
-                assert steps.tau is None
-                assert steps.reduced_perm == induced_permutation(y)
+                recovered, ranks, sigma, codeword = decode_steps(spec, y)
+                assert (recovered, codeword) == (induced_set(x), x)
+                # the word's own ranks, not its ranks in the recovered set
+                assert Permutation(ranks) == induced_permutation(y)
 
 
     def test_substituted_words_decode_only_to_supersequences(self):

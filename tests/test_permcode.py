@@ -17,7 +17,6 @@ from delcode import (
     Permutation,
     ScaleGuardExceeded,
     SetCode,
-    Word,
     apply_unstable_deletions,
     cli,
     greedy_sd_code,
@@ -295,37 +294,32 @@ class TestStableDecode:
         )
 
     def test_codeword_passthrough(self):
-        received = Word((4, 5, 2, 3, 1), 6, multiplicity_free=True)
-        assert sd_decode(self.book, received) == Permutation((4, 5, 2, 3, 1))
+        assert sd_decode(self.book, (4, 5, 2, 3, 1)) == Permutation((4, 5, 2, 3, 1))
 
     def test_two_deletions(self):
-        received = Word((4, 2, 1), 6, multiplicity_free=True)
-        assert sd_decode(self.book, received) == Permutation((4, 5, 2, 3, 1))
+        assert sd_decode(self.book, (4, 2, 1)) == Permutation((4, 5, 2, 3, 1))
 
     def test_not_found(self):
-        received = Word((3, 2, 1), 6, multiplicity_free=True)
         with pytest.raises(PermDecodeFailed, match="no codeword ball"):
-            sd_decode(self.book, received)
+            sd_decode(self.book, (3, 2, 1))
 
     def test_too_short(self):
-        received = Word((1, 2), 6, multiplicity_free=True)
         with pytest.raises(PermDecodeFailed, match="below n - t"):
-            sd_decode(self.book, received)
+            sd_decode(self.book, (1, 2))
 
     def test_ambiguous_on_corrupt_book(self):
         book = PermCodeBook(3, 1, (Permutation((1, 2, 3)), Permutation((1, 3, 2))))
         with pytest.raises(PermDecodeFailed, match="multiple codeword balls"):
-            sd_decode(book, Word((1, 2), 4, multiplicity_free=True))
+            sd_decode(book, (1, 2))
 
     def test_prefix_in_two_balls_raises_on_corrupt_book(self):
         # the whole word lies in one ball only, but its first n - t symbols lie
         # in both: the lookup refuses where the subsequence scan returns a codeword
         a, b = Permutation((1, 2, 3, 4, 5)), Permutation((1, 2, 3, 5, 4))
         book = PermCodeBook(5, 1, (a, b))
-        received = Word(a.images, 6, multiplicity_free=True)
-        assert scan_sd_decode(book, received) == a
+        assert scan_sd_decode(book, a.images) == a
         with pytest.raises(PermDecodeFailed) as caught:
-            sd_decode(book, received)
+            sd_decode(book, a.images)
         assert str(caught.value) == "multiple codeword balls contain the received word's first n - t symbols"
         assert not verify_sd_property(book)
 
@@ -343,12 +337,11 @@ class TestStableDecode:
         # on any book, corrupt ones included
         n, t, codewords, symbols = case
         book = PermCodeBook(n, t, tuple(Permutation(images) for images in codewords))
-        received = Word(symbols, n + 2, multiplicity_free=True)
-        outcome = decode_outcome(sd_decode, book, received)
+        outcome = decode_outcome(sd_decode, book, tuple(symbols))
         if isinstance(outcome, Permutation):
             assert outcome in book.codewords
             it = iter(outcome.images)
-            assert all(s in it for s in received.symbols)
+            assert all(s in it for s in symbols)
 
     def test_exhaustive_channels_never_ambiguous(self):
         # every genuine at-most-t output of a verified greedy book decodes to its source
@@ -356,7 +349,7 @@ class TestStableDecode:
             book = greedy_sd_code(n, t)
             for sigma in book.codewords:
                 for pat in all_patterns(n, t):
-                    received = apply_stable_deletions(sigma, pat)
+                    received = apply_stable_deletions(sigma, pat).symbols
                     assert sd_decode(book, received) == sigma
 
 
@@ -369,19 +362,17 @@ class TestLookupMatchesScan:
         decoded = set()
         for length in range(n - t, n + 1):
             for symbols in itertools.permutations(range(1, n + 1), length):
-                received = Word(symbols, n + 1, multiplicity_free=True)
-                outcome = decode_outcome(sd_decode, book, received)
-                assert outcome == decode_outcome(scan_sd_decode, book, received), symbols
+                outcome = decode_outcome(sd_decode, book, symbols)
+                assert outcome == decode_outcome(scan_sd_decode, book, symbols), symbols
                 decoded.add(outcome)
         assert set(book.codewords) <= decoded
 
     def test_corrupt_book_ambiguous_on_both_paths(self, tmp_path, capsys):
         # two neighbours swapped: Ulam distance 1, so the radius-1 balls meet
         book = PermCodeBook(5, 1, (Permutation((1, 2, 3, 4, 5)), Permutation((2, 1, 3, 4, 5))))
-        received = Word((1, 3, 4, 5), 6, multiplicity_free=True)
         for decode in (sd_decode, scan_sd_decode):
             with pytest.raises(PermDecodeFailed, match="multiple codeword balls"):
-                decode(book, received)
+                decode(book, (1, 3, 4, 5))
         assert not verify_sd_property(book)
         sets = SetCode(6, 5, 1, sets=(0b11111,))
         save_spec(MultFreeCodeSpec(6, 5, 1, "stable", sets, book), tmp_path / "corrupt.json")
@@ -419,20 +410,19 @@ class TestLookupMatchesScan:
         assert not verify_ud_property(book)
         for decode in (sd_decode, scan_sd_decode):
             with pytest.raises(PermDecodeFailed, match="multiple codeword balls"):
-                decode(book, Word(sigma.images, 5, multiplicity_free=True))
+                decode(book, sigma.images)
 
     @pytest.mark.parametrize("stray", [0, 6, 255, 256, 1000])
     def test_symbol_outside_the_book_not_found(self, stray):
         book = greedy_sd_code(5, 1)
-        received = Word((1, 2, 3, stray), 1001, multiplicity_free=True)
         for decode in (sd_decode, scan_sd_decode):
             with pytest.raises(PermDecodeFailed, match="no codeword ball"):
-                decode(book, received)
+                decode(book, (1, 2, 3, stray))
 
     def test_index_built_on_first_use_and_kept(self):
         book = greedy_sd_code(5, 1)
         assert "_stable_index" not in vars(book)  # construction does not pay for it
-        assert sd_decode(book, Word(book.codewords[0].images, 6)) == book.codewords[0]
+        assert sd_decode(book, book.codewords[0].images) == book.codewords[0]
         index = vars(book)["_stable_index"]
         assert verify_sd_property(book) and book._stable_index is index
 
@@ -473,13 +463,13 @@ class TestUnstable:
             assert len(book.codewords) >= 2
             for sigma in book.codewords:
                 for pat in all_patterns(n, 1):
-                    received = apply_unstable_deletions(sigma, pat)
+                    received = apply_unstable_deletions(sigma, pat).images
                     assert ud_decode(book, received) == sigma
 
     def test_not_found_and_length_guards(self):
         book = greedy_ud_code(4, 1)
         with pytest.raises(PermDecodeFailed, match="outside"):
-            ud_decode(book, Permutation((1,)))  # two deletions, budget is one
+            ud_decode(book, (1,))  # two deletions, budget is one
         lone = PermCodeBook(4, 1, (Permutation.identity(4),))
         # identity's unstable deletions all stay the identity
         assert unstable_deletion_ball(Permutation.identity(4), 1) == {
@@ -487,13 +477,13 @@ class TestUnstable:
             Permutation.identity(3),
         }
         with pytest.raises(PermDecodeFailed, match="no codeword ball"):
-            ud_decode(lone, Permutation((3, 2, 1)))
+            ud_decode(lone, (3, 2, 1))
 
     def test_ambiguous_on_corrupt_book(self):
         book = PermCodeBook(3, 1, (Permutation((1, 2, 3)), Permutation((2, 1, 3))))
         # deleting position 1 of the first or position 2 of the second gives (1, 2)
         with pytest.raises(PermDecodeFailed, match="multiple codeword balls"):
-            ud_decode(book, Permutation((1, 2)))
+            ud_decode(book, (1, 2))
 
 
 class TestReferenceBound:

@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from delcode import (
-    DecodeSteps,
     MultFreeCodeSpec,
     PermCodeBook,
     Permutation,
@@ -39,10 +38,6 @@ def _spec():
     sets = (0b00011111, 0b11111000)
     book = PermCodeBook(5, 2, (Permutation((1, 2, 3, 4, 5)),))
     return MultFreeCodeSpec(8, 5, 2, "stable", SetCode(8, 5, 2, sets=sets), book)
-
-
-def _steps(recovered=0b111):
-    return DecodeSteps(recovered, Word((1, 2), 4, True), None, Permutation((2, 1, 3)), Word((1, 0, 2), 3, True))
 
 
 def _tally(seed=7):
@@ -87,14 +82,6 @@ RECORDS = {
         lambda: MultFreeCodeSpec(8, 5, 2, "stable", SetCode(8, 5, 2, sets=(0b00011111,)), _spec().perm_code),
         "MultFreeCodeSpec(q=8, n=5, t=2, mode='stable', set_code=SetCode(q=8, n=5, t=2, vt=None, "
         "sets=(31, 248)), perm_code=PermCodeBook(n=5, t=2, codewords=(Permutation(images=(1, 2, 3, 4, 5)),)))",
-    ),
-    "DecodeSteps": (
-        _steps,
-        _steps,
-        lambda: _steps(0b1011),
-        "DecodeSteps(recovered_set=7, tau=Word(symbols=(1, 2), alphabet_size=4), "
-        "reduced_perm=None, sigma=Permutation(images=(2, 1, 3)), "
-        "codeword=Word(symbols=(1, 0, 2), alphabet_size=3))",
     ),
     "SimulationReport": (
         _tally,
