@@ -206,8 +206,13 @@ def _holds_bool(data) -> bool:
 def load_spec(path) -> MultFreeCodeSpec:
     """Read a spec file that `save_spec` wrote."""
 
-    def refuse(text):
-        raise MalformedSpec(f"{path}: {text} where the spec holds an integer")
+    def refuse(text, holds="an integer"):
+        raise MalformedSpec(f"{path}: {text} where the spec holds {holds}")
+
+    def listed(part, key):
+        if type(part[key]) is not list:  # a string or object would iterate as a list
+            refuse(f"{key!r} holds {json.dumps(part[key])[:80]}", "a list")
+        return part[key]
 
     # every number in a spec is an integer; bool is an int subclass, so refuse it too
     with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8, whatever the locale
@@ -225,14 +230,17 @@ def load_spec(path) -> MultFreeCodeSpec:
         q, n, t, mode = data["q"], data["n"], data["t"], data["mode"]
         code = data["set_code"]
         if "sets" in code:
-            sets = tuple(induced_set(Word(s, code["q"])) for s in code["sets"])
+            both = [key for key in ("p", "a") if key in code]
+            if both:  # an explicit list and syndrome-class parameters
+                raise MalformedSpec(f"{path}: set_code holds both forms, 'sets' and {', '.join(map(repr, both))}")
+            sets = tuple(induced_set(Word(s, code["q"])) for s in listed(code, "sets"))
             set_code = SetCode(code["q"], code["n"], code["t"], sets=sets)
         else:
-            set_code = SetCode.from_vt(VTParams(code["q"], code["n"], code["t"], code["p"], code["a"]))
+            set_code = SetCode.from_vt(VTParams(code["q"], code["n"], code["t"], code["p"], listed(code, "a")))
         book = data["perm_code"]
         if "order" in book and book["order"] != "lex":  # the one order a book is held in
             raise ValueError(f"unknown codeword order {book['order']!r}")
-        perm_code = PermCodeBook(book["n"], book["t"], [Permutation(tuple(c)) for c in book["codewords"]])
+        perm_code = PermCodeBook(book["n"], book["t"], [Permutation(tuple(c)) for c in listed(book, "codewords")])
         return MultFreeCodeSpec(q, n, t, mode, set_code, perm_code)
     except (KeyError, TypeError) as exc:
         # a missing key, or a list or scalar where an object or number belongs

@@ -863,7 +863,10 @@ WRONG_VALUES = {"str": "x", "list": [0], "object": {"k": 0}}
 # in either form of its set code or in its book, is dropped or holds a string, a
 # list or an object; the id is form-level-key-kind, and a MalformedSpec message
 # follows "spec.json: ".  Pinned while each record still parsed its own part of
-# the file, so moving the parse leaves every report as it was.
+# the file, so moving the parse leaves every report as it was; the six rows that
+# use _NOT_A_LIST were re-taken when a string or object at a list-valued key, once
+# iterated as a list, became a refusal.
+_NOT_A_LIST = "'{}' holds {} where the spec holds a list"
 MALFORMED_KEY_REPORTS = {
     "class-top-mode-drop": (2, "MalformedSpec", "KeyError: 'mode'"),
     "class-top-mode-str": (2, "ValueError", "unknown mode 'x'"),
@@ -890,9 +893,9 @@ MALFORMED_KEY_REPORTS = {
     "class-top-t-list": (2, "ValueError", "set code disagrees with the spec's (q, n, t)"),
     "class-top-t-object": (2, "ValueError", "set code disagrees with the spec's (q, n, t)"),
     "class-set_code-a-drop": (2, "MalformedSpec", "KeyError: 'a'"),
-    "class-set_code-a-str": (2, "ValueError", "syndrome vector has 1 entries, expected t=2"),
+    "class-set_code-a-str": (2, "MalformedSpec", _NOT_A_LIST.format("a", '"x"')),
     "class-set_code-a-list": (2, "ValueError", "syndrome vector has 1 entries, expected t=2"),
-    "class-set_code-a-object": (2, "ValueError", "syndrome vector has 1 entries, expected t=2"),
+    "class-set_code-a-object": (2, "MalformedSpec", _NOT_A_LIST.format("a", '{"k": 0}')),
     "class-set_code-n-drop": (2, "MalformedSpec", "KeyError: 'n'"),
     "class-set_code-n-str": (2, "MalformedSpec", _compared("<=", "int", "str")),
     "class-set_code-n-list": (2, "MalformedSpec", _compared("<=", "int", "list")),
@@ -910,9 +913,9 @@ MALFORMED_KEY_REPORTS = {
     "class-set_code-t-list": (2, "MalformedSpec", _compared("<", "list", "int")),
     "class-set_code-t-object": (2, "MalformedSpec", _compared("<", "dict", "int")),
     "class-perm_code-codewords-drop": (2, "MalformedSpec", "KeyError: 'codewords'"),
-    "class-perm_code-codewords-str": (2, "ValueError", "images are not a rearrangement of 1..n"),
+    "class-perm_code-codewords-str": (2, "MalformedSpec", _NOT_A_LIST.format("codewords", '"x"')),
     "class-perm_code-codewords-list": (2, "MalformedSpec", "TypeError: 'int' object is not iterable"),
-    "class-perm_code-codewords-object": (2, "ValueError", "images are not a rearrangement of 1..n"),
+    "class-perm_code-codewords-object": (2, "MalformedSpec", _NOT_A_LIST.format("codewords", '{"k": 0}')),
     "class-perm_code-n-drop": (2, "MalformedSpec", "KeyError: 'n'"),
     "class-perm_code-n-str": (2, "MalformedSpec", _compared("<=", "int", "str")),
     "class-perm_code-n-list": (2, "MalformedSpec", _compared("<=", "int", "list")),
@@ -934,9 +937,9 @@ MALFORMED_KEY_REPORTS = {
     "explicit-set_code-q-list": (2, "MalformedSpec", _compared("<", "list", "int")),
     "explicit-set_code-q-object": (2, "MalformedSpec", _compared("<", "dict", "int")),
     "explicit-set_code-sets-drop": (2, "MalformedSpec", "KeyError: 'p'"),
-    "explicit-set_code-sets-str": (2, "MalformedSpec", _compared("<=", "int", "str")),
+    "explicit-set_code-sets-str": (2, "MalformedSpec", _NOT_A_LIST.format("sets", '"x"')),
     "explicit-set_code-sets-list": (2, "MalformedSpec", "TypeError: 'int' object is not iterable"),
-    "explicit-set_code-sets-object": (2, "MalformedSpec", _compared("<=", "int", "str")),
+    "explicit-set_code-sets-object": (2, "MalformedSpec", _NOT_A_LIST.format("sets", '{"k": 0}')),
     "explicit-set_code-t-drop": (2, "MalformedSpec", "KeyError: 't'"),
     "explicit-set_code-t-str": (2, "MalformedSpec", _compared("<", "str", "int")),
     "explicit-set_code-t-list": (2, "MalformedSpec", _compared("<", "list", "int")),
@@ -965,6 +968,38 @@ class TestMalformedKeys:
             message = f"spec.json: {message}"
         expected = json.loads(VERIFY_OK) if code == 0 else {"error": error, "message": message}
         assert json.loads(capsys.readouterr().out) == expected
+
+
+class TestSetCodeForms:
+    """A set code is an explicit list or a syndrome class: one holding the keys
+    of both is refused, not read as the list alone."""
+
+    @pytest.mark.parametrize(
+        "set_code, stdout",
+        [
+            (
+                '{"a": [1, 3], "n": 5, "p": 13, "q": 12, "sets": [[0, 1, 2, 3, 4]], "t": 2}',
+                '{"error": "MalformedSpec", "message": "spec.json: set_code holds both forms, \'sets\' and \'p\', \'a\'"}\n',
+            ),
+            (
+                '{"n": 5, "p": 13, "q": 12, "sets": [[0, 1, 2, 3, 4]], "t": 2}',
+                '{"error": "MalformedSpec", "message": "spec.json: set_code holds both forms, \'sets\' and \'p\'"}\n',
+            ),
+            (
+                '{"a": [1, 3], "n": 5, "q": 12, "sets": [[0, 1, 2, 3, 4]], "t": 2}',
+                '{"error": "MalformedSpec", "message": "spec.json: set_code holds both forms, \'sets\' and \'a\'"}\n',
+            ),
+        ],
+        ids=["p-and-a", "p", "a"],
+    )
+    def test_both_forms_refused(self, tmp_path, monkeypatch, capsys, set_code, stdout):
+        class_form = '{"a": [1, 3], "n": 5, "p": 13, "q": 12, "t": 2}'
+        assert class_form in Q12_SPEC
+        monkeypatch.chdir(tmp_path)
+        with open("spec.json", "w") as fh:
+            fh.write(Q12_SPEC.replace(class_form, set_code))
+        assert cli.main(["verify", "--spec", "spec.json"]) == 2
+        assert capsys.readouterr().out == stdout
 
 
 class TestSimulateAtBenchmarkScale:
