@@ -210,9 +210,10 @@ def load_spec(path) -> MultFreeCodeSpec:
         raise MalformedSpec(f"{path}: {text} where the spec holds {holds}")
 
     def listed(part, key):
-        if type(part[key]) is not list:  # a string or object would iterate as a list
-            refuse(f"{key!r} holds {json.dumps(part[key])[:80]}", "a list")
-        return part[key]
+        value = part[key]
+        if type(value) is not list:  # a string or object would iterate as a list
+            refuse(f"{key!r} holds {json.dumps(value)[:80]}", "a list")
+        return value
 
     # every number in a spec is an integer; bool is an int subclass, so refuse it too
     with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8, whatever the locale
