@@ -28,7 +28,6 @@ _EXPORTS = {
         "SetDecodeFailed",
     ),
     "model": (
-        "Permutation",
         "Word",
         "apply_unstable_deletions",
         "delete_positions",

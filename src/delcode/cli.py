@@ -92,7 +92,7 @@ def _cmd_decode(args) -> int:
     if args.trace:
         result["recovered_set"] = set_bits(recovered)
         result["tau" if spec.mode == "stable" else "reduced_perm"] = list(ranks)
-        result["sigma"] = list(sigma.images)
+        result["sigma"] = list(sigma)
     _emit(result)
     return 0
 
@@ -127,7 +127,7 @@ def _cmd_verify(args) -> int:
     if not checks["perm_balls_disjoint"]:
         first, second, key = ball_collision(spec.perm_code, spec.mode == "unstable")
         witnesses["perm_balls_witness"] = {
-            "codewords": [list(first.images), list(second.images)],
+            "codewords": [list(first), list(second)],
             "key": list(key),
         }
     witness = None

@@ -1,10 +1,11 @@
-"""Words, the set bits of a symbol-set mask, permutations, position deletion,
-the subsequence test, unstable (rank-compressing) deletion of permutations, a
-seeded deletion channel and the deletion-ball index.
+"""Words, the set bits of a symbol-set mask, the permutation check, position
+deletion, the subsequence test, unstable (rank-compressing) deletion of
+permutations, a seeded deletion channel and the deletion-ball index.
 
-Positions are 1-based throughout the public API and in every file format.  A
-deletion pattern is a tuple of positions, checked against the word it is
-applied to.
+A permutation of [n] is the tuple of its images, (sigma_1, ..., sigma_n); the
+entries that take one check it with `check_permutation`.  Positions are 1-based
+throughout the public API and in every file format.  A deletion pattern is a
+tuple of positions, checked against the word it is applied to.
 """
 
 import random
@@ -91,23 +92,12 @@ def ball_index(members, ball_keys) -> dict:
     return index
 
 
-class Permutation(Record):
-    """A bijection on [n], written as the sequence of its images."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: tuple[int, ...]):
-        images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError("images are not a rearrangement of 1..n")
-        object.__setattr__(self, "images", images)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    def __len__(self) -> int:
-        return len(self.images)
+def check_permutation(images) -> tuple[int, ...]:
+    """The images as a tuple, refused unless they rearrange 1..len(images)."""
+    images = tuple(images)
+    if sorted(images) != list(range(1, len(images) + 1)):
+        raise ValueError("images are not a rearrangement of 1..n")
+    return images
 
 
 def _kept(seq: tuple, positions: tuple[int, ...]) -> tuple:
@@ -133,11 +123,12 @@ def is_subsequence(short: tuple, long: tuple) -> bool:
     return all(s in remaining for s in short)
 
 
-def apply_unstable_deletions(sigma: Permutation, positions: tuple[int, ...]) -> Permutation:
-    """Drop positions, then rank-compress survivors back onto 1..(n - |I|)."""
-    kept = _kept(sigma.images, positions)
+def apply_unstable_deletions(sigma: tuple[int, ...], positions: tuple[int, ...]) -> tuple[int, ...]:
+    """Drop positions from the permutation sigma, then rank-compress survivors
+    back onto 1..(n - |I|)."""
+    kept = _kept(check_permutation(sigma), positions)
     rank = {v: j for j, v in enumerate(sorted(kept), start=1)}
-    return Permutation(tuple(rank[v] for v in kept))
+    return tuple(rank[v] for v in kept)
 
 
 def draw_deletion_pattern(rng: random.Random, n: int, t_max: int) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import chain, combinations
 
 from .errors import InputTooShort, MalformedSpec, PermDecodeFailed, SetDecodeFailed
-from .model import Permutation, Record, Word, ball_index, is_subsequence, set_bits
+from .model import Record, Word, ball_index, check_permutation, is_subsequence, set_bits
 from .permcode import PermCodeBook, sd_decode, ud_decode
 from .vtcode import VTParams, class_size, enumerate_class, set_decode
 
@@ -30,18 +30,18 @@ def induced_set(x: Word) -> int:
     return mask
 
 
-def induced_permutation(x: Word) -> Permutation:
+def induced_permutation(x: Word) -> tuple[int, ...]:
     """Rank sequence of x: entry k is the rank of x_k among x's symbols (1 = smallest)."""
-    return Permutation(symbol_ranks(induced_set(x), x))
+    return symbol_ranks(induced_set(x), x)
 
 
-def psi(mask: int, sigma: Permutation, q: int) -> Word:
+def psi(mask: int, sigma: tuple[int, ...], q: int) -> Word:
     """Reassemble the q-ary word whose k-th entry is the sigma_k-th smallest
-    element of the mask's set."""
+    element of the mask's set; sigma must be a permutation of 1..n."""
     ordered = set_bits(mask)
     if len(ordered) != len(sigma):
         raise ValueError(f"set of size {len(ordered)} paired with a length-{len(sigma)} permutation")
-    return Word(tuple(ordered[s - 1] for s in sigma.images), q, True)
+    return Word(tuple(ordered[s - 1] for s in check_permutation(sigma)), q, True)
 
 
 def symbol_ranks(mask: int, y: Word) -> tuple[int, ...]:
@@ -181,7 +181,7 @@ def save_spec(spec: MultFreeCodeSpec, path) -> None:
         "t": spec.t,
         "mode": spec.mode,
         "set_code": set_code,
-        "perm_code": {"n": book.n, "t": book.t, "codewords": [s.images for s in book.codewords], "order": "lex"},
+        "perm_code": {"n": book.n, "t": book.t, "codewords": book.codewords, "order": "lex"},
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(data, sort_keys=True) + "\n")
@@ -213,6 +213,11 @@ def load_spec(path) -> MultFreeCodeSpec:
         value = part[key]
         if type(value) is not list:  # a string or object would iterate as a list
             refuse(f"{key!r} holds {json.dumps(value)[:80]}", "a list")
+        flat = key == "a"  # the residues are integers, each set or codeword a list of them
+        for element in value:
+            if not (type(element) is int if flat else type(element) is list and all(type(v) is int for v in element)):
+                holds = "an integer" if flat else "a list of integers"
+                refuse(f"{key!r} holds the element {json.dumps(element)[:80]}", holds)
         return value
 
     # every number in a spec is an integer; bool is an int subclass, so refuse it too
@@ -241,7 +246,7 @@ def load_spec(path) -> MultFreeCodeSpec:
         book = data["perm_code"]
         if "order" in book and book["order"] != "lex":  # the one order a book is held in
             raise ValueError(f"unknown codeword order {book['order']!r}")
-        perm_code = PermCodeBook(book["n"], book["t"], [Permutation(tuple(c)) for c in listed(book, "codewords")])
+        perm_code = PermCodeBook(book["n"], book["t"], listed(book, "codewords"))
         return MultFreeCodeSpec(q, n, t, mode, set_code, perm_code)
     except (KeyError, TypeError) as exc:
         # a missing key, or a list or scalar where an object or number belongs
@@ -271,7 +276,7 @@ def encode_index(spec: MultFreeCodeSpec, index: int) -> Word:
     return psi(spec.set_code.masks[i_set], perms[i_perm], spec.q)
 
 
-def decode_steps(spec: MultFreeCodeSpec, y: Word) -> tuple[int, tuple[int, ...], Permutation, Word]:
+def decode_steps(spec: MultFreeCodeSpec, y: Word) -> tuple[int, tuple[int, ...], tuple[int, ...], Word]:
     """Recover a codeword from at most t deletions, with each stage's value:
     the recovered set's mask, the ranks the permutation decoder reads, the
     permutation it returns, and the codeword.

@@ -12,17 +12,17 @@ from itertools import combinations, permutations
 
 from .errors import PermDecodeFailed
 from .guards import PERM_ENUM_CAP, check_enumerable
-from .model import Permutation, Record, apply_unstable_deletions, ball_index, is_subsequence
+from .model import Record, apply_unstable_deletions, ball_index, check_permutation, is_subsequence
 
 
 class PermCodeBook(Record):
-    """A permutation code with its deletion budget.  The codewords are held
-    sorted by their images, the one order there is."""
+    """A permutation code with its deletion budget.  The codewords are images
+    tuples, each checked to be a permutation, held sorted: the one order there is."""
 
     __slots__ = ("n", "t", "codewords", "__dict__")
 
-    def __init__(self, n: int, t: int, codewords: tuple[Permutation, ...]):
-        codewords = tuple(sorted(codewords, key=lambda s: s.images))
+    def __init__(self, n: int, t: int, codewords: Iterable[tuple[int, ...]]):
+        codewords = tuple(sorted(map(check_permutation, codewords)))
         check_radius(n, t)
         for sigma in codewords:
             if len(sigma) != n:
@@ -34,11 +34,11 @@ class PermCodeBook(Record):
     @cached_property
     def _stable_index(self) -> dict[tuple, int | None]:
         """Stable ball index, built on first use and kept."""
-        return ball_index((s.images for s in self.codewords), _ball_keys(self.n, self.t, False))
+        return ball_index(self.codewords, _ball_keys(self.n, self.t, False))
 
     @cached_property
     def _unstable_index(self) -> dict[bytes, int | None]:
-        return ball_index((s.images for s in self.codewords), _ball_keys(self.n, self.t, True))
+        return ball_index(self.codewords, _ball_keys(self.n, self.t, True))
 
 
 def check_radius(n: int, t: int) -> None:
@@ -81,7 +81,7 @@ def _first_fit(candidates: Iterable[tuple], ball_keys: Callable) -> Iterator[tup
 def _greedy_book(n: int, t: int, unstable: bool) -> PermCodeBook:
     check_enumerable(math.factorial(n), PERM_ENUM_CAP, "symmetric-group scan")
     admitted = _first_fit(permutations(range(1, n + 1)), _ball_keys(n, t, unstable))
-    return PermCodeBook(n, t, tuple(Permutation(images) for images in admitted))
+    return PermCodeBook(n, t, admitted)
 
 
 def greedy_sd_code(n: int, t: int) -> PermCodeBook:
@@ -108,7 +108,7 @@ def verify_ud_property(book: PermCodeBook) -> bool:
     return None not in book._unstable_index.values()
 
 
-def ball_collision(book: PermCodeBook, unstable: bool) -> tuple[Permutation, Permutation, tuple | bytes] | None:
+def ball_collision(book: PermCodeBook, unstable: bool) -> tuple[tuple, tuple, tuple | bytes] | None:
     """Two codewords whose radius-t balls meet, and a key in both, for a book
     that fails its disjointness check: the first key the ball index marks as
     shared, a common subsequence of exactly n - t symbols (rank-compressed in
@@ -118,11 +118,11 @@ def ball_collision(book: PermCodeBook, unstable: bool) -> tuple[Permutation, Per
     if key is None:
         return None
     keys = _ball_keys(book.n, book.t, unstable)
-    first, second = [s for s in book.codewords if key in keys(s.images)][:2]
+    first, second = [s for s in book.codewords if key in keys(s)][:2]
     return first, second, key
 
 
-def sd_decode(book: PermCodeBook, ranks: tuple[int, ...]) -> Permutation:
+def sd_decode(book: PermCodeBook, ranks: tuple[int, ...]) -> tuple[int, ...]:
     """The unique codeword whose radius-t stable-deletion ball contains the received
     ranks: one index lookup of their first n - t, then one O(n) test that the
     codeword found holds them all.  On a corrupt book, a prefix in two balls raises."""
@@ -132,12 +132,12 @@ def sd_decode(book: PermCodeBook, ranks: tuple[int, ...]) -> Permutation:
     owner = book._stable_index.get(head, -1)
     if owner is None:
         raise PermDecodeFailed("multiple codeword balls contain the received word's first n - t symbols")
-    if owner < 0 or not is_subsequence(ranks, book.codewords[owner].images):
+    if owner < 0 or not is_subsequence(ranks, book.codewords[owner]):
         raise PermDecodeFailed("no codeword ball contains the received word")
     return book.codewords[owner]
 
 
-def ud_decode(book: PermCodeBook, ranks: tuple[int, ...]) -> Permutation:
+def ud_decode(book: PermCodeBook, ranks: tuple[int, ...]) -> tuple[int, ...]:
     """The unique codeword reaching the received ranks by <= t unstable deletions.
     Brute force, not indexed: ROADMAP item 10 decodes unstable specs by the stable lookup."""
     missing = book.n - len(ranks)
@@ -146,7 +146,7 @@ def ud_decode(book: PermCodeBook, ranks: tuple[int, ...]) -> Permutation:
     hits = []
     for sigma in book.codewords:
         if any(
-            apply_unstable_deletions(sigma, positions).images == ranks
+            apply_unstable_deletions(sigma, positions) == ranks
             for positions in combinations(range(1, book.n + 1), missing)
         ):
             hits.append(sigma)

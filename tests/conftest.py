@@ -3,7 +3,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from delcode import MultFreeCodeSpec, PermCodeBook, Permutation, SetCode
+from delcode import MultFreeCodeSpec, PermCodeBook, SetCode
 
 _criterion_lines: list[str] = []
 
@@ -12,7 +12,7 @@ _criterion_lines: list[str] = []
 def explicit_spec() -> MultFreeCodeSpec:
     """Hand-picked stable spec over an eight-symbol alphabet: two sets, two
     permutations, four codewords, correcting two deletions."""
-    book = PermCodeBook(5, 2, (Permutation((1, 2, 3, 4, 5)), Permutation((4, 5, 2, 3, 1))))
+    book = PermCodeBook(5, 2, ((1, 2, 3, 4, 5), (4, 5, 2, 3, 1)))
     sets = (0b00011111, 0b11111000)  # {0, 1, 2, 3, 4} and {3, 4, 5, 6, 7}
     return MultFreeCodeSpec(8, 5, 2, "stable", SetCode(8, 5, 2, sets=sets), book)
 

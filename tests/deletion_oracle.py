@@ -14,15 +14,16 @@ the tests hold its verdict and witness to `set_deletion_checks`.
 from itertools import islice
 
 from delcode.errors import DecodeError, PermDecodeFailed
-from delcode.model import Permutation, Word, _kept, set_bits
+from delcode.model import Word, _kept, set_bits
 from delcode.multfree import SetCode, deletion_masks
 from delcode.permcode import PermCodeBook
 from delcode.vtcode import is_codeword
 
 
-def apply_stable_deletions(sigma: Permutation, positions: tuple[int, ...]) -> Word:
-    """Drop positions; survivors keep their values, so the result is no longer a permutation."""
-    return Word(_kept(sigma.images, positions), len(sigma) + 1, multiplicity_free=True)
+def apply_stable_deletions(sigma: tuple[int, ...], positions: tuple[int, ...]) -> Word:
+    """Drop positions of the permutation sigma; survivors keep their values, so the
+    result is no longer a permutation."""
+    return Word(_kept(sigma, positions), len(sigma) + 1, multiplicity_free=True)
 
 
 def _is_subsequence(short: tuple[int, ...], long: tuple[int, ...]) -> bool:
@@ -30,12 +31,12 @@ def _is_subsequence(short: tuple[int, ...], long: tuple[int, ...]) -> bool:
     return all(s in it for s in short)
 
 
-def sd_decode(book: PermCodeBook, ranks: tuple[int, ...]) -> Permutation:
+def sd_decode(book: PermCodeBook, ranks: tuple[int, ...]) -> tuple[int, ...]:
     """The unique codeword whose radius-t stable-deletion ball contains the
     received ranks; ball membership is a subsequence test."""
     if len(ranks) < book.n - book.t:
         raise PermDecodeFailed(f"received length {len(ranks)} is below n - t = {book.n - book.t}")
-    hits = [s for s in book.codewords if _is_subsequence(ranks, s.images)]
+    hits = [s for s in book.codewords if _is_subsequence(ranks, s)]
     if not hits:
         raise PermDecodeFailed("no codeword ball contains the received word")
     if len(hits) > 1:

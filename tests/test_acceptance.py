@@ -8,7 +8,6 @@ from fractions import Fraction
 from delcode import (
     MultFreeCodeSpec,
     PermCodeBook,
-    Permutation,
     SetCode,
     VTParams,
     Word,
@@ -45,7 +44,7 @@ def patterns_up_to(n, t):
 
 def test_criterion_1_worked_example_fidelity(criterion):
     with criterion(1, "worked-example fidelity", max_seconds=1.0):
-        book = PermCodeBook(5, 2, (Permutation((1, 2, 3, 4, 5)), Permutation((4, 5, 2, 3, 1))))
+        book = PermCodeBook(5, 2, ((1, 2, 3, 4, 5), (4, 5, 2, 3, 1)))
         sets = (0b00011111, 0b11111000)  # {0, 1, 2, 3, 4} and {3, 4, 5, 6, 7}
         spec = MultFreeCodeSpec(8, 5, 2, "stable", SetCode(8, 5, 2, sets=sets), book)
         words = [w.symbols for w in build_code(spec)]
@@ -54,7 +53,7 @@ def test_criterion_1_worked_example_fidelity(criterion):
         recovered, ranks, sigma, codeword = decode_steps(spec, Word((6, 4, 3), 8, multiplicity_free=True))
         assert recovered == 0b11111000
         assert ranks == (4, 2, 1)
-        assert sigma == Permutation((4, 5, 2, 3, 1))
+        assert sigma == (4, 5, 2, 3, 1)
         assert codeword.symbols == (6, 7, 4, 5, 3)
 
 
@@ -71,8 +70,7 @@ def test_criterion_2_bijection_suite(criterion):
         pairs = 0
         for members in itertools.combinations(range(q), n):
             subset = sum(1 << s for s in members)
-            for images in itertools.permutations(range(1, n + 1)):
-                sigma = Permutation(images)
+            for sigma in itertools.permutations(range(1, n + 1)):
                 x = psi(subset, sigma, q)
                 assert (induced_set(x), induced_permutation(x)) == (subset, sigma)
                 pairs += 1

@@ -13,7 +13,6 @@ from deletion_oracle import set_deletion_checks
 
 from delcode import (
     PermCodeBook,
-    Permutation,
     ScaleGuardExceeded,
     analysis,
     cli,
@@ -322,7 +321,7 @@ class TestVerify:
         if family != "fixture":
             p = next_prime_above(26)
             sets = vtcode.enumerate_class(26, 6, 2, p, vtcode.best_class(26, 6, 2, p)[0])
-            book = PermCodeBook(6, 2, (Permutation.identity(6),))
+            book = PermCodeBook(6, 2, ((1, 2, 3, 4, 5, 6),))
             set_code = multfree.SetCode(26, 6, 2, sets=sets)
             spec = multfree.MultFreeCodeSpec(26, 6, 2, "stable", set_code, book)
         code, payload = self.verify_in_memory(spec, monkeypatch, capsys)
@@ -865,8 +864,10 @@ WRONG_VALUES = {"str": "x", "list": [0], "object": {"k": 0}}
 # follows "spec.json: ".  Pinned while each record still parsed its own part of
 # the file, so moving the parse leaves every report as it was; the six rows that
 # use _NOT_A_LIST were re-taken when a string or object at a list-valued key, once
-# iterated as a list, became a refusal.
+# iterated as a list, became a refusal, and the two that use _NOT_LISTS when an
+# element of "sets" or "codewords" that is not a list of integers did.
 _NOT_A_LIST = "'{}' holds {} where the spec holds a list"
+_NOT_LISTS = "'{}' holds the element {} where the spec holds a list of integers"
 MALFORMED_KEY_REPORTS = {
     "class-top-mode-drop": (2, "MalformedSpec", "KeyError: 'mode'"),
     "class-top-mode-str": (2, "ValueError", "unknown mode 'x'"),
@@ -914,7 +915,7 @@ MALFORMED_KEY_REPORTS = {
     "class-set_code-t-object": (2, "MalformedSpec", _compared("<", "dict", "int")),
     "class-perm_code-codewords-drop": (2, "MalformedSpec", "KeyError: 'codewords'"),
     "class-perm_code-codewords-str": (2, "MalformedSpec", _NOT_A_LIST.format("codewords", '"x"')),
-    "class-perm_code-codewords-list": (2, "MalformedSpec", "TypeError: 'int' object is not iterable"),
+    "class-perm_code-codewords-list": (2, "MalformedSpec", _NOT_LISTS.format("codewords", 0)),
     "class-perm_code-codewords-object": (2, "MalformedSpec", _NOT_A_LIST.format("codewords", '{"k": 0}')),
     "class-perm_code-n-drop": (2, "MalformedSpec", "KeyError: 'n'"),
     "class-perm_code-n-str": (2, "MalformedSpec", _compared("<=", "int", "str")),
@@ -938,7 +939,7 @@ MALFORMED_KEY_REPORTS = {
     "explicit-set_code-q-object": (2, "MalformedSpec", _compared("<", "dict", "int")),
     "explicit-set_code-sets-drop": (2, "MalformedSpec", "KeyError: 'p'"),
     "explicit-set_code-sets-str": (2, "MalformedSpec", _NOT_A_LIST.format("sets", '"x"')),
-    "explicit-set_code-sets-list": (2, "MalformedSpec", "TypeError: 'int' object is not iterable"),
+    "explicit-set_code-sets-list": (2, "MalformedSpec", _NOT_LISTS.format("sets", 0)),
     "explicit-set_code-sets-object": (2, "MalformedSpec", _NOT_A_LIST.format("sets", '{"k": 0}')),
     "explicit-set_code-t-drop": (2, "MalformedSpec", "KeyError: 't'"),
     "explicit-set_code-t-str": (2, "MalformedSpec", _compared("<", "str", "int")),
@@ -968,6 +969,57 @@ class TestMalformedKeys:
             message = f"spec.json: {message}"
         expected = json.loads(VERIFY_OK) if code == 0 else {"error": error, "message": message}
         assert json.loads(capsys.readouterr().out) == expected
+
+
+# what `verify` prints when one element of a list-valued key has the wrong type;
+# the quote is the element as JSON, cut at 80 characters, as it stands in the output
+_ELEMENT_STDOUT = (
+    '{{"error": "MalformedSpec", "message": "spec.json: \'{}\' holds the element {} where the spec holds {}"}}\n'
+)
+
+
+class TestListElements:
+    """Each element of a list-valued key is checked as the key is read: the
+    residues "a" are integers, each member of "sets" and each codeword a list
+    of them."""
+
+    @pytest.mark.parametrize(
+        "key, value, quote, holds",
+        [
+            ("codewords", '["x"]', r'\"x\"', "a list of integers"),
+            ("codewords", '[{"k": 0}]', r'{\"k\": 0}', "a list of integers"),
+            ("codewords", "[[[1]]]", "[[1]]", "a list of integers"),
+            ("codewords", "[[" + "1, " * 40 + '"x"]]', "[" + "1, " * 26 + "1", "a list of integers"),
+            ("sets", '["x"]', r'\"x\"', "a list of integers"),
+            ("sets", '[{"k": 0}]', r'{\"k\": 0}', "a list of integers"),
+            ("sets", "[[[1]]]", "[[1]]", "a list of integers"),
+            ("sets", '[["x"]]', r'[\"x\"]', "a list of integers"),
+            ("a", '["x", 3]', r'\"x\"', "an integer"),
+            ("a", "[[1], 3]", "[1]", "an integer"),
+        ],
+        ids=[
+            "codewords-str",
+            "codewords-object",
+            "codewords-nested",
+            "codewords-quote-cut-at-80",
+            "sets-str",
+            "sets-object",
+            "sets-nested",
+            "sets-str-member",
+            "a-str",
+            "a-list",
+        ],
+    )
+    def test_refused_as_read(self, tmp_path, monkeypatch, capsys, key, value, quote, holds):
+        spec = json.loads(Q12_SPEC)
+        if key == "sets":
+            spec["set_code"] = dict(EXPLICIT_SET_CODE)
+        (spec["perm_code"] if key == "codewords" else spec["set_code"])[key] = json.loads(value)
+        monkeypatch.chdir(tmp_path)
+        with open("spec.json", "w") as fh:
+            json.dump(spec, fh)
+        assert cli.main(["verify", "--spec", "spec.json"]) == 2
+        assert capsys.readouterr().out == _ELEMENT_STDOUT.format(key, quote, holds)
 
 
 class TestSetCodeForms:
@@ -1297,11 +1349,11 @@ class TestSpecRoundTrip:
 # `Modulus`, now a plain int, the component decoders' own error classes, now
 # `SetDecodeFailed` and `PermDecodeFailed`, `DeletionPattern`, now a tuple of positions,
 # `BoundReport`, now the dict `singleton_report` returns, and `DecodeSteps`, now the
-# tuple `decode_steps` returns
+# tuple `decode_steps` returns, and `Permutation`, now the tuple of its images
 PACKAGE_NAMES = (
     "BoundViolated DecodeError DelcodeError "
     "InputTooShort MalformedSpec MultFreeCodeSpec PermCodeBook "
-    "PermDecodeFailed Permutation ScaleGuardExceeded SetCode SetDecodeFailed SimulationReport "
+    "PermDecodeFailed ScaleGuardExceeded SetCode SetDecodeFailed SimulationReport "
     "VTParams Word apply_unstable_deletions best_class build_code "
     "class_size class_sizes code_size decode decode_steps delete_positions draw_deletion_pattern "
     "encode_index enumerate_class greedy_sd_code greedy_ud_code induced_permutation induced_set "

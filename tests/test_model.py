@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delcode import (
-    Permutation,
+    PermCodeBook,
     Word,
     apply_unstable_deletions,
     delete_positions,
@@ -15,7 +15,7 @@ from delcode import (
     induced_permutation,
     induced_set,
 )
-from delcode.model import ball_index, set_bits
+from delcode.model import ball_index, check_permutation, set_bits
 
 from deletion_oracle import apply_stable_deletions
 
@@ -81,17 +81,25 @@ class TestSetBits:
 
 
 class TestPermutation:
-    def test_images_must_be_rearrangement(self):
-        with pytest.raises(ValueError):
-            Permutation((1, 1, 2))
-        with pytest.raises(ValueError):
-            Permutation((0, 1))
+    """A permutation is the tuple of its images; `check_permutation` refuses any
+    other sequence, and a book checks each of its codewords with it."""
 
-    def test_identity(self):
-        assert Permutation.identity(4).images == (1, 2, 3, 4)
+    def test_images_must_be_rearrangement(self):
+        message = r"^images are not a rearrangement of 1\.\.n$"
+        for images in (1, 1, 2), (0, 1), (0, 1, 2), (2, 3):
+            with pytest.raises(ValueError, match=message):
+                check_permutation(images)
+            # each codeword is checked, not only the first
+            with pytest.raises(ValueError, match=message):
+                PermCodeBook(len(images), 0, (tuple(range(1, len(images) + 1)), images))
 
     def test_empty_permutation_allowed(self):
-        assert len(Permutation(())) == 0
+        assert check_permutation([]) == ()
+        assert PermCodeBook(0, 0, ((),)).codewords == ((),)
+
+    def test_returns_the_images_as_a_tuple(self):
+        assert check_permutation([2, 3, 1]) == (2, 3, 1)
+        assert check_permutation(iter((1, 2))) == (1, 2)
 
 
 class TestDeletePositions:
@@ -154,13 +162,13 @@ class TestPositionsCheck:
         positions = tuple(data.draw(st.lists(st.integers(0, n + 1), max_size=5)))
         valid = len(set(positions)) == len(positions) and all(1 <= k <= n for k in positions)
         x = Word(tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))), 4)
-        sigma = Permutation(data.draw(st.permutations(range(1, n + 1))))
+        sigma = tuple(data.draw(st.permutations(range(1, n + 1))))
         kept_symbols = tuple(s for k, s in enumerate(x.symbols, start=1) if k not in positions)
-        kept_images = [v for k, v in enumerate(sigma.images, start=1) if k not in positions]
+        kept_images = [v for k, v in enumerate(sigma, start=1) if k not in positions]
         ranks = tuple(sorted(kept_images).index(v) + 1 for v in kept_images)
         if valid:
             assert delete_positions(x, positions) == Word(kept_symbols, 4)
-            assert apply_unstable_deletions(sigma, positions) == Permutation(ranks)
+            assert apply_unstable_deletions(sigma, positions) == ranks
         else:
             with pytest.raises(ValueError):
                 delete_positions(x, positions)
@@ -178,44 +186,50 @@ class TestPositionsCheck:
 
 class TestStableDeletions:
     def test_single_deletion(self):
-        got = apply_stable_deletions(Permutation((2, 3, 1, 4, 5)), (2,))
+        got = apply_stable_deletions((2, 3, 1, 4, 5), (2,))
         assert got.symbols == (2, 1, 4, 5)
 
     def test_double_deletion(self):
-        got = apply_stable_deletions(Permutation((4, 5, 2, 3, 1)), (2, 4))
+        got = apply_stable_deletions((4, 5, 2, 3, 1), (2, 4))
         assert got.symbols == (4, 2, 1)
 
     def test_empty_pattern(self):
-        sigma = Permutation((1, 2, 3))
+        sigma = (1, 2, 3)
         assert apply_stable_deletions(sigma, ()).symbols == (1, 2, 3)
 
     def test_result_is_word_not_permutation(self):
-        got = apply_stable_deletions(Permutation((2, 3, 1)), (3,))
-        assert isinstance(got, Word) and not isinstance(got, Permutation)
+        got = apply_stable_deletions((2, 3, 1), (3,))
+        assert isinstance(got, Word)
         # surviving values keep their range, so they need the full [n] alphabet
         assert got.alphabet_size == 4
 
 
 class TestUnstableDeletions:
+    @pytest.mark.parametrize("sigma", [(0, 1, 2), (1, 1, 2)])
+    def test_refuses_a_non_permutation(self, sigma):
+        # unchecked, rank compression would return (1, 2, 3) and (2, 2, 3)
+        for positions in ((), (3,)):
+            with pytest.raises(ValueError, match=r"^images are not a rearrangement of 1\.\.n$"):
+                apply_unstable_deletions(sigma, positions)
+
     def test_single_deletion(self):
-        got = apply_unstable_deletions(Permutation((2, 3, 1, 4, 5)), (2,))
-        assert got == Permutation((2, 1, 3, 4))
+        got = apply_unstable_deletions((2, 3, 1, 4, 5), (2,))
+        assert got == (2, 1, 3, 4)
 
     def test_double_deletion(self):
-        got = apply_unstable_deletions(Permutation((2, 3, 1, 4, 5)), (2, 4))
-        assert got == Permutation((2, 1, 3))
+        got = apply_unstable_deletions((2, 3, 1, 4, 5), (2, 4))
+        assert got == (2, 1, 3)
 
     def test_identity_is_fixed(self):
         for n in range(1, 6):
             for r in range(min(2, n) + 1):
                 for positions in itertools.combinations(range(1, n + 1), r):
-                    got = apply_unstable_deletions(Permutation.identity(n), positions)
-                    assert got == Permutation.identity(n - r)
+                    got = apply_unstable_deletions(tuple(range(1, n + 1)), positions)
+                    assert got == tuple(range(1, n - r + 1))
 
     def test_matches_rank_compressed_stable_deletion_exhaustively(self):
         for n in range(1, 6):
-            for images in itertools.permutations(range(1, n + 1)):
-                sigma = Permutation(images)
+            for sigma in itertools.permutations(range(1, n + 1)):
                 for r in range(min(2, n) + 1):
                     for positions in itertools.combinations(range(1, n + 1), r):
                         stable = apply_stable_deletions(sigma, positions)

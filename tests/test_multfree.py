@@ -21,7 +21,6 @@ from delcode import (
     MultFreeCodeSpec,
     PermCodeBook,
     PermDecodeFailed,
-    Permutation,
     SetCode,
     SetDecodeFailed,
     VTParams,
@@ -90,26 +89,32 @@ class TestDecomposition:
 
     def test_induced_permutation_example(self):
         x = Word((8, 0, 6, 5, 2), 9, multiplicity_free=True)
-        assert induced_permutation(x) == Permutation((5, 1, 4, 3, 2))
+        assert induced_permutation(x) == (5, 1, 4, 3, 2)
 
     def test_induced_permutation_monotone_words(self):
-        assert induced_permutation(Word((2, 4, 7), 8)) == Permutation((1, 2, 3))
-        assert induced_permutation(Word((7, 4, 2), 8)) == Permutation((3, 2, 1))
+        assert induced_permutation(Word((2, 4, 7), 8)) == (1, 2, 3)
+        assert induced_permutation(Word((7, 4, 2), 8)) == (3, 2, 1)
 
     def test_induced_permutation_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate symbol 1"):
             induced_permutation(Word((1, 1), 5))
 
     def test_psi_example(self):
-        got = psi(0b101100101, Permutation((5, 1, 4, 3, 2)), 9)  # {0, 2, 5, 6, 8}
+        got = psi(0b101100101, (5, 1, 4, 3, 2), 9)  # {0, 2, 5, 6, 8}
         assert got == Word((8, 0, 6, 5, 2), 9, multiplicity_free=True)
 
     def test_psi_identity_gives_sorted_listing(self):
-        assert psi(0b1010010, Permutation.identity(3), 8).symbols == (1, 4, 6)
+        assert psi(0b1010010, (1, 2, 3), 8).symbols == (1, 4, 6)
 
     def test_psi_size_mismatch(self):
         with pytest.raises(ValueError):
-            psi(0b110, Permutation.identity(3), 5)
+            psi(0b110, (1, 2, 3), 5)
+
+    @pytest.mark.parametrize("sigma", [(0, 1, 2), (1, 1, 2)])
+    def test_psi_refuses_a_non_permutation(self, sigma):
+        # unchecked, (0, 1, 2) would index the set from its end: the word (2, 0, 1)
+        with pytest.raises(ValueError, match=r"^images are not a rearrangement of 1\.\.n$"):
+            psi(0b111, sigma, 8)
 
     def test_bijection_exhaustive(self):
         # both directions over every length-3 distinct-symbol word on 6 symbols
@@ -121,8 +126,7 @@ class TestDecomposition:
         pairs = 0
         for members in itertools.combinations(range(q), n):
             subset = sum(1 << s for s in members)
-            for images in itertools.permutations(range(1, n + 1)):
-                sigma = Permutation(images)
+            for sigma in itertools.permutations(range(1, n + 1)):
                 x = psi(subset, sigma, q)
                 assert induced_set(x) == subset
                 assert induced_permutation(x) == sigma
@@ -332,7 +336,7 @@ class TestSetCode:
     def test_json_roundtrip_both_backends(self, tmp_path):
         explicit = self.explicit_code()
         path = tmp_path / "explicit.json"
-        book = PermCodeBook(5, 2, (Permutation.identity(5),))
+        book = PermCodeBook(5, 2, ((1, 2, 3, 4, 5),))
         save_spec(MultFreeCodeSpec(8, 5, 2, "stable", explicit, book), path)
         assert json.loads(path.read_text())["set_code"]["sets"] == [[0, 1, 2, 3, 4], [3, 4, 5, 6, 7]]
         assert load_spec(path).set_code == explicit
@@ -377,7 +381,7 @@ def load_set_code(tmp_path, set_code):
 def best_class_spec(q, n, t):
     p = next_prime_above(q)
     a, _ = best_class(q, n, t, p)
-    book = PermCodeBook(n, t, (Permutation.identity(n),))
+    book = PermCodeBook(n, t, (tuple(range(1, n + 1)),))
     return MultFreeCodeSpec(q, n, t, "stable", SetCode.from_vt(VTParams(q, n, t, p, a)), book)
 
 
@@ -467,7 +471,7 @@ class TestBuildCode:
 
     def test_singleton_components(self):
         sc = SetCode(6, 3, 1, sets=(0b10101,))  # {0, 2, 4}
-        book = PermCodeBook(3, 1, (Permutation((2, 3, 1)),))
+        book = PermCodeBook(3, 1, ((2, 3, 1),))
         spec = MultFreeCodeSpec(6, 3, 1, "stable", sc, book)
         assert [w.symbols for w in build_code(spec)] == [(2, 4, 0)]
 
@@ -498,7 +502,7 @@ class TestEncodeIndex:
         assert [encode_index(spec, i) for i in range(code_size(spec))] == expected
         save_spec(spec, tmp_path / "spec.json")
         saved = json.loads((tmp_path / "spec.json").read_text())["perm_code"]["codewords"]
-        assert saved == [list(sigma.images) for sigma in lex]
+        assert saved == [list(sigma) for sigma in lex]
 
     def test_zero_deletion_roundtrip(self, explicit_spec):
         for i in range(code_size(explicit_spec)):
@@ -512,7 +516,7 @@ class TestDecode:
         recovered, ranks, sigma, codeword = decode_steps(explicit_spec, y)
         assert recovered == 0b11111000  # {3, 4, 5, 6, 7}
         assert ranks == (4, 2, 1)
-        assert sigma == Permutation((4, 5, 2, 3, 1))
+        assert sigma == (4, 5, 2, 3, 1)
         assert codeword.symbols == (6, 7, 4, 5, 3)
 
     def test_codeword_passthrough(self, explicit_spec):
@@ -563,7 +567,7 @@ class TestUnstableMode:
                 recovered, ranks, sigma, codeword = decode_steps(spec, y)
                 assert (recovered, codeword) == (induced_set(x), x)
                 # the word's own ranks, not its ranks in the recovered set
-                assert Permutation(ranks) == induced_permutation(y)
+                assert ranks == induced_permutation(y)
 
 
     def test_substituted_words_decode_only_to_supersequences(self):
@@ -725,7 +729,7 @@ class TestSpecSerialization:
         q, n, t = 10, 5, 2
         p = next_prime_above(q)
         a, _ = best_class(q, n, t, p)
-        book = PermCodeBook(n, t, (Permutation.identity(n),))
+        book = PermCodeBook(n, t, (tuple(range(1, n + 1)),))
         spec = MultFreeCodeSpec(q, n, t, "stable", SetCode.from_vt(VTParams(q, n, t, p, a)), book)
         path = tmp_path / "spec.json"
         save_spec(spec, path)

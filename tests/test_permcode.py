@@ -14,7 +14,6 @@ from delcode import (
     MultFreeCodeSpec,
     PermCodeBook,
     PermDecodeFailed,
-    Permutation,
     ScaleGuardExceeded,
     SetCode,
     apply_unstable_deletions,
@@ -76,8 +75,7 @@ def naive_greedy(n, t, delete):
     # quadratic re-implementation: explicit pairwise ball intersections
     chosen = []
     balls = []
-    for images in itertools.permutations(range(1, n + 1)):
-        sigma = Permutation(images)
+    for sigma in itertools.permutations(range(1, n + 1)):
         ball = {delete(sigma, pat) for pat in all_patterns(n, t)}
         if all(ball.isdisjoint(other) for other in balls):
             chosen.append(sigma)
@@ -90,7 +88,7 @@ def naive_greedy_sd(n, t):
 
 
 def naive_greedy_ud(n, t):
-    return naive_greedy(n, t, lambda sigma, pat: apply_unstable_deletions(sigma, pat).images)
+    return naive_greedy(n, t, apply_unstable_deletions)
 
 
 # sha256 of json.dumps(book_file_form(book), sort_keys=True): any change to the
@@ -147,7 +145,7 @@ UD_CODEBOOK_SHA256 = {
 
 def book_file_form(book):
     """The book as a spec file holds it under "perm_code"."""
-    return {"n": book.n, "t": book.t, "codewords": [list(s.images) for s in book.codewords], "order": "lex"}
+    return {"n": book.n, "t": book.t, "codewords": [list(s) for s in book.codewords], "order": "lex"}
 
 
 def codebook_sha256(book):
@@ -164,24 +162,23 @@ def saved_spec(book, path):
 
 class TestBalls:
     def test_radius_zero_is_singleton(self):
-        sigma = Permutation((3, 1, 2))
+        sigma = (3, 1, 2)
         assert stable_deletion_ball(sigma, 0) == {apply_stable_deletions(sigma, ())}
         assert unstable_deletion_ball(sigma, 0) == {sigma}
 
     def test_two_element_example(self):
-        ball = {w.symbols for w in stable_deletion_ball(Permutation((1, 2)), 1)}
+        ball = {w.symbols for w in stable_deletion_ball((1, 2), 1)}
         assert ball == {(1, 2), (1,), (2,)}
 
     def test_matches_pattern_enumeration(self):
         # the keys are the members of the oracle's ball with exactly n - t symbols
         for n in range(1, 7):
-            for images in itertools.permutations(range(1, n + 1)):
-                sigma = Permutation(images)
+            for sigma in itertools.permutations(range(1, n + 1)):
                 for t in range(n + 1):
                     stable = {w.symbols for w in stable_deletion_ball(sigma, t) if len(w) == n - t}
-                    unstable = {p.images for p in unstable_deletion_ball(sigma, t) if len(p) == n - t}
-                    assert set(_ball_keys(n, t, False)(images)) == stable
-                    assert {tuple(key) for key in _ball_keys(n, t, True)(images)} == unstable
+                    unstable = {p for p in unstable_deletion_ball(sigma, t) if len(p) == n - t}
+                    assert set(_ball_keys(n, t, False)(sigma)) == stable
+                    assert {tuple(key) for key in _ball_keys(n, t, True)(sigma)} == unstable
 
     @given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))), st.data())
     def test_bytes_keys_match_position_deletions(self, images, data):
@@ -196,8 +193,8 @@ class TestBalls:
         with pytest.raises(ValueError, match="at most 255"):
             _ball_keys(256, 1, True)
         with pytest.raises(ValueError, match="at most 255"):
-            verify_ud_property(PermCodeBook(256, 1, (Permutation.identity(256),)))
-        assert verify_sd_property(PermCodeBook(256, 1, (Permutation.identity(256),)))
+            verify_ud_property(PermCodeBook(256, 1, (tuple(range(1, 257)),)))
+        assert verify_sd_property(PermCodeBook(256, 1, (tuple(range(1, 257)),)))
 
     def test_balls_meet_iff_words_share_n_minus_t_symbols(self):
         # the fact every ball test rests on: two whole balls meet iff their
@@ -208,7 +205,7 @@ class TestBalls:
                 perms = list(itertools.permutations(range(1, n + 1)))
                 for t in range(n + 1):
                     keys = _ball_keys(n, t, unstable)
-                    balls = [ball(Permutation(images), t) for images in perms]
+                    balls = [ball(images, t) for images in perms]
                     exact = [set(keys(images)) for images in perms]
                     for i, j in itertools.combinations_with_replacement(range(len(perms)), 2):
                         assert balls[i].isdisjoint(balls[j]) == exact[i].isdisjoint(exact[j])
@@ -218,7 +215,7 @@ class TestBalls:
     def test_size_bounded_by_pattern_count(self):
         for t in range(4):
             bound = sum(math.comb(5, i) for i in range(t + 1))
-            assert len(stable_deletion_ball(Permutation((2, 5, 3, 1, 4)), t)) <= bound
+            assert len(stable_deletion_ball((2, 5, 3, 1, 4), t)) <= bound
 
     def test_invalid_radius(self):
         for unstable in (False, True):
@@ -234,7 +231,7 @@ class TestGreedyConstruction:
     def test_identity_admitted_first(self):
         for n, t in ((4, 1), (5, 2), (6, 1)):
             book = greedy_sd_code(n, t)
-            assert book.codewords[0] == Permutation.identity(n)
+            assert book.codewords[0] == tuple(range(1, n + 1))
 
     def test_matches_naive_oracle(self):
         for n, t in ((4, 1), (5, 2)):
@@ -269,11 +266,11 @@ class TestGreedyConstruction:
 
 class TestVerify:
     def test_disjoint_pair(self):
-        book = PermCodeBook(5, 2, (Permutation((1, 2, 3, 4, 5)), Permutation((4, 5, 2, 3, 1))))
+        book = PermCodeBook(5, 2, ((1, 2, 3, 4, 5), (4, 5, 2, 3, 1)))
         assert verify_sd_property(book)
 
     def test_single_codeword(self):
-        assert verify_sd_property(PermCodeBook(4, 2, (Permutation((2, 4, 1, 3)),)))
+        assert verify_sd_property(PermCodeBook(4, 2, ((2, 4, 1, 3),)))
 
     def test_overlapping_pair(self):
         cases = (
@@ -283,21 +280,21 @@ class TestVerify:
             (verify_ud_property, (2, 1, 3)),
         )
         for verify, second in cases:
-            book = PermCodeBook(3, 1, (Permutation((1, 2, 3)), Permutation(second)))
+            book = PermCodeBook(3, 1, ((1, 2, 3), second))
             assert not verify(book)
 
 
 class TestStableDecode:
     def setup_method(self):
         self.book = PermCodeBook(
-            5, 2, (Permutation((1, 2, 3, 4, 5)), Permutation((4, 5, 2, 3, 1)))
+            5, 2, ((1, 2, 3, 4, 5), (4, 5, 2, 3, 1))
         )
 
     def test_codeword_passthrough(self):
-        assert sd_decode(self.book, (4, 5, 2, 3, 1)) == Permutation((4, 5, 2, 3, 1))
+        assert sd_decode(self.book, (4, 5, 2, 3, 1)) == (4, 5, 2, 3, 1)
 
     def test_two_deletions(self):
-        assert sd_decode(self.book, (4, 2, 1)) == Permutation((4, 5, 2, 3, 1))
+        assert sd_decode(self.book, (4, 2, 1)) == (4, 5, 2, 3, 1)
 
     def test_not_found(self):
         with pytest.raises(PermDecodeFailed, match="no codeword ball"):
@@ -308,18 +305,18 @@ class TestStableDecode:
             sd_decode(self.book, (1, 2))
 
     def test_ambiguous_on_corrupt_book(self):
-        book = PermCodeBook(3, 1, (Permutation((1, 2, 3)), Permutation((1, 3, 2))))
+        book = PermCodeBook(3, 1, ((1, 2, 3), (1, 3, 2)))
         with pytest.raises(PermDecodeFailed, match="multiple codeword balls"):
             sd_decode(book, (1, 2))
 
     def test_prefix_in_two_balls_raises_on_corrupt_book(self):
         # the whole word lies in one ball only, but its first n - t symbols lie
         # in both: the lookup refuses where the subsequence scan returns a codeword
-        a, b = Permutation((1, 2, 3, 4, 5)), Permutation((1, 2, 3, 5, 4))
+        a, b = (1, 2, 3, 4, 5), (1, 2, 3, 5, 4)
         book = PermCodeBook(5, 1, (a, b))
-        assert scan_sd_decode(book, a.images) == a
+        assert scan_sd_decode(book, a) == a
         with pytest.raises(PermDecodeFailed) as caught:
-            sd_decode(book, a.images)
+            sd_decode(book, a)
         assert str(caught.value) == "multiple codeword balls contain the received word's first n - t symbols"
         assert not verify_sd_property(book)
 
@@ -336,11 +333,11 @@ class TestStableDecode:
     def test_never_returns_a_codeword_without_the_received_word(self, case):
         # on any book, corrupt ones included
         n, t, codewords, symbols = case
-        book = PermCodeBook(n, t, tuple(Permutation(images) for images in codewords))
+        book = PermCodeBook(n, t, codewords)
         outcome = decode_outcome(sd_decode, book, tuple(symbols))
-        if isinstance(outcome, Permutation):
+        if outcome[0] is not PermDecodeFailed:  # a codeword, not an error's class and text
             assert outcome in book.codewords
-            it = iter(outcome.images)
+            it = iter(outcome)
             assert all(s in it for s in symbols)
 
     def test_exhaustive_channels_never_ambiguous(self):
@@ -369,7 +366,7 @@ class TestLookupMatchesScan:
 
     def test_corrupt_book_ambiguous_on_both_paths(self, tmp_path, capsys):
         # two neighbours swapped: Ulam distance 1, so the radius-1 balls meet
-        book = PermCodeBook(5, 1, (Permutation((1, 2, 3, 4, 5)), Permutation((2, 1, 3, 4, 5))))
+        book = PermCodeBook(5, 1, ((1, 2, 3, 4, 5), (2, 1, 3, 4, 5)))
         for decode in (sd_decode, scan_sd_decode):
             with pytest.raises(PermDecodeFailed, match="multiple codeword balls"):
                 decode(book, (1, 3, 4, 5))
@@ -383,7 +380,7 @@ class TestLookupMatchesScan:
     def test_verify_names_the_colliding_pair(self, mode, tmp_path, capsys):
         # the Ulam-distance-1 book above: verify prints both codewords and a key
         # that lies in both balls, found by the book's own deletion oracle
-        a, b = Permutation((1, 2, 3, 4, 5)), Permutation((2, 1, 3, 4, 5))
+        a, b = (1, 2, 3, 4, 5), (2, 1, 3, 4, 5)
         sets = SetCode(6, 5, 1, sets=(0b11111,))
         path = tmp_path / f"corrupt-{mode}.json"
         save_spec(MultFreeCodeSpec(6, 5, 1, mode, sets, PermCodeBook(5, 1, (a, b))), path)
@@ -391,7 +388,7 @@ class TestLookupMatchesScan:
         payload = json.loads(capsys.readouterr().out)
         assert payload["checks"]["perm_balls_disjoint"] is False
         witness = payload["perm_balls_witness"]
-        assert witness["codewords"] == [list(a.images), list(b.images)]
+        assert witness["codewords"] == [list(a), list(b)]
         key = tuple(witness["key"])
         assert len(key) == 5 - 1
         patterns = [pos for e in (0, 1) for pos in itertools.combinations(range(1, 6), e)]
@@ -399,18 +396,18 @@ class TestLookupMatchesScan:
             if mode == "stable":
                 ball = {apply_stable_deletions(sigma, pat).symbols for pat in patterns}
             else:
-                ball = {apply_unstable_deletions(sigma, pat).images for pat in patterns}
+                ball = {apply_unstable_deletions(sigma, pat) for pat in patterns}
             assert key in ball
 
     @pytest.mark.parametrize("t", [0, 1])
     def test_repeated_codeword(self, t):
-        sigma = Permutation((2, 4, 1, 3))
+        sigma = (2, 4, 1, 3)
         book = PermCodeBook(4, t, (sigma, sigma))
         assert not verify_sd_property(book)
         assert not verify_ud_property(book)
         for decode in (sd_decode, scan_sd_decode):
             with pytest.raises(PermDecodeFailed, match="multiple codeword balls"):
-                decode(book, sigma.images)
+                decode(book, sigma)
 
     @pytest.mark.parametrize("stray", [0, 6, 255, 256, 1000])
     def test_symbol_outside_the_book_not_found(self, stray):
@@ -422,7 +419,7 @@ class TestLookupMatchesScan:
     def test_index_built_on_first_use_and_kept(self):
         book = greedy_sd_code(5, 1)
         assert "_stable_index" not in vars(book)  # construction does not pay for it
-        assert sd_decode(book, book.codewords[0].images) == book.codewords[0]
+        assert sd_decode(book, book.codewords[0]) == book.codewords[0]
         index = vars(book)["_stable_index"]
         assert verify_sd_property(book) and book._stable_index is index
 
@@ -430,7 +427,7 @@ class TestLookupMatchesScan:
 class TestUnstable:
     def test_index_built_once_for_check_and_witness(self, monkeypatch):
         # verify_ud_property and ball_collision read the book's one unstable index
-        book = PermCodeBook(3, 1, (Permutation((1, 2, 3)), Permutation((2, 1, 3))))
+        book = PermCodeBook(3, 1, ((1, 2, 3), (2, 1, 3)))
         real, builds = permcode.ball_index, []
         monkeypatch.setattr(permcode, "ball_index", lambda *args: builds.append(args) or real(*args))
         assert not verify_ud_property(book)
@@ -463,24 +460,24 @@ class TestUnstable:
             assert len(book.codewords) >= 2
             for sigma in book.codewords:
                 for pat in all_patterns(n, 1):
-                    received = apply_unstable_deletions(sigma, pat).images
+                    received = apply_unstable_deletions(sigma, pat)
                     assert ud_decode(book, received) == sigma
 
     def test_not_found_and_length_guards(self):
         book = greedy_ud_code(4, 1)
         with pytest.raises(PermDecodeFailed, match="outside"):
             ud_decode(book, (1,))  # two deletions, budget is one
-        lone = PermCodeBook(4, 1, (Permutation.identity(4),))
+        lone = PermCodeBook(4, 1, ((1, 2, 3, 4),))
         # identity's unstable deletions all stay the identity
-        assert unstable_deletion_ball(Permutation.identity(4), 1) == {
-            Permutation.identity(4),
-            Permutation.identity(3),
+        assert unstable_deletion_ball((1, 2, 3, 4), 1) == {
+            (1, 2, 3, 4),
+            (1, 2, 3),
         }
         with pytest.raises(PermDecodeFailed, match="no codeword ball"):
             ud_decode(lone, (3, 2, 1))
 
     def test_ambiguous_on_corrupt_book(self):
-        book = PermCodeBook(3, 1, (Permutation((1, 2, 3)), Permutation((2, 1, 3))))
+        book = PermCodeBook(3, 1, ((1, 2, 3), (2, 1, 3)))
         # deleting position 1 of the first or position 2 of the second gives (1, 2)
         with pytest.raises(PermDecodeFailed, match="multiple codeword balls"):
             ud_decode(book, (1, 2))
@@ -505,6 +502,13 @@ class TestReferenceBound:
 
 
 class TestCodebookSerialization:
+    def test_codewords_held_as_sorted_tuples(self):
+        # a book read from a file gets lists; it is the book built from tuples in any order
+        from_lists = PermCodeBook(3, 1, [[2, 1, 3], [1, 2, 3]])
+        from_tuples = PermCodeBook(3, 1, ((1, 2, 3), (2, 1, 3)))
+        assert from_lists.codewords == ((1, 2, 3), (2, 1, 3))
+        assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+
     def test_json_roundtrip(self, tmp_path):
         book = greedy_sd_code(4, 1)
         data = saved_spec(book, tmp_path / "spec.json")["perm_code"]
@@ -518,4 +522,4 @@ class TestCodebookSerialization:
         with pytest.raises(ValueError):
             PermCodeBook(3, 4, ())
         with pytest.raises(ValueError):
-            PermCodeBook(3, 1, (Permutation((1, 2)),))
+            PermCodeBook(3, 1, ((1, 2),))

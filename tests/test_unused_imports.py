@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used in it: in code, in an
-annotation (a quoted one too) or in `__all__`.  A stdlib `ast` pass, since the
-project installs no linter."""
+"""Every name a module of the package, a test module or a script imports is
+used in it: in code, in an annotation (a quoted one too) or in `__all__`.  A
+stdlib `ast` pass, since the project installs no linter."""
 
 import ast
 import pathlib
@@ -10,6 +10,8 @@ import pytest
 import delcode
 
 PACKAGE = pathlib.Path(delcode.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CHECKED = [*sorted(PACKAGE.glob("*.py")), *sorted(ROOT.glob("tests/*.py")), *sorted(ROOT.glob("scripts/*.py"))]
 
 
 def _imported(tree):
@@ -44,7 +46,7 @@ def _used(tree):
                 yield from _used(ast.parse(node.value, mode="eval"))
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     assert set(_imported(tree)) - set(_used(tree)) == set()

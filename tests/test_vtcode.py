@@ -16,7 +16,6 @@ from delcode import (
     DecodeError,
     MultFreeCodeSpec,
     PermCodeBook,
-    Permutation,
     ScaleGuardExceeded,
     SetCode,
     SetDecodeFailed,
@@ -109,7 +108,7 @@ class TestParams:
     def test_json_roundtrip(self, tmp_path):
         params = self.make()
         path = tmp_path / "spec.json"
-        book = PermCodeBook(2, 2, (Permutation.identity(2),))
+        book = PermCodeBook(2, 2, ((1, 2),))
         save_spec(MultFreeCodeSpec(5, 2, 2, "stable", SetCode.from_vt(params), book), path)
         assert json.loads(path.read_text())["set_code"] == {"q": 5, "n": 2, "t": 2, "p": 7, "a": [6, 6]}
         assert load_spec(path).set_code.vt == params
@@ -611,7 +610,7 @@ class TestSetDecode:
     def test_alphabet_mismatch(self):
         # the mask decoder has no alphabet; decode_steps checks the received word's
         params = VTParams(5, 2, 2, 7, (6, 6))
-        book = PermCodeBook(2, 2, (Permutation.identity(2),))
+        book = PermCodeBook(2, 2, ((1, 2),))
         spec = MultFreeCodeSpec(5, 2, 2, "stable", SetCode.from_vt(params), book)
         with pytest.raises(ValueError, match="alphabet size 4 differs from q = 5"):
             decode_steps(spec, Word((), 4))
