@@ -11,7 +11,7 @@ two component decoders can be run one after the other and the word reassembled.
 import json
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 
 from .errors import InputTooShort, MalformedSpec, PermDecodeFailed, SetDecodeFailed
 from .model import Record, Word, ball_index, check_permutation, is_subsequence, set_bits
@@ -41,7 +41,7 @@ def psi(mask: int, sigma: tuple[int, ...], q: int) -> Word:
     ordered = set_bits(mask)
     if len(ordered) != len(sigma):
         raise ValueError(f"set of size {len(ordered)} paired with a length-{len(sigma)} permutation")
-    return Word(tuple(ordered[s - 1] for s in check_permutation(sigma)), q, True)
+    return Word(tuple(ordered[s - 1] for s in check_permutation(sigma)), q)
 
 
 def symbol_ranks(mask: int, y: Word) -> tuple[int, ...]:
@@ -187,32 +187,28 @@ def save_spec(spec: MultFreeCodeSpec, path) -> None:
         fh.write(json.dumps(data, sort_keys=True) + "\n")
 
 
-def _holds_bool(data) -> bool:
-    """True iff parsed JSON holds true or false.  A loop over depths, not
-    recursion, so no nesting overflows it: each depth's element types are read
-    in one pass, and only its lists and dicts are opened for the next."""
-    level = [data]
-    while True:
-        kinds = set(map(type, level))
-        if bool in kinds:
-            return True
-        if kinds.isdisjoint((list, dict)):
-            return False
-        if kinds != {list}:  # a depth of lists only, like the codewords, needs no filter
-            level = [v.values() if type(v) is dict else v for v in level if type(v) is list or type(v) is dict]
-        level = list(chain.from_iterable(level))
+# each object of a spec file: its keys in the order they are read, each with the
+# one type its value has, compared exactly, so neither true nor 12.0 is an integer
+_SPEC_KEYS = {"q": int, "n": int, "t": int, "mode": str, "set_code": dict, "perm_code": dict}
+_CLASS_KEYS = {"q": int, "n": int, "t": int, "p": int, "a": list}
+_EXPLICIT_KEYS = {"q": int, "n": int, "t": int, "sets": list}
+_BOOK_KEYS = {"order": str, "n": int, "t": int, "codewords": list}
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 
 def load_spec(path) -> MultFreeCodeSpec:
     """Read a spec file that `save_spec` wrote."""
 
-    def refuse(text, holds="an integer"):
+    def refuse(text, holds):
         raise MalformedSpec(f"{path}: {text} where the spec holds {holds}")
 
+    def typed(value, name, kind):
+        if type(value) is not kind:
+            refuse(f"{name} holds {json.dumps(value)[:80]}", _KINDS[kind])
+        return value
+
     def listed(part, key):
-        value = part[key]
-        if type(value) is not list:  # a string or object would iterate as a list
-            refuse(f"{key!r} holds {json.dumps(value)[:80]}", "a list")
+        value = typed(part[key], repr(key), list)
         flat = key == "a"  # the residues are integers, each set or codeword a list of them
         for element in value:
             if not (type(element) is int if flat else type(element) is list and all(type(v) is int for v in element)):
@@ -220,37 +216,36 @@ def load_spec(path) -> MultFreeCodeSpec:
                 refuse(f"{key!r} holds the element {json.dumps(element)[:80]}", holds)
         return value
 
-    # every number in a spec is an integer; bool is an int subclass, so refuse it too
+    def fields(part, name, keys):
+        """The values at keys, in order, of an object that holds no other key."""
+        for key in typed(part, name, dict):
+            if key not in keys:
+                raise MalformedSpec(f"{path}: {name} holds the unknown key {key!r}")
+        return [listed(part, key) if kind is list else typed(part[key], repr(key), kind) for key, kind in keys.items()]
+
     with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8, whatever the locale
         try:
-            data = json.load(fh, parse_float=refuse, parse_constant=refuse)
+            data = json.load(fh)
         except RecursionError as exc:
             raise MalformedSpec(f"{path}: nested too deeply") from exc
         except ValueError as exc:  # not JSON, such as an empty or cut file, or not UTF-8
             raise MalformedSpec(f"{path}: {type(exc).__name__}: {exc}") from exc
-    if _holds_bool(data):
-        refuse("true or false")
     try:
-        # each record is built, and so checked, before the next key is read, so a
-        # file with several faults reports the first in this fixed order
-        q, n, t, mode = data["q"], data["n"], data["t"], data["mode"]
-        code = data["set_code"]
+        # each object is read whole, and each record built, and so checked, before
+        # the next object is read, so a file with several faults reports the first
+        q, n, t, mode, code, book = fields(data, "the file", _SPEC_KEYS)
         if "sets" in code:
-            both = [key for key in ("p", "a") if key in code]
-            if both:  # an explicit list and syndrome-class parameters
-                raise MalformedSpec(f"{path}: set_code holds both forms, 'sets' and {', '.join(map(repr, both))}")
-            sets = tuple(induced_set(Word(s, code["q"])) for s in listed(code, "sets"))
-            set_code = SetCode(code["q"], code["n"], code["t"], sets=sets)
+            *qnt, sets = fields(code, "set_code", _EXPLICIT_KEYS)
+            set_code = SetCode(*qnt, sets=tuple(induced_set(Word(s, qnt[0])) for s in sets))
         else:
-            set_code = SetCode.from_vt(VTParams(code["q"], code["n"], code["t"], code["p"], listed(code, "a")))
-        book = data["perm_code"]
-        if "order" in book and book["order"] != "lex":  # the one order a book is held in
-            raise ValueError(f"unknown codeword order {book['order']!r}")
-        perm_code = PermCodeBook(book["n"], book["t"], listed(book, "codewords"))
-        return MultFreeCodeSpec(q, n, t, mode, set_code, perm_code)
-    except (KeyError, TypeError) as exc:
-        # a missing key, or a list or scalar where an object or number belongs
-        raise MalformedSpec(f"{path}: {type(exc).__name__}: {exc}") from exc
+            set_code = SetCode.from_vt(VTParams(*fields(code, "set_code", _CLASS_KEYS)))
+        book.setdefault("order", "lex")  # the one order a book is held in, so it may be left out
+        order, *book_args = fields(book, "perm_code", _BOOK_KEYS)
+        if order != "lex":
+            raise ValueError(f"unknown codeword order {order!r}")
+        return MultFreeCodeSpec(q, n, t, mode, set_code, PermCodeBook(*book_args))
+    except KeyError as exc:  # a key that the object's form holds is missing
+        raise MalformedSpec(f"{path}: KeyError: {exc}") from exc
 
 
 def code_size(spec: MultFreeCodeSpec) -> int:

@@ -116,6 +116,11 @@ class TestDecomposition:
         with pytest.raises(ValueError, match=r"^images are not a rearrangement of 1\.\.n$"):
             psi(0b111, sigma, 8)
 
+    def test_psi_refuses_a_symbol_outside_the_alphabet(self):
+        # the set's symbols are its distinct bits, so only the word's range check is left
+        with pytest.raises(ValueError, match=r"^symbol 8 outside \[0, 7\]$"):
+            psi(0b11 | 1 << 8, (1, 2, 3), 8)
+
     def test_bijection_exhaustive(self):
         # both directions over every length-3 distinct-symbol word on 6 symbols
         q, n = 6, 3
