@@ -12,6 +12,7 @@ import sys
 from itertools import islice
 
 from .errors import DecodeError, DelcodeError
+from .guards import CLASS_ENUM_CAP, check_enumerable, scale_cap
 from .model import Word, set_bits
 from .modular import next_prime_above
 from .multfree import (
@@ -31,7 +32,7 @@ from .permcode import (
     verify_sd_property,
     verify_ud_property,
 )
-from .vtcode import VTParams, best_class, byte_table_fault, is_codeword, misread_lost_sets
+from .vtcode import VTParams, best_class, is_codeword, misread_lost_sets
 
 
 def _emit(payload) -> None:
@@ -41,6 +42,12 @@ def _emit(payload) -> None:
 def _cmd_construct(args) -> int:
     if args.n >= 0:  # refuse t > n before the census, which can run long; it refuses n < 0 at once
         check_radius(args.n, args.t)
+        if args.q > 1:
+            # the census's q (n + 1) p^t states, refused at q + 1 < p before the prime search;
+            # past the cap's bit length in t, (q + 1)^t alone is above the cap
+            bits = scale_cap(CLASS_ENUM_CAP).bit_length()
+            states = args.q * (args.n + 1) * (args.q + 1) ** min(args.t, bits)
+            check_enumerable(states, CLASS_ENUM_CAP, "syndrome-class DP")
     p = next_prime_above(args.q)
     a, class_size = best_class(args.q, args.n, args.t, p)
     params = VTParams(args.q, args.n, args.t, p, a)
@@ -134,10 +141,9 @@ def _cmd_verify(args) -> int:
     if vt is None:  # the ball index maps each member with at most t elements lost back to it
         checks["pairwise_intersection_bound"] = checks["set_deletion_soundness"] = code.balls_disjoint()
     else:
-        # the tables certify every deletion of a member but the loss of a misread set; only
-        # those are decoded, and the empty deletion of a rejected member and of each after it
-        witness = byte_table_fault(vt)
-        misread = [] if witness else misread_lost_sets(vt)
+        # a member decodes back from every deletion but the loss of a set the lost-set table
+        # misreads; only those are decoded, and the empty deletion of a rejected member and of each after it
+        misread = misread_lost_sets(vt)
         member = True
         for mask in code.masks:
             member = member and is_codeword(mask, vt)
@@ -201,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--size", type=int, default=None)
     b.set_defaults(func=_cmd_bounds)
 
-    v = sub.add_parser("verify", help="check every member; certify set decoding by the decoder's tables")
+    v = sub.add_parser("verify", help="check every member; certify set decoding by the decoder's lost-set table")
     v.add_argument("--spec", required=True)
     v.set_defaults(func=_cmd_verify)
 
@@ -217,6 +223,9 @@ def main(argv=None) -> int:
         return 1
     except (DelcodeError, ValueError, OSError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
+        return 2
+    except MemoryError:  # a table that the scale guards admit and this machine cannot hold
+        _emit({"error": "MemoryError", "message": "out of memory"})
         return 2
 
 

@@ -6,9 +6,9 @@ from .errors import ScaleGuardExceeded
 
 ENV_VAR = "DELCODE_SCALE_GUARD"
 
-# four set-layer counts, each checked alone: syndrome-class DP states q*(n+1)*p^t,
-# the words of one materialized class, the set decoder's byte-table fields
-# ceil(q/8)*256*t, and its lost-set keys sum of C(q, e) for e = 1..t
+# three set-layer counts, each checked alone: syndrome-class DP states q*(n+1)*p^t,
+# the words of one materialized class, and the set decoder's lost-set keys
+# sum of C(q, e) for e = 1..t
 CLASS_ENUM_CAP = 10**7
 PERM_ENUM_CAP = 40320  # full scan of S_n, default n <= 8
 

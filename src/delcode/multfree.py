@@ -234,6 +234,9 @@ def load_spec(path) -> MultFreeCodeSpec:
         # each object is read whole, and each record built, and so checked, before
         # the next object is read, so a file with several faults reports the first
         q, n, t, mode, code, book = fields(data, "the file", _SPEC_KEYS)
+        if code.keys() <= {"q", "n", "t"}:  # no key that tells the form, and no unknown one to name
+            forms = "an explicit code's 'sets' nor a syndrome class's 'p' and 'a'"
+            raise MalformedSpec(f"{path}: set_code holds neither {forms}")
         if "sets" in code:
             *qnt, sets = fields(code, "set_code", _EXPLICIT_KEYS)
             set_code = SetCode(*qnt, sets=tuple(induced_set(Word(s, qnt[0])) for s in sets))

@@ -90,7 +90,7 @@ def greedy_sd_code(n: int, t: int) -> PermCodeBook:
     return _greedy_book(n, t, False)
 
 
-def greedy_ud_code(n: int, t: int = 1) -> PermCodeBook:
+def greedy_ud_code(n: int, t: int) -> PermCodeBook:
     """Same first-fit scan with unstable balls; only t <= 1 is supported because
     multiple-unstable-deletion codes are not constructed here."""
     if t not in (0, 1):
@@ -138,8 +138,8 @@ def sd_decode(book: PermCodeBook, ranks: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def ud_decode(book: PermCodeBook, ranks: tuple[int, ...]) -> tuple[int, ...]:
-    """The unique codeword reaching the received ranks by <= t unstable deletions.
-    Brute force, not indexed: ROADMAP item 10 decodes unstable specs by the stable lookup."""
+    """The unique codeword reaching the received ranks by <= t unstable deletions,
+    by brute force over every codeword and deletion pattern."""
     missing = book.n - len(ranks)
     if missing < 0 or missing > book.t:
         raise PermDecodeFailed(f"received length {len(ranks)} is outside [n - t, n]")

@@ -24,8 +24,6 @@ class VTParams(Record):
     __slots__ = ("q", "n", "t", "p", "a", "__dict__")
 
     def __init__(self, q: int, n: int, t: int, p: int, a: tuple[int, ...]):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         a = tuple(a)
         if not 0 <= n <= q:
             raise ValueError(f"need 0 <= n <= q, got n={n}, q={q}")
@@ -38,11 +36,12 @@ class VTParams(Record):
         for r in a:
             if not 0 <= r < p:
                 raise ValueError(f"residue {r} outside [0, {p - 1}]")
-        # 256 entries of t fields per mask byte, counted before _decoder_tables builds them
-        check_enumerable(-(-q // 8) * 256 * t, CLASS_ENUM_CAP, "set-decoder byte-table fields")
-        # one key per subset of at most t positions, counted before _lost_sets builds them
+        # one key per subset of at most t positions, counted before _lost_sets builds them;
+        # the packed rows, one per position, are no more than the keys
         lost_sets = sum(math.comb(q, e) for e in range(1, t + 1))
         check_enumerable(lost_sets, CLASS_ENUM_CAP, "set-decoder lost-set keys")
+        if not is_prime(p):  # last: the one check whose cost grows with the digits of p
+            raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", t)
@@ -50,18 +49,26 @@ class VTParams(Record):
         object.__setattr__(self, "a", a)
 
     @cached_property
-    def _decoder_tables(self) -> tuple[tuple[list[int], ...], int]:
-        return _byte_tables(self.q, self.t, self.p)
+    def _packed_rows(self) -> tuple[list[int], int]:
+        """Position i's residues (i, i^2, ..., i^t) mod p as one int at index i,
+        i^k in field k - 1, and the field width in bits.  A field sums at most q
+        values below p, so a width holding q (p - 1) never carries.  Built on
+        the first decode or membership test; callers only read the list."""
+        q, t, p = self.q, self.t, self.p
+        width = (q * (p - 1)).bit_length()
+        rows = [sum(pow(i, k, p) << (k - 1) * width for k in range(1, t + 1)) for i in range(q + 1)]
+        return rows, width
 
     @cached_property
-    def _lost_sets(self) -> dict[tuple[int, ...], int]:
-        """The mask of every set of 1..t positions, keyed by its power sums
-        s_1..s_t mod p.  No two sets share a key: zeros added to the smaller of
-        two sets leave its sums as they are, Newton's identities (at most q < p
-        elements) then give both one polynomial, so one set of roots, and no
-        position is 0 mod p.  Built on first use: a nonzero deficit, or `verify`."""
+    def _lost_sets(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """The positions of every set of 1..t positions, ascending, keyed by
+        its power sums s_1..s_t mod p.  No two sets share a key: zeros added to
+        the smaller of two sets leave its sums as they are, Newton's identities
+        (at most q < p elements) then give both one polynomial, so one set of
+        roots, and no position is 0 mod p.  Built on first use: a nonzero
+        deficit, or `verify`."""
         levels = _subset_sums(_residue_rows(self.q, self.t, self.p), self.t, self.p)
-        return {sums: bits for level in levels for _, bits, sums in level}
+        return {sums: positions for level in levels for positions, sums in level}
 
 
 def _flat(residues: Sequence[int], p: int) -> int:
@@ -157,19 +164,19 @@ def _residue_rows(q: int, t: int, m: int) -> list:
     return [None] + [tuple(pow(i, k, m) for k in range(1, t + 1)) for i in range(1, q + 1)]
 
 
-def _subset_sums(rows: list, k: int, m: int) -> Iterator[Iterable[tuple[int, int, tuple]]]:
+def _subset_sums(rows: list, k: int, m: int) -> Iterator[Iterable[tuple[tuple[int, ...], tuple]]]:
     """Yield levels 1..k of the sets of positions 1..q (rows from
-    _residue_rows): level e holds every e-set in combinations order as (last
-    position, mask, sum of its positions' rows mod m), each an (e - 1)-set plus
-    a later position and its row.  The last and largest level is a generator,
-    so it streams to the caller instead of sitting in a list."""
+    _residue_rows): level e holds every e-set in combinations order as (its
+    positions, ascending; the sum of their rows mod m), each an (e - 1)-set
+    plus a later position and its row.  The last and largest level is a
+    generator, so it streams to the caller instead of sitting in a list."""
     q = len(rows) - 1
-    level = [(0, 0, (0,) * len(rows[-1]))]
+    level = [((), (0,) * len(rows[-1]))]
     for e in range(1, k + 1):
         level = (
-            (j, bits | 1 << (j - 1), tuple((x + y) % m for x, y in zip(sums, rows[j])))
-            for last, bits, sums in level
-            for j in range(last + 1, q + 1)
+            ((*positions, j), tuple((x + y) % m for x, y in zip(sums, rows[j])))
+            for positions, sums in level
+            for j in range(positions[-1] + 1 if positions else 1, q + 1)
         )
         if e < k:
             level = list(level)
@@ -206,10 +213,10 @@ def enumerate_class(q: int, n: int, t: int, p: int, a: Sequence[int]) -> list[in
     depth = _tail_depth(q, n, size)
     tails: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     *_, last_level = _subset_sums(vectors, depth, p)
-    for _, tail, key in last_level:
+    for positions, key in last_level:
         firsts, bits = tails.setdefault(key, ([], []))
-        firsts.append((tail & -tail).bit_length())  # the lowest set bit's position
-        bits.append(tail)
+        firsts.append(positions[0])
+        bits.append(sum(1 << i - 1 for i in positions))
     table, width = _census(q, n, t, p)
     step, stride = width // 8, p**t
     zero = bytes(step)
@@ -246,55 +253,19 @@ def best_class(q: int, n: int, t: int, p: int) -> tuple[tuple[int, ...], int]:
     return label, size
 
 
-def _byte_tables(q: int, t: int, p: int) -> tuple[tuple[list[int], ...], int]:
-    """Syndrome sums by mask byte, and their field width in bits.  Entry v of
-    table b packs, in field k - 1, the sum of i^k mod p over the positions
-    i = 8b + j + 1 of the set bits j of v.  A field sums at most q values below
-    p, so a width holding q (p - 1) never carries.  The last table stops at
-    bit q - 1, the highest a mask may set.  Each VTParams builds them once and
-    holds them as lists that callers only read: `list.__getitem__` maps about
-    twice as fast as a tuple's."""
-    width = (q * (p - 1)).bit_length()
-    tables = []
-    for base in range(0, q, 8):
-        table = [0]
-        for i in range(base + 1, min(base + 8, q) + 1):
-            one = sum(pow(i, k, p) << (k - 1) * width for k in range(1, t + 1))
-            table += [entry + one for entry in table]  # entries with bit i - 1 - base set
-        tables.append(table)
-    return tuple(tables), width
-
-
-def byte_table_fault(params: VTParams) -> dict | None:
-    """Where the byte tables differ from what `pow` re-derives: a field width
-    that can carry, or the first entry v of table b that is not entry
-    v & (v - 1) plus the packed row of v's lowest position (entry 0: zero)."""
-    q, t, p = params.q, params.t, params.p
-    tables, width = params._decoder_tables
-    if width < (q * (p - 1)).bit_length():
-        return {"field_width": width}
-    for b, table in enumerate(tables):
-        for v, entry in enumerate(table):
-            low = v & -v
-            row = sum(pow(8 * b + low.bit_length(), k, p) << (k - 1) * width for k in range(1, t + 1))
-            if entry != (table[v ^ low] + row if v else 0):
-                return {"byte_table": b, "entry": v}
-    return None
-
-
 def misread_lost_sets(params: VTParams) -> list[int]:
     """The sets of 1..t positions, as masks, fewest first and then in
     `combinations` order, that the lost-set table does not return under their
-    own power sums, re-derived by `pow`: once `byte_table_fault` finds nothing,
-    the only sets a member can lose and not decode back from."""
+    own power sums, re-derived by `pow`: the only sets a member can lose and
+    not decode back from, as a member's deficits after a loss are the lost
+    set's power sums."""
     q, t, p = params.q, params.t, params.p
     misread = []
     for e in range(1, t + 1):
         for positions in combinations(range(1, q + 1), e):
             sums = tuple(sum(pow(i, k, p) for i in positions) % p for k in range(1, t + 1))
-            mask = sum(1 << i - 1 for i in positions)
-            if params._lost_sets.get(sums) != mask:
-                misread.append(mask)
+            if params._lost_sets.get(sums) != positions:
+                misread.append(sum(1 << i - 1 for i in positions))
     return misread
 
 
@@ -305,8 +276,12 @@ def _deficits(mask: int, params: VTParams) -> list[int]:
     q, p = params.q, params.p
     if mask < 0 or mask >> q:
         raise ValueError(f"bitmask has bits outside the block length {q}")
-    tables, width = params._decoder_tables
-    sums = sum(map(list.__getitem__, tables, mask.to_bytes(len(tables), "little")))
+    rows, width = params._packed_rows
+    sums = 0
+    while mask:  # the highest set bit stands for position mask.bit_length()
+        i = mask.bit_length()
+        sums += rows[i]
+        mask ^= 1 << i - 1
     field = (1 << width) - 1
     return [(a - (sums >> k * width & field)) % p for k, a in enumerate(params.a)]
 
@@ -320,8 +295,8 @@ def set_decode(mask: int, params: VTParams) -> int:
     """Restore up to t ones of a member's mask that were flipped to zero (deleted
     elements).  The t deficits are the power sums s_1..s_t of the lost
     positions, which fix them: none when every deficit is zero, else one lookup
-    in the lost-set table.  The decode holds iff that set misses the mask and
-    has e = n - wt(mask) elements."""
+    in the lost-set table.  The decode holds iff that set has e = n - wt(mask)
+    positions and the mask with their bits set has weight n, so misses them."""
     n, t = params.n, params.t
     deficits = _deficits(mask, params)
     weight = mask.bit_count()
@@ -330,7 +305,10 @@ def set_decode(mask: int, params: VTParams) -> int:
         raise SetDecodeFailed(f"weight {weight} exceeds the code weight {n}")
     if e > t:
         raise SetDecodeFailed(f"weight {weight} is below n - t = {n - t}")
-    lost = params._lost_sets.get(tuple(deficits)) if any(deficits) else 0
-    if lost is None or lost & mask or lost.bit_count() != e:
+    lost = params._lost_sets.get(tuple(deficits)) if any(deficits) else ()
+    restored = mask
+    for i in lost or ():
+        restored |= 1 << i - 1
+    if lost is None or len(lost) != e or restored.bit_count() != n:
         raise SetDecodeFailed(f"no {e} clear positions have the deficits as power sums")
-    return mask | lost
+    return restored

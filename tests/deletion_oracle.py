@@ -7,7 +7,7 @@ inside the recovered set (`delcode.multfree.symbol_ranks`).  The tests hold that
 rewrite, the greedy stable books and the stable decoder to this definition's
 symbols, and the shipped ball-index lookup (`delcode.permcode.sd_decode`) to the
 scan; both decoders read a tuple of ranks.
-`verify` certifies set decoding from the decoder's tables instead of decoding;
+`verify` certifies set decoding from the decoder's lost-set table instead of decoding;
 the tests hold its verdict and witness to `set_deletion_checks`.
 """
 

@@ -6,6 +6,8 @@ import os
 import resource
 import subprocess
 import sys
+import time
+from itertools import combinations
 
 import pytest
 
@@ -61,9 +63,9 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def _cap_address_space():
+def _cap_address_space(limit=1 << 30):
     # a regression that builds an O(q) table fails fast instead of filling memory
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +165,7 @@ class TestVerify:
 
     @staticmethod
     def verify_in_memory(spec, monkeypatch, capsys):
-        """verify's exit code and JSON for a loaded spec whose decoder tables a
+        """verify's exit code and JSON for a loaded spec whose lost-set table a
         test may have altered in place."""
         monkeypatch.setattr(cli, "load_spec", lambda path: spec)
         code = cli.main(["verify", "--spec", "unused.json"])
@@ -171,14 +173,14 @@ class TestVerify:
 
     @staticmethod
     def lost_set_keys(vt):
-        return {mask: key for key, mask in vt._lost_sets.items()}
+        return {positions: key for key, positions in vt._lost_sets.items()}
 
     @pytest.mark.parametrize("path", ["spec_path", "q12_spec_path"], ids=["8-4-1", "12-5-2"])
     def test_swapped_lost_sets_fail_as_the_oracle_does(self, request, monkeypatch, capsys, path):
         # the two lowest symbols of the second member, each looked up as the other
         spec = multfree.load_spec(request.getfixturevalue(path))
         vt, member = spec.set_code.vt, spec.set_code.masks[1]
-        first, second = (1 << s for s in set_bits(member)[:2])
+        first, second = ((s + 1,) for s in set_bits(member)[:2])
         keys = self.lost_set_keys(vt)
         vt._lost_sets[keys[first]], vt._lost_sets[keys[second]] = second, first
         code, payload = self.verify_in_memory(spec, monkeypatch, capsys)
@@ -192,9 +194,10 @@ class TestVerify:
         # at (12,5,2) some pairs of positions lie in no member, so no deletion loses them
         spec = multfree.load_spec(q12_spec_path)
         vt, masks = spec.set_code.vt, spec.set_code.masks
-        unheld = next(m for m in vt._lost_sets.values() if not any(m & x == m for x in masks))
-        vt._lost_sets[self.lost_set_keys(vt)[unheld]] = masks[0] & -masks[0]
-        assert vtcode.misread_lost_sets(vt) == [unheld]
+        held = {pair for m in masks for pair in combinations([s + 1 for s in set_bits(m)], 2)}
+        unheld = next(s for s in vt._lost_sets.values() if len(s) == 2 and s not in held)
+        vt._lost_sets[self.lost_set_keys(vt)[unheld]] = (set_bits(masks[0])[0] + 1,)
+        assert vtcode.misread_lost_sets(vt) == [sum(1 << i - 1 for i in unheld)]
         assert self.verify_in_memory(spec, monkeypatch, capsys) == (0, json.loads(VERIFY_OK))
         assert set_deletion_checks(spec.set_code) == (
             {"class_membership": True, "set_deletion_soundness": True},
@@ -205,29 +208,9 @@ class TestVerify:
         # set_decode never looks up zero deficits, so an extra all-zero key is never read
         spec = multfree.load_spec(spec_path)
         vt, masks = spec.set_code.vt, spec.set_code.masks
-        vt._lost_sets[(0,) * vt.t] = masks[0] & -masks[0]
+        vt._lost_sets[(0,) * vt.t] = (set_bits(masks[0])[0] + 1,)
         assert self.verify_in_memory(spec, monkeypatch, capsys) == (0, json.loads(VERIFY_OK))
         assert set_deletion_checks(spec.set_code)[1] is None
-
-    @pytest.mark.parametrize("fault", ["entry", "width"])
-    def test_byte_table_fault_fails_naming_it(self, spec_path, monkeypatch, capsys, fault):
-        # the entry for the first member's low byte, or fields too narrow for its sums
-        spec = multfree.load_spec(spec_path)
-        vt, member = spec.set_code.vt, spec.set_code.masks[0]
-        tables, width = vt._decoder_tables
-        if fault == "entry":
-            tables[0][member & 0xFF] += 1
-            named = {"byte_table": 0, "entry": member & 0xFF}
-        else:
-            vars(vt)["_decoder_tables"] = (tables, 1)
-            named = {"field_width": 1}
-        code, payload = self.verify_in_memory(spec, monkeypatch, capsys)
-        checks, witness = set_deletion_checks(spec.set_code)
-        assert code == 1 and checks["set_deletion_soundness"] is False
-        assert payload["checks"]["set_deletion_soundness"] is False
-        assert payload["set_deletion_witness"] == named
-        # membership reads the same tables, so it fails with the oracle's
-        assert payload["checks"]["class_membership"] is checks["class_membership"] is False
 
     @pytest.mark.parametrize("q, n, t", [(64, 4, 1), (26, 6, 2)])
     def test_passing_verify_decodes_nothing(self, q, n, t, tmp_path, monkeypatch, capsys):
@@ -347,12 +330,10 @@ class TestVerify:
         assert summary["code_size"] == summary["set_code_size"] * summary["perm_code_size"]
 
     def test_construct_builds_no_decoder_table(self, tmp_path, monkeypatch):
-        real, builds, made = vtcode._byte_tables, [], []
-        monkeypatch.setattr(vtcode, "_byte_tables", lambda *args: builds.append(args) or real(*args))
+        made = []
         monkeypatch.setattr(cli, "VTParams", lambda *args: made.append(vtcode.VTParams(*args)) or made[-1])
         assert cli.main(["construct", *SPEC_ARGS, "--out", str(tmp_path / "s.json")]) == 0
-        assert builds == [] and len(made) == 1
-        assert "_decoder_tables" not in vars(made[0]) and "_lost_sets" not in vars(made[0])
+        assert len(made) == 1 and vars(made[0]) == {}
 
 
 class TestEnumerate:
@@ -626,60 +607,83 @@ class TestErrors:
         assert result.returncode == 2, result.stderr
         assert json.loads(result.stdout)["error"] == "ScaleGuardExceeded"
 
-    def test_alphabet_above_the_byte_table_cap_refused(self, tmp_path):
-        # ceil(q / 8) tables of 256 entries of t fields: 39,063 * 256 = 10,000,128 > 10^7
-        # at q = 312,497 and t = 1, refused on load; q = 312,496 is the largest that passes
-        q, n = 312_497, 5
-        p = next_prime_above(q)
+    @pytest.mark.parametrize("q", [312_496, 312_497])
+    def test_one_deletion_decodes_at_the_old_byte_table_cap(self, tmp_path, q):
+        # q = 312,496 was the largest alphabet the byte tables admitted at t = 1, and
+        # ran out of memory under this limit; q + 1 was refused on load
+        n, p = 5, next_prime_above(q)
+        symbols = [0, 1, 2, 3, q - 1]
         spec = {
             "q": q,
             "n": n,
             "t": 1,
             "mode": "stable",
-            "set_code": {"q": q, "n": n, "t": 1, "p": p, "a": [0]},
+            "set_code": {"q": q, "n": n, "t": 1, "p": p, "a": [sum(s + 1 for s in symbols) % p]},
             "perm_code": {"n": n, "t": 1, "codewords": [[1, 2, 3, 4, 5]], "order": "lex"},
         }
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(spec))
         result = run_cli(
-            "decode", "--spec", str(path), "--word", "[0,1,2,3,4]",
+            "decode", "--spec", str(path), "--word", json.dumps(symbols[:-1]),
             timeout=20, preexec_fn=_cap_address_space,
         )
-        assert result.returncode == 2, result.stderr
-        payload = json.loads(result.stdout)
-        assert payload["error"] == "ScaleGuardExceeded"
-        assert "set-decoder byte-table fields would visit 10000128 items" in payload["message"]
-        vtcode.VTParams(q - 1, n, 1, next_prime_above(q - 1), (0,))  # no table is built
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {"codeword": symbols}
 
-    def test_budget_scales_the_byte_table_cap(self, tmp_path, monkeypatch):
-        # every entry packs t fields, so a large t is refused on load at a moderate q:
-        # 5,000 * 256 * 300 fields here, about 1.5 GB of tables had they been built
-        q, n, t = 40_000, 300, 300
+    def test_running_out_of_memory_is_reported(self, tmp_path):
+        # C(2000, 1) + C(2000, 2) = 2,001,000 lost-set keys pass the guard, and the
+        # table (about 400 MB) does not fit in 256 MB of address space
+        q, n = 2_000, 5
         p = next_prime_above(q)
         spec = {
             "q": q,
             "n": n,
-            "t": t,
+            "t": 2,
             "mode": "stable",
-            "set_code": {"q": q, "n": n, "t": t, "p": p, "a": [0] * t},
-            "perm_code": {"n": n, "t": t, "codewords": [list(range(1, n + 1))], "order": "lex"},
+            "set_code": {"q": q, "n": n, "t": 2, "p": p, "a": [0, 0]},
+            "perm_code": {"n": n, "t": 2, "codewords": [[1, 2, 3, 4, 5]], "order": "lex"},
         }
-        path = tmp_path / "deep.json"
+        path = tmp_path / "wide.json"
         path.write_text(json.dumps(spec))
         result = run_cli(
-            "decode", "--spec", str(path), "--word", json.dumps(list(range(n))),
-            timeout=20, preexec_fn=_cap_address_space,
+            "decode", "--spec", str(path), "--word", "[0,1,2]",
+            timeout=20, preexec_fn=lambda: _cap_address_space(256 << 20),
         )
         assert result.returncode == 2, result.stderr
-        payload = json.loads(result.stdout)
+        assert json.loads(result.stdout) == {"error": "MemoryError", "message": "out of memory"}
+
+    @pytest.mark.parametrize("exponent", [600, 1200])
+    def test_census_too_large_refused_before_the_prime_search(self, monkeypatch, capsys, tmp_path, exponent):
+        # the smallest prime above 10^1200 took over 100 s to find; q + 1 stands in for it
+        monkeypatch.setattr(cli, "next_prime_above", lambda q: pytest.fail("prime search ran"))
+        start = time.perf_counter()
+        args = ["--q", str(10**exponent), "--n", "5", "--t", "1", "--out", str(tmp_path / "x.json")]
+        assert cli.main(["construct", *args]) == 2
+        assert time.perf_counter() - start < 1
+        payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "ScaleGuardExceeded"
-        assert "set-decoder byte-table fields would visit 384000000 items" in payload["message"]
-        # at t = 2 each byte's 256 entries hold 512 fields: 8 * 512 = 4,096 at q = 64 and
-        # 9 * 512 = 4,608 at q = 65, where the lost-set keys (2,145) are still below the cap
-        monkeypatch.setenv("DELCODE_SCALE_GUARD", "4096")
-        vtcode.VTParams(64, 5, 2, next_prime_above(64), (0, 0))
-        with pytest.raises(ScaleGuardExceeded, match="byte-table fields would visit 4608 items"):
-            vtcode.VTParams(65, 5, 2, next_prime_above(65), (0, 0))
+        assert f"syndrome-class DP would visit {10**exponent * 6 * (10**exponent + 1)} items" in payload["message"]
+
+    def test_large_budget_census_refused_by_a_bounded_power(self, monkeypatch, capsys, tmp_path):
+        # (q + 1)^t at q = 1,000 and t = 10^5 has about 10^6 bits; past the cap's bit
+        # length in t the power is above any cap, so the count stops there
+        real, counted = cli.check_enumerable, []
+        monkeypatch.setattr(cli, "check_enumerable", lambda size, *rest: counted.append(size) or real(size, *rest))
+        monkeypatch.setattr(cli, "next_prime_above", lambda q: pytest.fail("prime search ran"))
+        args = ["--q", "1000", "--n", str(10**5), "--t", str(10**5), "--out", str(tmp_path / "x.json")]
+        assert cli.main(["construct", *args]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "ScaleGuardExceeded"
+        assert len(counted) == 1 and 10**7 < counted[0] < 2**1000
+
+    def test_modulus_outside_the_range_refused_before_the_primality_test(self, tmp_path, capsys):
+        # 2^4423 - 1 is prime and has 1,332 digits: Miller-Rabin on it took 2.6 s
+        path = tmp_path / "spec.json"
+        path.write_text(Q12_SPEC.replace('"p": 13', f'"p": {2**4423 - 1}'))
+        start = time.perf_counter()
+        assert cli.main(["verify", "--spec", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"error": "ValueError", "message": f"need q < p <= 2q, got q=12, p={2**4423 - 1}"}
 
     def test_alphabet_above_the_lost_set_cap_refused(self, tmp_path):
         # C(q, 1) + C(q, 2) lost-set keys: 10,001,628 > 10^7 at q = 4,472 and t = 2,
@@ -871,6 +875,7 @@ def verify_report(spec):
 _HOLDS = "'{}' holds {} where the spec holds {}"
 _NOT_LISTS = "'{}' holds the element {} where the spec holds a list of integers"
 _UNKNOWN = "{} holds the unknown key 'k'"
+_NEITHER_FORM = "set_code holds neither an explicit code's 'sets' nor a syndrome class's 'p' and 'a'"
 MALFORMED_KEY_REPORTS = {
     "class-top-mode-drop": (2, "MalformedSpec", "KeyError: 'mode'"),
     "class-top-mode-str": (2, "ValueError", "unknown mode 'x'"),
@@ -940,7 +945,7 @@ MALFORMED_KEY_REPORTS = {
     "explicit-set_code-q-str": (2, "MalformedSpec", _HOLDS.format("q", '"x"', "an integer")),
     "explicit-set_code-q-list": (2, "MalformedSpec", _HOLDS.format("q", "[0]", "an integer")),
     "explicit-set_code-q-object": (2, "MalformedSpec", _HOLDS.format("q", '{"k": 0}', "an integer")),
-    "explicit-set_code-sets-drop": (2, "MalformedSpec", "KeyError: 'p'"),
+    "explicit-set_code-sets-drop": (2, "MalformedSpec", _NEITHER_FORM),
     "explicit-set_code-sets-str": (2, "MalformedSpec", _HOLDS.format("sets", '"x"', "a list")),
     "explicit-set_code-sets-list": (2, "MalformedSpec", _NOT_LISTS.format("sets", 0)),
     "explicit-set_code-sets-object": (2, "MalformedSpec", _HOLDS.format("sets", '{"k": 0}', "a list")),

@@ -37,8 +37,13 @@ class TestPrimes:
             assert is_prime(n) == trial_division(n), n
 
     def test_modulus_rejects_composites(self):
-        for bad in (0, 1, 4, 9, 561):
-            with pytest.raises(ValueError, match="is not prime"):
+        # composites in (q, 2q] fail the primality test; other moduli fail the range
+        # check, which runs first
+        for q, bad in ((3, 4), (300, 561), (8, 9), (8, 15)):
+            with pytest.raises(ValueError, match=f"{bad} is not prime"):
+                VTParams(q, 2, 1, bad, (0,))
+        for bad in (0, 1, 9, 561):
+            with pytest.raises(ValueError, match=f"need q < p <= 2q, got q=3, p={bad}"):
                 VTParams(3, 2, 1, bad, (0,))
 
     def test_next_prime_above_examples(self):

@@ -178,7 +178,7 @@ def _filled_spec():
 
 
 CACHED = {
-    "VTParams": {"_decoder_tables", "_lost_sets"},
+    "VTParams": {"_packed_rows", "_lost_sets"},
     "SetCode": {"masks", "size"},
     "PermCodeBook": {"_stable_index", "_unstable_index"},
 }

@@ -539,21 +539,21 @@ class TestScaleGuard:
         class_sizes(*points[0])
         assert vtcode._suffix_counts.cache_info().misses == misses + 1
 
-    def test_byte_tables_live_on_the_params(self, monkeypatch):
-        # the decoder's tables are built once per VTParams over many decodes, and released with it
-        real, builds = vtcode._byte_tables, []
-        monkeypatch.setattr(vtcode, "_byte_tables", lambda *args: builds.append(args) or real(*args))
+    def test_decoder_tables_live_on_the_params(self):
+        # the packed rows and the lost-set table are built once per VTParams over
+        # many decodes, and released with it
         q, n, t = 26, 6, 2
         p = next_prime_above(q)
         params = VTParams(q, n, t, p, best_class(q, n, t, p)[0])
+        tables = None
         for mask in enumerate_class(q, n, t, p, params.a)[:100]:
             assert is_codeword(mask, params)
             first, second = (1 << s for s in set_bits(mask)[:2])
             for lost in (first, second, first | second):  # each reads the lost-set table
                 assert set_decode(mask ^ lost, params) == mask
-        assert builds == [(q, t, p)]
-        assert params._decoder_tables is params._decoder_tables
-        assert params._lost_sets is params._lost_sets
+            tables = tables or (params._packed_rows, params._lost_sets)
+            assert params._packed_rows is tables[0] and params._lost_sets is tables[1]
+        assert set(vars(params)) == {"_packed_rows", "_lost_sets"}
         alive = weakref.ref(params)
         del params
         gc.collect()
@@ -564,6 +564,22 @@ class TestScaleGuard:
         VTParams(391, 5, 3, next_prime_above(391), (0, 0, 0))
         with pytest.raises(ScaleGuardExceeded, match="lost-set keys would visit 10039708 items"):
             VTParams(392, 5, 3, next_prime_above(392), (0, 0, 0))
+
+    def test_t1_alphabet_reaches_the_key_cap(self):
+        # at t = 1 the q keys are the one set-decoder guard: q = 10^7 loads, one more is refused
+        q = 10**7
+        VTParams(q, 5, 1, next_prime_above(q), (0,))  # no table is built
+        with pytest.raises(ScaleGuardExceeded, match="lost-set keys would visit 10000001 items"):
+            VTParams(q + 1, 5, 1, next_prime_above(q + 1), (0,))
+
+    def test_cheap_checks_run_before_the_primality_test(self, monkeypatch):
+        # 2^4423 - 1 is prime and far above 2q: the range check refuses it with no
+        # Miller-Rabin round, and so does the key guard at q = 2^89 - 2
+        monkeypatch.setattr(vtcode, "is_prime", lambda p: pytest.fail("is_prime ran"))
+        with pytest.raises(ValueError, match=f"need q < p <= 2q, got q=12, p={2**4423 - 1}$"):
+            VTParams(12, 5, 2, 2**4423 - 1, (1, 3))
+        with pytest.raises(ScaleGuardExceeded, match="lost-set keys"):
+            VTParams(2**89 - 2, 5, 1, 2**89 - 1, (0,))
 
     def test_env_override_raises_cap(self, monkeypatch):
         monkeypatch.setenv("DELCODE_SCALE_GUARD", str(10**9))
@@ -628,35 +644,23 @@ class TestSetDecode:
 
 
 class TestDecoderTableCertificate:
-    """`verify`'s certificate passes the tables the decoder builds, at every
-    alphabet width from a partial first byte to several bytes, and finds a
-    fault a single field holds."""
+    """`verify`'s certificate passes the lost-set table the decoder builds, and
+    lists the sets a corrupted table misreads."""
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     @pytest.mark.parametrize("q", [2, 7, 8, 9, 16, 17, 30])
     def test_built_tables_pass(self, q, t):
         params = VTParams(q, 0, t, next_prime_above(q), (0,) * t)
-        assert vtcode.byte_table_fault(params) is None
         assert vtcode.misread_lost_sets(params) == []
-
-    def test_each_corrupted_field_is_found(self):
-        params = VTParams(17, 3, 2, next_prime_above(17), (0, 0))
-        tables, width = params._decoder_tables
-        for b, table in enumerate(tables):
-            for v in (0, 1, len(table) - 1):
-                for k in (0, 1):
-                    table[v] ^= 1 << k * width
-                    assert vtcode.byte_table_fault(params) == {"byte_table": b, "entry": v}
-                    table[v] ^= 1 << k * width
 
     def test_misread_sets_come_in_deletion_order(self):
         params = VTParams(9, 3, 2, next_prime_above(9), (0, 0))
         lost_sets = params._lost_sets
-        wanted = [0b110000000, 0b1, 0b1010]  # given out of order
-        keys = {mask: key for key, mask in lost_sets.items()}
-        for mask in wanted:
-            del lost_sets[keys[mask]]
-        assert vtcode.misread_lost_sets(params) == [0b1, 0b1010, 0b110000000]
+        keys = {positions: key for key, positions in lost_sets.items()}
+        for positions in [(8, 9), (1,), (2, 4)]:  # given out of order
+            del lost_sets[keys[positions]]
+        lost_sets[keys[(3,)]] = (3, 5)  # a set read with a position too many
+        assert vtcode.misread_lost_sets(params) == [0b1, 0b100, 0b1010, 0b110000000]
 
 
 def outcome(decoder, *args):
@@ -758,7 +762,8 @@ class TestDecodeMask:
         lost_sets = VTParams(q, n, t, p, (0,) * t)._lost_sets
         assert len(lost_sets) == sum(math.comb(q, e) for e in range(1, t + 1))
         for key, lost in lost_sets.items():
-            assert key == vt_syndrome(subset_to_bitword(lost, q), t, p)
+            assert list(lost) == sorted(set(lost)) and 1 <= lost[0] and lost[-1] <= q
+            assert key == vt_syndrome(subset_to_bitword(sum(1 << i - 1 for i in lost), q), t, p)
 
     def test_lost_set_build_streams_its_largest_level(self):
         # the two-sets stream into the table, so the build peaks near what the table holds
@@ -776,8 +781,20 @@ class TestDecodeMask:
         for e in range(1, t + 1):
             for chosen in itertools.combinations(range(1, q + 1), e):
                 key = tuple(sum(pow(i, k, p) for i in chosen) % p for k in range(1, t + 1))
-                expected[key] = sum(1 << i - 1 for i in chosen)
+                expected[key] = chosen
         assert lost_sets == expected
+
+    def test_lost_sets_grow_with_the_keys(self):
+        # each key holds its positions, not a q-bit mask: 112.3 MB here when it held masks
+        params = VTParams(40_000, 5, 1, 40_009, (0,))
+        tracemalloc.start()
+        try:
+            params._lost_sets
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 15 * 2**20
+        assert params._lost_sets[(40_000,)] == (40_000,)
 
     def test_zero_deficits_build_no_lost_set_table(self):
         # members decoded whole, and a short word with the class's own syndrome,
@@ -805,7 +822,7 @@ class TestDecodeMask:
         # q = 2^89 - 2 sits below the Mersenne prime 2^89 - 1; nothing of size q is built
         q = 2**89 - 2
         builds = []
-        monkeypatch.setattr(vtcode, "_byte_tables", lambda *args: builds.append(args))
+        monkeypatch.setattr(vtcode, "_residue_rows", lambda *args: builds.append(args))
         with pytest.raises(ScaleGuardExceeded):
             VTParams(q, 5, 1, q + 1, (0,))
         assert builds == []
