@@ -12,7 +12,7 @@ import sys
 from itertools import islice
 
 from .errors import DecodeError, DelcodeError
-from .guards import CLASS_ENUM_CAP, check_enumerable, scale_cap
+from .guards import CLASS_ENUM_CAP, check_enumerable
 from .model import Word, set_bits
 from .modular import next_prime_above
 from .multfree import (
@@ -32,7 +32,7 @@ from .permcode import (
     verify_sd_property,
     verify_ud_property,
 )
-from .vtcode import VTParams, best_class, is_codeword, misread_lost_sets
+from .vtcode import VTParams, best_class, census_states, is_codeword, misread_lost_sets
 
 
 def _emit(payload) -> None:
@@ -40,14 +40,10 @@ def _emit(payload) -> None:
 
 
 def _cmd_construct(args) -> int:
-    if args.n >= 0:  # refuse t > n before the census, which can run long; it refuses n < 0 at once
-        check_radius(args.n, args.t)
-        if args.q > 1:
-            # the census's q (n + 1) p^t states, refused at q + 1 < p before the prime search;
-            # past the cap's bit length in t, (q + 1)^t alone is above the cap
-            bits = scale_cap(CLASS_ENUM_CAP).bit_length()
-            states = args.q * (args.n + 1) * (args.q + 1) ** min(args.t, bits)
-            check_enumerable(states, CLASS_ENUM_CAP, "syndrome-class DP")
+    # refuse what the census would before the prime search, which costs sqrt(q): q + 1 < p stands in for p
+    states, exact = census_states(args.q, args.n, args.t, args.q + 1)
+    check_radius(args.n, args.t)
+    check_enumerable(states, CLASS_ENUM_CAP, "syndrome-class DP", exact)
     p = next_prime_above(args.q)
     a, class_size = best_class(args.q, args.n, args.t, p)
     params = VTParams(args.q, args.n, args.t, p, a)
@@ -189,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("decode", help="decode a received word")
     d.add_argument("--spec", required=True)
-    d.add_argument("--word", required=True, help='received word as a JSON array, e.g. "[6,4,3]"')
+    d.add_argument("--word", required=True, help='received word as a JSON array, e.g. "[6,5,4]"')
     d.add_argument("--trace", action="store_true", help="include decoder intermediates")
     d.set_defaults(func=_cmd_decode)
 

@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 from .errors import BoundViolated, SetDecodeFailed
-from .guards import CLASS_ENUM_CAP, check_enumerable
+from .guards import CLASS_ENUM_CAP, check_enumerable, scale_cap
 from .model import Record
 from .modular import is_prime
 
@@ -36,11 +36,14 @@ class VTParams(Record):
         for r in a:
             if not 0 <= r < p:
                 raise ValueError(f"residue {r} outside [0, {p - 1}]")
-        # one key per subset of at most t positions, counted before _lost_sets builds them;
-        # the packed rows, one per position, are no more than the keys
-        lost_sets = sum(math.comb(q, e) for e in range(1, t + 1))
-        check_enumerable(lost_sets, CLASS_ENUM_CAP, "set-decoder lost-set keys")
-        if not is_prime(p):  # last: the one check whose cost grows with the digits of p
+        # one key per subset of at most t positions, counted before _lost_sets builds them
+        # and no further than the cap; the packed rows, one per position, are no more
+        cap, keys, e = scale_cap(CLASS_ENUM_CAP), 0, 0
+        while keys <= cap and e < min(t, q):  # C(q, e) is 0 past e = q
+            e += 1
+            keys += math.comb(q, e)
+        check_enumerable(keys, CLASS_ENUM_CAP, "set-decoder lost-set keys", e == min(t, q))
+        if not is_prime(p):  # last: trial division, about sqrt(p) / 2 steps
             raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "n", n)
@@ -103,13 +106,21 @@ def _shift(row: int, i: int, t: int, p: int, width: int) -> int:
     return row
 
 
+def census_states(q: int, n: int, t: int, p: int) -> tuple[int, bool]:
+    """The census DP's q (n + 1) p^t states, and whether that is exact: past the
+    cap's bit length in t, p^t alone passes the cap, so the power stops there."""
+    if n < 0 or t < 0:
+        raise ValueError(f"weight n and budget t must be nonnegative, got n={n}, t={t}")
+    bits = scale_cap(CLASS_ENUM_CAP).bit_length()
+    return q * (n + 1) * p ** min(t, bits), t <= bits
+
+
 def _census(q: int, n: int, t: int, p: int) -> tuple[bytearray, int]:
     """The suffix-count table of weight-n words of length q and its field width
     in bits.  The scale guard runs on every call, the table is built once per
     (q, n, t, p)."""
-    if n < 0 or t < 0:
-        raise ValueError(f"weight n and budget t must be nonnegative, got n={n}, t={t}")
-    check_enumerable(q * (n + 1) * p**t, CLASS_ENUM_CAP, "syndrome-class DP")
+    states, exact = census_states(q, n, t, p)
+    check_enumerable(states, CLASS_ENUM_CAP, "syndrome-class DP", exact)
     return _suffix_counts(q, n, t, p)
 
 

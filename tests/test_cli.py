@@ -4,6 +4,7 @@ import json
 import math
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -675,8 +676,38 @@ class TestErrors:
         assert json.loads(capsys.readouterr().out)["error"] == "ScaleGuardExceeded"
         assert len(counted) == 1 and 10**7 < counted[0] < 2**1000
 
+    @pytest.mark.parametrize(
+        "q, n, t, message",
+        [
+            # the prime search by trial division above 10^30 would not end
+            (10**30, -1, 1, "weight n and budget t must be nonnegative, got n=-1, t=1"),
+            # the power stopped at the cap's bit length: the DP has about 2.6e30 states
+            (12, 30, 25, "syndrome-class DP would visit more than 10000000 items"),
+            # 5,001 digits, more than Python turns into text
+            (10**2500, 5, 1, "syndrome-class DP would visit more than 10000000 items"),
+        ],
+        ids=["negative-weight", "capped-power", "unprintable-count"],
+    )
+    def test_census_refusals_before_the_prime_search(self, monkeypatch, capsys, tmp_path, q, n, t, message):
+        monkeypatch.delenv("DELCODE_SCALE_GUARD", raising=False)
+        monkeypatch.setattr(cli, "next_prime_above", lambda q: pytest.fail("prime search ran"))
+        start = time.perf_counter()
+        args = ["--q", str(q), "--n", str(n), "--t", str(t), "--out", str(tmp_path / "x.json")]
+        assert cli.main(["construct", *args]) == 2
+        assert time.perf_counter() - start < 1
+        assert json.loads(capsys.readouterr().out)["message"].startswith(message)
+
+    @pytest.mark.parametrize("raw", ["abc", "1e7", "0", "-5", " 5", "5_000"])
+    def test_malformed_scale_guard_refused_by_name(self, monkeypatch, capsys, tmp_path, raw):
+        monkeypatch.setenv("DELCODE_SCALE_GUARD", raw)
+        assert cli.main(["construct", "--q", "12", "--n", "5", "--t", "2", "--out", str(tmp_path / "x.json")]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "ValueError",
+            "message": f"DELCODE_SCALE_GUARD must be a positive decimal integer, got {raw!r}",
+        }
+
     def test_modulus_outside_the_range_refused_before_the_primality_test(self, tmp_path, capsys):
-        # 2^4423 - 1 is prime and has 1,332 digits: Miller-Rabin on it took 2.6 s
+        # 2^4423 - 1 is prime and has 1,332 digits: trial division would never end on it
         path = tmp_path / "spec.json"
         path.write_text(Q12_SPEC.replace('"p": 13', f'"p": {2**4423 - 1}'))
         start = time.perf_counter()
@@ -1102,17 +1133,33 @@ class TestSetCodeForms:
         assert capsys.readouterr().out == f'{{"error": "MalformedSpec", "message": "{message}"}}\n'
 
 
+def readme_block(heading, fence):
+    """The first fenced block of one README section, fence "sh", "python" or "json"."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
 class TestReadmeSpecExample:
     def test_example_is_what_construct_writes(self, tmp_path):
         # the README's "Spec file format" example, spread over lines, is Q12_SPEC
-        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        with open(readme, encoding="utf-8") as fh:
-            section = fh.read().split("\n## Spec file format\n", 1)[1]
-        example = section.split("```json\n", 1)[1].split("```", 1)[0]
-        assert json.loads(example) == json.loads(Q12_SPEC)
+        assert json.loads(readme_block("Spec file format", "json")) == json.loads(Q12_SPEC)
         out = tmp_path / "spec.json"
         assert cli.main(["construct", "--q", "12", "--n", "5", "--t", "2", "--out", str(out)]) == 0
         assert out.read_text() == Q12_SPEC + "\n"
+
+
+class TestReadmeExamples:
+    def test_every_command_line_example_exits_0(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        commands = [line for line in readme_block("Command line", "sh").splitlines() if line.startswith("delcode ")]
+        assert len(commands) == 6
+        for line in commands:
+            assert cli.main(shlex.split(line)[1:]) == 0, line
+
+    def test_library_example_runs(self):
+        exec(compile(readme_block("Library", "python"), "README.md", "exec"), {})
 
 
 class TestSimulateAtBenchmarkScale:

@@ -2,7 +2,9 @@
 that `tests/bitword_oracle.py` decodes with."""
 
 import itertools
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -35,6 +37,24 @@ class TestPrimes:
         for _ in range(200):
             n = rng.randrange(2, 10**6)
             assert is_prime(n) == trial_division(n), n
+
+    def test_is_prime_matches_a_sieve(self):
+        # below 10^5 against Eratosthenes, and next_prime_above on [2, 10^4] is the
+        # sieve's next prime
+        limit = 10**5
+        sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+        for d in range(2, math.isqrt(limit) + 1):
+            if sieve[d]:
+                sieve[d * d :: d] = bytes(len(range(d * d, limit, d)))
+        assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+        for q in range(2, 10**4 + 1):
+            assert next_prime_above(q) == sieve.index(1, q + 1), q
+
+    def test_largest_default_cap_modulus_is_quick(self):
+        # 19,999,999 is prime, and p <= 2q <= 2 * 10^7 under the default cap
+        start = time.perf_counter()
+        assert is_prime(19_999_999)
+        assert time.perf_counter() - start < 0.05
 
     def test_modulus_rejects_composites(self):
         # composites in (q, 2q] fail the primality test; other moduli fail the range

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 import weakref
 from unittest import mock
@@ -572,9 +573,18 @@ class TestScaleGuard:
         with pytest.raises(ScaleGuardExceeded, match="lost-set keys would visit 10000001 items"):
             VTParams(q + 1, 5, 1, next_prime_above(q + 1), (0,))
 
+    @pytest.mark.parametrize("q, p, t", [(10_000, 10_007, 3_000), (40_000, 40_009, 5_000)])
+    def test_lost_set_count_stops_at_the_cap(self, q, p, t):
+        # the whole sum took 1.55 s and 8.0 s; the second has more than 4,300 digits,
+        # so printing it raised Python's digit-limit ValueError
+        start = time.perf_counter()
+        with pytest.raises(ScaleGuardExceeded, match="lost-set keys would visit more than 10000000 items"):
+            VTParams(q, 5, t, p, (0,) * t)
+        assert time.perf_counter() - start < 1
+
     def test_cheap_checks_run_before_the_primality_test(self, monkeypatch):
         # 2^4423 - 1 is prime and far above 2q: the range check refuses it with no
-        # Miller-Rabin round, and so does the key guard at q = 2^89 - 2
+        # trial division, and so does the key guard at q = 2^89 - 2
         monkeypatch.setattr(vtcode, "is_prime", lambda p: pytest.fail("is_prime ran"))
         with pytest.raises(ValueError, match=f"need q < p <= 2q, got q=12, p={2**4423 - 1}$"):
             VTParams(12, 5, 2, 2**4423 - 1, (1, 3))
