@@ -32,7 +32,7 @@ from .permcode import (
     verify_sd_property,
     verify_ud_property,
 )
-from .vtcode import VTParams, best_class, census_states, is_codeword, misread_lost_sets
+from .vtcode import VTParams, best_class, census_states, check_budget, is_codeword, misread_lost_sets
 
 
 def _emit(payload) -> None:
@@ -40,15 +40,16 @@ def _emit(payload) -> None:
 
 
 def _cmd_construct(args) -> int:
-    # refuse what the census would before the prime search, which costs sqrt(q): q + 1 < p stands in for p
+    # refuse what the census, VTParams or the book would before the prime search: q + 1 < p stands in for p
     states, exact = census_states(args.q, args.n, args.t, args.q + 1)
     check_radius(args.n, args.t)
     check_enumerable(states, CLASS_ENUM_CAP, "syndrome-class DP", exact)
+    check_budget(args.q, args.t)
+    greedy = greedy_sd_code if args.mode == "stable" else greedy_ud_code
+    book = greedy(args.n, args.t)
     p = next_prime_above(args.q)
     a, class_size = best_class(args.q, args.n, args.t, p)
     params = VTParams(args.q, args.n, args.t, p, a)
-    greedy = greedy_sd_code if args.mode == "stable" else greedy_ud_code
-    book = greedy(args.n, args.t)
     spec = MultFreeCodeSpec(args.q, args.n, args.t, args.mode, SetCode.from_vt(params), book)
     save_spec(spec, args.out)
     _emit(

@@ -11,7 +11,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 
 from .errors import PermDecodeFailed
-from .guards import PERM_ENUM_CAP, check_enumerable
+from .guards import PERM_ENUM_CAP, check_enumerable, scale_cap
 from .model import Record, apply_unstable_deletions, ball_index, check_permutation, is_subsequence
 
 
@@ -79,7 +79,11 @@ def _first_fit(candidates: Iterable[tuple], ball_keys: Callable) -> Iterator[tup
 
 
 def _greedy_book(n: int, t: int, unstable: bool) -> PermCodeBook:
-    check_enumerable(math.factorial(n), PERM_ENUM_CAP, "symmetric-group scan")
+    cap, count, k = scale_cap(PERM_ENUM_CAP), 1, 1
+    while count <= cap and k < n:  # n! counted no further than the cap
+        k += 1
+        count *= k
+    check_enumerable(count, PERM_ENUM_CAP, "symmetric-group scan", k >= n)
     admitted = _first_fit(permutations(range(1, n + 1)), _ball_keys(n, t, unstable))
     return PermCodeBook(n, t, admitted)
 

@@ -7,7 +7,7 @@ at position s + 1, so that symbol 0 stays visible to every syndrome row.
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 
@@ -29,20 +29,12 @@ class VTParams(Record):
             raise ValueError(f"need 0 <= n <= q, got n={n}, q={q}")
         if not q < p <= 2 * q:
             raise ValueError(f"need q < p <= 2q, got q={q}, p={p}")
-        if t < 1:
-            raise ValueError("error budget t must be at least 1")
+        check_budget(q, t)
         if len(a) != t:
             raise ValueError(f"syndrome vector has {len(a)} entries, expected t={t}")
         for r in a:
             if not 0 <= r < p:
                 raise ValueError(f"residue {r} outside [0, {p - 1}]")
-        # one key per subset of at most t positions, counted before _lost_sets builds them
-        # and no further than the cap; the packed rows, one per position, are no more
-        cap, keys, e = scale_cap(CLASS_ENUM_CAP), 0, 0
-        while keys <= cap and e < min(t, q):  # C(q, e) is 0 past e = q
-            e += 1
-            keys += math.comb(q, e)
-        check_enumerable(keys, CLASS_ENUM_CAP, "set-decoder lost-set keys", e == min(t, q))
         if not is_prime(p):  # last: trial division, about sqrt(p) / 2 steps
             raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "q", q)
@@ -53,14 +45,8 @@ class VTParams(Record):
 
     @cached_property
     def _packed_rows(self) -> tuple[list[int], int]:
-        """Position i's residues (i, i^2, ..., i^t) mod p as one int at index i,
-        i^k in field k - 1, and the field width in bits.  A field sums at most q
-        values below p, so a width holding q (p - 1) never carries.  Built on
-        the first decode or membership test; callers only read the list."""
-        q, t, p = self.q, self.t, self.p
-        width = (q * (p - 1)).bit_length()
-        rows = [sum(pow(i, k, p) << (k - 1) * width for k in range(1, t + 1)) for i in range(q + 1)]
-        return rows, width
+        """_power_rows of this class, built on the first decode or membership test; read only."""
+        return _power_rows(self.q, self.t, self.p)
 
     @cached_property
     def _lost_sets(self) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -68,10 +54,40 @@ class VTParams(Record):
         its power sums s_1..s_t mod p.  No two sets share a key: zeros added to
         the smaller of two sets leave its sums as they are, Newton's identities
         (at most q < p elements) then give both one polynomial, so one set of
-        roots, and no position is 0 mod p.  Built on first use: a nonzero
-        deficit, or `verify`."""
-        levels = _subset_sums(_residue_rows(self.q, self.t, self.p), self.t, self.p)
-        return {sums: positions for level in levels for positions, sums in level}
+        roots, and no position is 0 mod p.  A set's key is the sum of its
+        packed rows, each field read mod p as _deficits reads it.  Built on
+        first use: a nonzero deficit, or `verify`."""
+        rows, width = self._packed_rows
+        p, field, shifts = self.p, (1 << width) - 1, range(0, self.t * width, width)
+        table = {}
+        for e in range(1, self.t + 1):
+            for positions in combinations(range(1, self.q + 1), e):
+                sums = sum(map(rows.__getitem__, positions))
+                table[tuple([(sums >> shift & field) % p for shift in shifts])] = positions
+        return table
+
+
+def check_budget(q: int, t: int) -> None:
+    """Refuse a budget t below 1, or a lost-set table above the cap: one key per
+    set of at most t positions, no fewer than the packed rows, counted no further
+    than the cap.  Needs no modulus, so it can run before the prime search."""
+    if t < 1:
+        raise ValueError("error budget t must be at least 1")
+    cap, keys, e = scale_cap(CLASS_ENUM_CAP), 0, 0
+    while keys <= cap and e < min(t, q):  # C(q, e) is 0 past e = q
+        e += 1
+        keys += math.comb(q, e)
+    check_enumerable(keys, CLASS_ENUM_CAP, "set-decoder lost-set keys", e == min(t, q))
+
+
+def _power_rows(q: int, t: int, p: int) -> tuple[list[int], int]:
+    """Position i's residues (i, i^2, ..., i^t) mod p as one int at index i,
+    i^k in field k - 1, and the field width in bits: the set layer's one table
+    of position residues.  A field sums at most q values below p, so a width
+    holding q (p - 1) never carries."""
+    width = (q * (p - 1)).bit_length()
+    rows = [sum(pow(i, k, p) << (k - 1) * width for k in range(1, t + 1)) for i in range(q + 1)]
+    return rows, width
 
 
 def _flat(residues: Sequence[int], p: int) -> int:
@@ -170,30 +186,6 @@ def class_size(q: int, n: int, t: int, p: int, a: Sequence[int]) -> int:
     return int.from_bytes(table[field : field + step], "little")
 
 
-def _residue_rows(q: int, t: int, m: int) -> list:
-    """Each position's residue vector (i, i^2, ..., i^t) mod m, at index i."""
-    return [None] + [tuple(pow(i, k, m) for k in range(1, t + 1)) for i in range(1, q + 1)]
-
-
-def _subset_sums(rows: list, k: int, m: int) -> Iterator[Iterable[tuple[tuple[int, ...], tuple]]]:
-    """Yield levels 1..k of the sets of positions 1..q (rows from
-    _residue_rows): level e holds every e-set in combinations order as (its
-    positions, ascending; the sum of their rows mod m), each an (e - 1)-set
-    plus a later position and its row.  The last and largest level is a
-    generator, so it streams to the caller instead of sitting in a list."""
-    q = len(rows) - 1
-    level = [((), (0,) * len(rows[-1]))]
-    for e in range(1, k + 1):
-        level = (
-            ((*positions, j), tuple((x + y) % m for x, y in zip(sums, rows[j])))
-            for positions, sums in level
-            for j in range(positions[-1] + 1 if positions else 1, q + 1)
-        )
-        if e < k:
-            level = list(level)
-        yield level
-
-
 def _tail_depth(q: int, n: int, size: int) -> int:
     """How many last ones the class walk places by one lookup: the largest k
     of 1, 2, 3 (k <= n) whose C(q, k) combinations, the lookup table, are no
@@ -220,12 +212,14 @@ def enumerate_class(q: int, n: int, t: int, p: int, a: Sequence[int]) -> list[in
         return []
     if n == 0:
         return [0]
-    vectors = _residue_rows(q, t, p)
+    rows, row_width = _power_rows(q, t, p)
+    low, shifts = (1 << row_width) - 1, range(0, t * row_width, row_width)
+    vectors = [tuple([row >> shift & low for shift in shifts]) for row in rows]
     depth = _tail_depth(q, n, size)
     tails: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    *_, last_level = _subset_sums(vectors, depth, p)
-    for positions, key in last_level:
-        firsts, bits = tails.setdefault(key, ([], []))
+    for positions in combinations(range(1, q + 1), depth):
+        sums = sum(map(rows.__getitem__, positions))
+        firsts, bits = tails.setdefault(tuple([(sums >> shift & low) % p for shift in shifts]), ([], []))
         firsts.append(positions[0])
         bits.append(sum(1 << i - 1 for i in positions))
     table, width = _census(q, n, t, p)

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from delcode import (
+    MultFreeCodeSpec,
+    PermCodeBook,
     redundancy,
     redundancy_bound,
     simulate,
@@ -180,6 +182,13 @@ class TestSimulate:
     def test_invalid_budget(self, explicit_spec):
         with pytest.raises(ValueError):
             simulate(explicit_spec, trials=10, t_max=6, seed=0)
+
+    def test_negative_trials_and_empty_code_refused(self, explicit_spec):
+        with pytest.raises(ValueError, match="^need trials >= 0$"):
+            simulate(explicit_spec, trials=-1, t_max=1, seed=0)
+        empty = MultFreeCodeSpec(8, 5, 2, "stable", explicit_spec.set_code, PermCodeBook(5, 2, ()))
+        with pytest.raises(ValueError, match="^the spec describes an empty code$"):
+            simulate(empty, trials=1, t_max=1, seed=0)
 
     def test_json_shape(self, explicit_spec):
         data = simulate(explicit_spec, trials=50, t_max=1, seed=2).to_json_dict()

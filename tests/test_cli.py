@@ -456,6 +456,19 @@ class TestSimulate:
         assert result.returncode == 0
 
 
+    def test_failure_within_the_budget_exits_one(self, tmp_path, capsys):
+        # a real book whose stable balls overlap: (1, 2, 3) and (1, 3, 2) share the
+        # subsequences (1, 2) and (1, 3), so some single deletions do not decode
+        book = PermCodeBook(3, 1, [(1, 2, 3), (1, 3, 2)])
+        spec = multfree.MultFreeCodeSpec(4, 3, 1, "stable", multfree.SetCode(4, 3, 1, sets=(0b0111,)), book)
+        path = tmp_path / "overlap.json"
+        multfree.save_spec(spec, path)
+        args = ["--spec", str(path), "--trials", "50", "--tmax", "1", "--seed", "0"]
+        assert cli.main(["simulate", *args]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert 0 < report["failures"] < report["trials"] == 50
+
+
 class TestBounds:
     def test_report_values(self):
         result = run_cli("bounds", "--q", "8", "--n", "5", "--t", "2", "--size", "4")
@@ -696,6 +709,25 @@ class TestErrors:
         assert cli.main(["construct", *args]) == 2
         assert time.perf_counter() - start < 1
         assert json.loads(capsys.readouterr().out)["message"].startswith(message)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # t = 0 passes the census count, which ran in 2.3 s before VTParams refused it
+            (["--q", "3000000", "--n", "0", "--t", "0"], "error budget t must be at least 1"),
+            (["--q", "50", "--n", "5", "--t", "2", "--mode", "unstable"],
+             "unstable-deletion codebooks are only built for t <= 1"),
+        ],
+        ids=["zero-budget", "unstable-two-deletions"],
+    )
+    def test_set_and_book_refusals_before_the_prime_search(self, monkeypatch, capsys, tmp_path, args, message):
+        monkeypatch.delenv("DELCODE_SCALE_GUARD", raising=False)
+        monkeypatch.setattr(cli, "next_prime_above", lambda q: pytest.fail("prime search ran"))
+        monkeypatch.setattr(vtcode, "_census", lambda *args: pytest.fail("census ran"))
+        start = time.perf_counter()
+        assert cli.main(["construct", *args, "--out", str(tmp_path / "x.json")]) == 2
+        assert time.perf_counter() - start < 1
+        assert json.loads(capsys.readouterr().out) == {"error": "ValueError", "message": message}
 
     @pytest.mark.parametrize("raw", ["abc", "1e7", "0", "-5", " 5", "5_000"])
     def test_malformed_scale_guard_refused_by_name(self, monkeypatch, capsys, tmp_path, raw):

@@ -39,6 +39,10 @@ class TestWord:
         with pytest.raises(ValueError):
             Word((-1,), 5)
 
+    def test_negative_alphabet_refused(self):
+        with pytest.raises(ValueError, match="^alphabet size must be nonnegative$"):
+            Word((), -1)
+
     def test_multiplicity_free_rejects_duplicates(self):
         with pytest.raises(ValueError):
             Word((1, 2, 1), 5, multiplicity_free=True)

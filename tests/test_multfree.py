@@ -453,6 +453,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             MultFreeCodeSpec(8, 5, 2, "sideways", sc, book)
 
+    def test_permutation_code_must_match_the_spec(self, explicit_spec):
+        # the set code agrees with (8, 5, 2), so the book's (n, t) is what is refused
+        for book in (PermCodeBook(5, 1, ()), PermCodeBook(4, 2, ())):
+            with pytest.raises(ValueError, match=r"^permutation code disagrees with the spec's \(n, t\)$"):
+                MultFreeCodeSpec(8, 5, 2, "stable", explicit_spec.set_code, book)
+
     def test_unstable_mode_requires_single_deletion_budget(self, explicit_spec):
         with pytest.raises(ValueError):
             MultFreeCodeSpec(

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import json
 import math
+import time
 from bisect import bisect
 from fractions import Fraction
 
@@ -255,6 +256,16 @@ class TestGreedyConstruction:
 
     def test_scale_guard(self):
         with pytest.raises(ScaleGuardExceeded):
+            greedy_sd_code(9, 1)
+
+    def test_scale_guard_counts_no_further_than_the_cap(self, monkeypatch):
+        # n! is multiplied out only until it passes 8!: 0.95 s to refuse when it was whole
+        monkeypatch.delenv("DELCODE_SCALE_GUARD", raising=False)
+        start = time.perf_counter()
+        with pytest.raises(ScaleGuardExceeded, match="would visit more than 40320 items"):
+            greedy_sd_code(300_000, 1)
+        assert time.perf_counter() - start < 0.05
+        with pytest.raises(ScaleGuardExceeded, match=r"would visit 362880 items, above the cap of 40320 \("):
             greedy_sd_code(9, 1)
 
     def test_order_tag(self, tmp_path):

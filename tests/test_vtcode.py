@@ -776,23 +776,26 @@ class TestDecodeMask:
             assert key == vt_syndrome(subset_to_bitword(sum(1 << i - 1 for i in lost), q), t, p)
 
     def test_lost_set_build_streams_its_largest_level(self):
-        # the two-sets stream into the table, so the build peaks near what the table holds
-        q, t = 300, 2
-        p = next_prime_above(q)
-        params = VTParams(q, 5, t, p, (0,) * t)
-        tracemalloc.start()
-        try:
-            lost_sets = params._lost_sets
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.2 * held
-        expected = {}
-        for e in range(1, t + 1):
-            for chosen in itertools.combinations(range(1, q + 1), e):
-                key = tuple(sum(pow(i, k, p) for i in chosen) % p for k in range(1, t + 1))
-                expected[key] = chosen
-        assert lost_sets == expected
+        # each set's key is read off the summed packed rows, so the build peaks near
+        # what the table holds: 1.44 times it at q = 40,000 with a residue tuple per position
+        for q, t in [(300, 2), (40_000, 1)]:
+            p = next_prime_above(q)
+            params = VTParams(q, 5, t, p, (0,) * t)
+            tracemalloc.start()
+            try:
+                lost_sets = params._lost_sets
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.2 * held
+            expected = {}
+            for e in range(1, t + 1):
+                for chosen in itertools.combinations(range(1, q + 1), e):
+                    key = tuple(sum(pow(i, k, p) for i in chosen) % p for k in range(1, t + 1))
+                    expected[key] = chosen
+            assert lost_sets == expected
+            # fewest positions first, then combinations order
+            assert list(lost_sets.values()) == list(expected.values())
 
     def test_lost_sets_grow_with_the_keys(self):
         # each key holds its positions, not a q-bit mask: 112.3 MB here when it held masks
@@ -832,7 +835,7 @@ class TestDecodeMask:
         # q = 2^89 - 2 sits below the Mersenne prime 2^89 - 1; nothing of size q is built
         q = 2**89 - 2
         builds = []
-        monkeypatch.setattr(vtcode, "_residue_rows", lambda *args: builds.append(args))
+        monkeypatch.setattr(vtcode, "_power_rows", lambda *args: builds.append(args))
         with pytest.raises(ScaleGuardExceeded):
             VTParams(q, 5, 1, q + 1, (0,))
         assert builds == []
